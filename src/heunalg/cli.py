@@ -407,9 +407,24 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _join_lambda_value(argv: Sequence[str]) -> list[str]:
+    """Rewrite ``--lambda VALUE`` as ``--lambda=VALUE``.
+
+    argparse reads a separate token such as ``-5/3`` as an unknown option, so a
+    negative rational exponent would otherwise need the ``=`` form.
+    """
+    out: list[str] = []
+    for token in argv:
+        if out and out[-1] == "--lambda":
+            out[-1] = f"--lambda={token}"
+        else:
+            out.append(token)
+    return out
+
+
 def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(_join_lambda_value(sys.argv[1:] if argv is None else argv))
     fmt = getattr(args, "format", "table")
     try:
         return args.func(args)

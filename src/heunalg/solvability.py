@@ -10,6 +10,17 @@ where Finv divides the coefficient of x^sigma by F_val(sigma).  P+ pushes
 exponents up, P- pushes them down, so on the branch with P- = 0 the series
 ascends and on the branch with P+ = 0 it descends; whenever a generated
 exponent hits another root of F_val the iteration is resonant and aborts.
+
+The ladder acts on monomials only through the three-term action
+
+    x^s -> R(s) x^(s+1) + F_val(s) x^s + L(s) x^(s-1)
+
+(OdeSpec.raise_factor, f_value, lower_factor), so one iteration is a Jacobi
+sweep in which the new coefficient at shift m reads only the old ones at m-1
+and m+1.  A sweep recomputes just the neighbours of the shifts the previous
+sweep changed, plus the two shifts past the truncation window; on a one-sided
+branch that is O(1) shifts, and a whole call is O(iterations) exact
+operations rather than O(iterations^2).
 """
 
 from __future__ import annotations
@@ -18,10 +29,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .algebra import OdeSpec, build_generators, full_operator
+from .algebra import OdeSpec, full_operator
 from .errors import (
     DegenerateDiagonalError,
     NoIndicialRootError,
+    NotCastableError,
     ResonantExponentError,
 )
 from .operators import GeneralizedSeries, RationalLike, as_fraction
@@ -185,38 +197,68 @@ def series_solution_with_report(
 ) -> tuple[GeneralizedSeries, "SeriesReport"]:
     """Fixed-point iteration from the seed x^lam; see the module docstring.
 
-    Requires F_val(lam) = 0.  Raises ResonantExponentError when a generated
-    exponent with a nonzero coefficient has F_val = 0.  Shifts outside
-    |m| <= horizon are dropped and counted.
+    Requires F_val(lam) = 0, a3 = 0 and nonnegative sizes.  Raises
+    ResonantExponentError at the lowest generated shift with a nonzero
+    coefficient and F_val = 0.  Shifts outside |m| <= horizon are dropped and
+    counted on every iteration; the report's stationary_at is the first
+    iteration that changes no coefficient.  Costs O(iterations) exact
+    operations on the one-sided branches.
     """
+    if iterations < 0:
+        raise ValueError("iterations must be nonnegative")
+    if horizon is not None and horizon < 0:
+        raise ValueError("horizon must be nonnegative")
     lam = as_fraction(lam)
     if spec.f_value(lam) != 0:
         raise ValueError(f"lambda = {lam} is not an indicial root: F({lam}) = {spec.f_value(lam)}")
+    if spec.a3 != 0:
+        raise NotCastableError(f"casting requires a3 = 0, got a3 = {spec.a3}")
     window = DEFAULT_HORIZON if horizon is None else horizon
-    gens = build_generators(spec)
-    ladder = gens.p_plus + gens.p_minus
-    seed = GeneralizedSeries.monomial(lam)
-    psi = seed
+    factors: dict[int, tuple[Fraction, Fraction, Fraction]] = {}
+
+    def factor(m: int) -> tuple[Fraction, Fraction, Fraction]:
+        """(R, F, L) at exponent lam + m, computed once per shift."""
+        if m not in factors:
+            s = lam + m
+            factors[m] = (spec.raise_factor(s), spec.f_value(s), spec.lower_factor(s))
+        return factors[m]
+
+    psi = {0: Fraction(1)}
+    changed = {0}  # the seed is one sweep from the zero series
+    edges = {-window - 1, window + 1}
     dropped = 0
     stationary_at: int | None = None
     for k in range(iterations):
-        pushed = ladder.apply(psi)
-        inverted: dict[int, Fraction] = {}
-        for m, c in pushed.items():
-            f_val = spec.f_value(lam + m)
+        updates: dict[int, Fraction] = {}
+        for m in sorted(edges.union(*({n - 1, n + 1} for n in changed))):
+            pushed = Fraction(0)
+            if m - 1 in psi:
+                pushed += factor(m - 1)[0] * psi[m - 1]
+            if m + 1 in psi:
+                pushed += factor(m + 1)[2] * psi[m + 1]
+            if pushed == 0:
+                updates[m] = Fraction(1) if m == 0 else Fraction(0)
+                continue
+            f_val = factor(m)[1]
             if f_val == 0:
                 raise ResonantExponentError(
                     f"F vanishes at generated exponent {lam + m} (shift {m})"
                 )
-            inverted[m] = c / f_val
-        nxt = seed - GeneralizedSeries(lam, inverted)
-        nxt, d = nxt.truncate_window(-window, window)
-        dropped += d
-        if nxt == psi:
+            updates[m] = -pushed / f_val
+        dropped += sum(1 for m in edges if updates[m] != 0)
+        changed = {
+            m for m, c in updates.items()
+            if abs(m) <= window and c != psi.get(m, Fraction(0))
+        }
+        if not changed:
             stationary_at = k
             break
-        psi = nxt
-    return psi, SeriesReport(dropped=dropped, stationary_at=stationary_at)
+        for m in changed:
+            if updates[m] == 0:
+                del psi[m]
+            else:
+                psi[m] = updates[m]
+    return GeneralizedSeries(lam, psi), SeriesReport(dropped=dropped, stationary_at=stationary_at)
 
 
 @dataclass(frozen=True)

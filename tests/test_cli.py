@@ -140,6 +140,18 @@ class TestSeries:
     def test_explicit_non_root_exit_5(self, exact_path):
         assert main(["series", exact_path, "--lambda", "7", "--terms", "3"]) == 5
 
+    @pytest.mark.parametrize("form", (["--lambda", "-5/3"], ["--lambda=-5/3"]))
+    def test_negative_rational_lambda(self, tmp_path, capsys, form):
+        p = tmp_path / "neg.spec"
+        p.write_text("a1 = 3\na2 = 1\na5 = 5\na8 = -5\n")  # roots 1 and -5/3
+        assert main(["series", str(p), *form, "--terms", "2", "--format", "csv"]) == 0
+        out = capsys.readouterr().out.strip().splitlines()
+        assert "0,-5/3,1" in out
+
+    def test_negative_terms_exit_2(self, exact_path, capsys):
+        assert main(["series", exact_path, "--terms", "-2"]) == 2
+        assert "nonnegative" in capsys.readouterr().err
+
 
 class TestKink:
     def test_n2_full_grid_exits_6(self, capsys):

@@ -8,11 +8,14 @@ import pytest
 from heunalg import (
     DegenerateDiagonalError,
     GeneralizedSeries,
+    HeunalgError,
     NoIndicialRootError,
     OdeSpec,
     ResonantExponentError,
+    build_generators,
     check_solvability,
     full_operator,
+    hypergeometric_oracle,
     indicial_roots,
     kink_spec,
     polynomial_solution,
@@ -20,6 +23,8 @@ from heunalg import (
     series_solution_with_report,
     termination_condition,
 )
+from heunalg.operators import as_fraction
+from heunalg.solvability import DEFAULT_HORIZON, SeriesReport
 
 
 def exact_branch_spec(lam1, lam2, a1=F(1), a2=F(1), a6=F(3)):
@@ -150,6 +155,152 @@ class TestSeriesSolution:
             residual = full_operator(spec).apply(series)
             assert all(abs(m) > k - 1 for m in residual.shifts())
             produced += 1
+
+
+def reference_series_with_report(spec, lam, iterations, horizon=None):
+    """The DiffOp fixed-point loop series_solution_with_report once ran,
+    kept as a test-only reference: it re-applies P+ + P- to the whole series
+    on every iteration."""
+    lam = as_fraction(lam)
+    if spec.f_value(lam) != 0:
+        raise ValueError(f"lambda = {lam} is not an indicial root: F({lam}) = {spec.f_value(lam)}")
+    window = DEFAULT_HORIZON if horizon is None else horizon
+    gens = build_generators(spec)
+    ladder = gens.p_plus + gens.p_minus
+    seed = GeneralizedSeries.monomial(lam)
+    psi = seed
+    dropped = 0
+    stationary_at = None
+    for k in range(iterations):
+        pushed = ladder.apply(psi)
+        inverted = {}
+        for m, c in pushed.items():
+            f_val = spec.f_value(lam + m)
+            if f_val == 0:
+                raise ResonantExponentError(
+                    f"F vanishes at generated exponent {lam + m} (shift {m})"
+                )
+            inverted[m] = c / f_val
+        nxt = seed - GeneralizedSeries(lam, inverted)
+        nxt, d = nxt.truncate_window(-window, window)
+        dropped += d
+        if nxt == psi:
+            stationary_at = k
+            break
+        psi = nxt
+    return psi, SeriesReport(dropped=dropped, stationary_at=stationary_at)
+
+
+CASE_KINDS = (
+    "exact", "exact-terminating", "qes", "qes-terminating",
+    "mixed", "mixed-descending", "mixed-ascending",
+)
+
+
+def _small(rng, nonzero=False):
+    while True:
+        q = F(rng.randint(-6, 6), rng.randint(1, 3))
+        if q != 0 or not nonzero:
+            return q
+
+
+def random_series_case(rng):
+    """(spec, lam, iterations, horizon) covering every branch of the iteration:
+    one-sided and mixed ladders, terminating and resonant ones, a3 != 0 and
+    exponents that are not indicial roots."""
+    kind = rng.choice(CASE_KINDS)
+    if kind == "mixed-ascending":
+        # L vanishes at lam and lam + 1 only when lam is 0 or -1
+        lam1 = F(rng.choice((0, -1)))
+    else:
+        lam1 = _small(rng)
+    if rng.random() < 0.4:
+        lam2 = lam1 + rng.choice((-1, 1)) * rng.randint(1, 6)  # a resonance ahead
+    else:
+        lam2 = _small(rng)
+    c = {}
+    if rng.random() < 0.85:
+        a1 = _small(rng, nonzero=True)
+        c.update(a1=a1, a5=a1 * (1 - lam1 - lam2), a8=a1 * lam1 * lam2)
+    else:
+        a5 = _small(rng, nonzero=True)
+        c.update(a5=a5, a8=-a5 * lam1)
+    lam = lam1 if "a1" not in c or rng.random() < 0.5 else lam2
+    if kind in ("exact", "mixed", "mixed-descending"):
+        c.update(a2=_small(rng), a6=_small(rng))
+    if kind in ("qes", "mixed", "mixed-ascending"):
+        c.update(a0=_small(rng), a4=_small(rng), a7=_small(rng))
+    if kind == "exact-terminating":
+        s = lam - rng.randint(1, 8)  # L(s) = 0 stops the descent at s
+        a2 = _small(rng, nonzero=True)
+        c.update(a2=a2, a6=a2 * (1 - s))
+    elif kind == "qes-terminating":
+        s = lam + rng.randint(0, 8)  # R(s) = 0 stops the ascent at s
+        a0, a4 = _small(rng), _small(rng)
+        c.update(a0=a0, a4=a4, a7=-(a0 * s * (s - 1) + a4 * s))
+    elif kind == "mixed-descending":
+        # R(lam) = R(lam - 1) = 0: the series lives below the seed, where
+        # both ladder parts act, without returning to it
+        a0 = _small(rng, nonzero=True)
+        c.update(a0=a0, a4=a0 * (2 - 2 * lam), a7=a0 * lam * (lam - 1))
+    elif kind == "mixed-ascending":
+        a2 = _small(rng, nonzero=True)
+        c.update(a2=a2, a6=F(0) if lam1 == 0 else 2 * a2)
+        lam = lam1
+    if rng.random() < 0.05:
+        c["a3"] = _small(rng, nonzero=True)
+    if rng.random() < 0.05:
+        lam += F(1, 7)
+    horizon = rng.choice((None, 0, 1, 3, 10, 40))
+    return OdeSpec(**c), lam, rng.randint(0, 40), horizon
+
+
+def _outcome(fn, *args):
+    try:
+        series, report = fn(*args)
+    except (ValueError, HeunalgError) as exc:
+        return type(exc), str(exc)
+    return series.support(), report
+
+
+def test_sweep_matches_reference_loop():
+    rng = random.Random(2225)
+    kinds = {"ok": 0, "resonant": 0, "stationary": 0, "dropped": 0, "error": 0}
+    for _ in range(1000):
+        case = random_series_case(rng)
+        got = _outcome(series_solution_with_report, *case)
+        want = _outcome(reference_series_with_report, *case)
+        assert got == want, case
+        if isinstance(want[1], SeriesReport):
+            kinds["ok"] += 1
+            kinds["stationary"] += want[1].stationary_at is not None
+            kinds["dropped"] += want[1].dropped > 0
+        elif want[0] is ResonantExponentError:
+            kinds["resonant"] += 1
+        else:
+            kinds["error"] += 1
+    # the seeded mix reaches every branch of the iteration
+    assert min(kinds.values()) >= 50, kinds
+
+
+def test_exactly_solvable_series_matches_oracle_at_512_terms():
+    lam1, lam2 = F(1, 3), F(-3, 2)
+    spec = OdeSpec(a1=6, a2=2, a5=6 * (1 - lam1 - lam2), a6=1, a8=6 * lam1 * lam2)
+    series, report = series_solution_with_report(spec, lam1, 512, 512)
+    assert series == hypergeometric_oracle(spec, lam1, 513)
+    assert report == SeriesReport(dropped=0, stationary_at=None)
+
+
+class TestNegativeSizes:
+    def test_negative_iterations_rejected(self):
+        spec = exact_branch_spec(F(1, 2), F(-1, 3))
+        with pytest.raises(ValueError, match="iterations"):
+            series_solution_with_report(spec, F(1, 2), -2)
+
+    def test_negative_horizon_rejected(self):
+        spec = exact_branch_spec(F(1, 2), F(-1, 3))
+        with pytest.raises(ValueError, match="horizon"):
+            series_solution_with_report(spec, F(1, 2), 5, horizon=-1)
 
 
 class TestTermination:
