@@ -20,8 +20,6 @@ import sys
 from fractions import Fraction
 from typing import Sequence
 
-import numpy as np
-
 from .algebra import (
     OdeSpec,
     cast_check,
@@ -243,9 +241,11 @@ def cmd_kink(args: argparse.Namespace) -> int:
     algebra = kink_algebra(eps_sq, s)
     pairs = kink_termination()
     ode = kink_sigma_ode(eps_sq, 1 - s * s)
-    grid = np.linspace(float(args.xmin), float(args.xmax), args.points)
+    xmin, xmax = float(args.xmin), float(args.xmax)
+    step = (xmax - xmin) / (args.points - 1)
+    grid = [k * step + xmin for k in range(args.points - 1)] + [xmax]
     psi_sigma = psi_n2_sigma(float(eps_sq)) if args.state == "n2" else psi_n3half_sigma(float(eps_sq))
-    residual = residual_sigma(ode, psi_sigma, grid.tolist(), mu=float(mu))
+    residual = residual_sigma(ode, psi_sigma, grid, mu=float(mu))
     table = [
         (
             float(x),

@@ -2,7 +2,10 @@
 
 Polynomials are tuples of Fractions in ascending degree order with no trailing
 zeros; () is the zero polynomial.  Just enough machinery for interpolation,
-root hunting and discrete antidifferences; nothing here rounds.
+rational roots and discrete antidifferences; nothing here rounds.  Rational
+roots are isolated by Sturm bisection over the integers, so their cost is
+polynomial in the degree and the coefficient bit-length rather than in the
+size of the constant term.
 """
 
 from __future__ import annotations
@@ -91,7 +94,15 @@ def quadratic_rational_roots(a: Fraction, b: Fraction, c: Fraction) -> list[Frac
 
 
 def rational_roots(p: Sequence[Fraction]) -> list[Fraction]:
-    """All rational roots of p, found by the rational-root theorem and verified."""
+    """All distinct rational roots of p, ascending, each verified exactly.
+
+    After clearing denominators and splitting off the root 0, p has integer
+    coefficients c_0..c_n with c_0 != 0.  The substitution y = c_n x turns it
+    into a monic integer polynomial, whose rational roots are integers; those
+    are isolated by Sturm bisection (see _integer_root_candidates) and every
+    candidate is checked by exact evaluation.  The cost is polynomial in the
+    degree and the coefficient bit-length.
+    """
     q = poly(p)
     if not q:
         raise ZeroDivisionError("the zero polynomial vanishes everywhere")
@@ -103,34 +114,93 @@ def rational_roots(p: Sequence[Fraction]) -> list[Fraction]:
         denom_lcm = denom_lcm * c.denominator // math.gcd(denom_lcm, c.denominator)
     ints = [int(c * denom_lcm) for c in q]
     # strip factors of x
-    roots: set[Fraction] = set()
+    roots: list[Fraction] = []
     low = 0
     while ints[low] == 0:
         low += 1
     if low > 0:
-        roots.add(Fraction(0))
+        roots.append(Fraction(0))
         ints = ints[low:]
-    if len(ints) == 1:
-        return sorted(roots)
-    lead, const = abs(ints[-1]), abs(ints[0])
-    for p_div in _divisors(const):
-        for q_div in _divisors(lead):
-            for cand in (Fraction(p_div, q_div), Fraction(-p_div, q_div)):
-                if poly_eval(q, cand) == 0:
-                    roots.add(cand)
+    if len(ints) > 1:
+        content = math.gcd(*ints)
+        ints = [c // content for c in ints]
+        n, lead = len(ints) - 1, ints[-1]
+        # lead^(n-1) p(y / lead) is monic in y with integer coefficients
+        monic = [c * lead ** (n - 1 - i) for i, c in enumerate(ints[:-1])] + [1]
+        for y in _integer_root_candidates(monic):
+            if poly_eval(monic, Fraction(y)) == 0:
+                roots.append(Fraction(y, lead))
     return sorted(roots)
 
 
-def _divisors(n: int) -> list[int]:
-    out = []
-    d = 1
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            if d != n // d:
-                out.append(n // d)
-        d += 1
-    return sorted(out)
+def _integer_root_candidates(monic: list[int]) -> list[int]:
+    """Integers m whose interval (m - 1/2, m + 1/2) holds a real root of the
+    monic integer polynomial; every integer root is among them.
+
+    Real roots lie within a Fujiwara bound, rounded up to a power of two.
+    Sturm's theorem counts the distinct real roots between two points that
+    are not roots, and the intervals are bisected only at half-integers,
+    which a monic integer polynomial never vanishes at; signs there are
+    evaluated in integers, scaled by a power of two.
+    """
+    n = len(monic) - 1
+    bound_bits = 1 + max(-(-abs(c).bit_length() // (n - i)) for i, c in enumerate(monic[:-1]))
+    derivative = [i * c for i, c in enumerate(monic)][1:]
+    sturm = [monic, derivative]
+    while len(sturm[-1]) > 1:
+        rem = _negated_remainder(sturm[-2], sturm[-1])
+        if not rem:
+            break
+        sturm.append(rem)
+
+    variations_at: dict[int, int] = {}
+
+    def variations(twice: int) -> int:
+        """Sign changes of the Sturm sequence at twice / 2."""
+        if twice not in variations_at:
+            signs = []
+            for s in sturm:
+                acc, scale = 0, 1
+                for c in reversed(s):  # acc = 2^k s(twice / 2) after k steps of Horner
+                    acc = acc * twice + c * scale
+                    scale <<= 1
+                if acc:
+                    signs.append(acc > 0)
+            variations_at[twice] = sum(a != b for a, b in zip(signs, signs[1:]))
+        return variations_at[twice]
+
+    # each interval (lo/2, hi/2) has odd lo, hi; the root count is a difference
+    edge = (1 << (bound_bits + 1)) + 1
+    candidates = []
+    stack = [(-edge, edge)]
+    while stack:
+        lo, hi = stack.pop()
+        if variations(lo) == variations(hi):
+            continue
+        if hi - lo == 2:
+            candidates.append((lo + 1) // 2)
+            continue
+        mid = (lo + hi) // 2
+        mid += 1 - mid % 2
+        stack += [(lo, mid), (mid, hi)]
+    return candidates
+
+
+def _negated_remainder(a: list[int], b: list[int]) -> list[int]:
+    """-(a mod b) times a positive rational, as a primitive integer polynomial."""
+    rem = list(a)
+    scale, sign = abs(b[-1]), (1 if b[-1] > 0 else -1)
+    while rem and len(rem) >= len(b):
+        top, shift = rem[-1] * sign, len(rem) - len(b)
+        rem = [c * scale for c in rem]
+        for i, c in enumerate(b):
+            rem[shift + i] -= top * c
+        while rem and rem[-1] == 0:
+            rem.pop()
+    if not rem:
+        return []
+    content = math.gcd(*rem)
+    return [-c // content for c in rem]
 
 
 def discrete_antidifference(f: Sequence[Fraction]) -> Poly:

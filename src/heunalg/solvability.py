@@ -21,6 +21,11 @@ and m+1.  A sweep recomputes just the neighbours of the shifts the previous
 sweep changed, plus the two shifts past the truncation window; on a one-sided
 branch that is O(1) shifts, and a whole call is O(iterations) exact
 operations rather than O(iterations^2).
+
+The same action makes the operator on {x^0..x^degree} a banded matrix, so
+polynomial solutions come from a sparse elimination, and the spectral
+condition on a8 is a continuant: a characteristic polynomial built by a
+three-term recurrence in O(degree^2) exact operations.
 """
 
 from __future__ import annotations
@@ -38,8 +43,12 @@ from .errors import (
 )
 from .operators import GeneralizedSeries, RationalLike, as_fraction
 from .polynomials import (
+    Poly,
     is_rational_square,
-    poly_interpolate,
+    poly,
+    poly_add,
+    poly_mul,
+    poly_scale,
     quadratic_rational_roots,
     rational_roots,
 )
@@ -299,22 +308,34 @@ def _operator_matrix(spec: OdeSpec, degree: int) -> list[list[Fraction]]:
 
 
 def _gauss_nullspace(mat: Sequence[Sequence[Fraction]]) -> list[list[Fraction]]:
-    """Null-space basis by Gauss-Jordan elimination with exact division."""
-    rows = [list(r) for r in mat]
-    n_rows, n_cols = len(rows), len(rows[0]) if rows else 0
+    """Null-space basis from the reduced row-echelon form, by Gauss-Jordan
+    elimination with exact division.
+
+    Rows are kept as {column: nonzero entry}, so a row operation costs the
+    pivot row's nonzeros rather than the width of the matrix; the banded
+    operator matrix stays sparse throughout.
+    """
+    rows = [{c: v for c, v in enumerate(r) if v != 0} for r in mat]
+    n_rows, n_cols = len(rows), len(mat[0]) if mat else 0
     pivot_cols: list[int] = []
     r = 0
     for c in range(n_cols):
-        pivot = next((i for i in range(r, n_rows) if rows[i][c] != 0), None)
+        pivot = next((i for i in range(r, n_rows) if c in rows[i]), None)
         if pivot is None:
             continue
         rows[r], rows[pivot] = rows[pivot], rows[r]
         inv = 1 / rows[r][c]
-        rows[r] = [v * inv for v in rows[r]]
+        pivot_row = rows[r] = {k: v * inv for k, v in rows[r].items()}
         for i in range(n_rows):
-            if i != r and rows[i][c] != 0:
-                factor = rows[i][c]
-                rows[i] = [vi - factor * vr for vi, vr in zip(rows[i], rows[r])]
+            row = rows[i]
+            if i != r and c in row:
+                factor = row[c]
+                for k, v in pivot_row.items():
+                    value = row.get(k, 0) - factor * v
+                    if value:
+                        row[k] = value
+                    else:
+                        row.pop(k, None)
         pivot_cols.append(c)
         r += 1
         if r == n_rows:
@@ -325,21 +346,45 @@ def _gauss_nullspace(mat: Sequence[Sequence[Fraction]]) -> list[list[Fraction]]:
         vec = [Fraction(0)] * n_cols
         vec[fc] = Fraction(1)
         for pr, pc in enumerate(pivot_cols):
-            vec[pc] = -rows[pr][fc]
+            vec[pc] = -rows[pr].get(fc, Fraction(0))
         basis.append(vec)
     return basis
+
+
+def _characteristic_polynomial(spec: OdeSpec, degree: int) -> Poly:
+    """det(B + t I) as a polynomial in t, for the square block B on {x^0..x^degree}.
+
+    B is tridiagonal (F_val(k) on the diagonal, R(k-1) below it, L(k) above
+    it), so its leading principal minors obey the continuant recurrence
+
+        D_k(t) = (F_val(k) + t) D_{k-1}(t) - R(k-1) L(k) D_{k-2}(t),
+
+    which costs O(degree^2) exact operations.
+    """
+    prev: Poly = (Fraction(1),)
+    cur = poly((spec.f_value(Fraction(0)), 1))
+    for k in range(1, degree + 1):
+        mk = Fraction(k)
+        couple = spec.raise_factor(mk - 1) * spec.lower_factor(mk)
+        prev, cur = cur, poly_add(
+            poly_mul((spec.f_value(mk), Fraction(1)), cur), poly_scale(prev, -couple)
+        )
+    return cur
 
 
 def polynomial_solution(spec: OdeSpec, degree: int) -> PolynomialSolutionResult:
     """Exact null space of the operator on the monomial basis {x^0..x^degree}.
 
     When no polynomial solution exists, the rational a8 values that make the
-    (degree+1)-square subsystem singular are reported; a8 enters that block
-    only on the diagonal, so its determinant is a monic-in-a8 characteristic
-    polynomial recovered by exact interpolation.
+    (degree+1)-square subsystem singular are reported.  a8 enters that
+    tridiagonal block only on the diagonal, so its determinant at a8 + t is
+    the continuant characteristic polynomial in t, whose rational roots are
+    found in polynomial time.  Requires a3 = 0 and a nonnegative degree.
     """
     if degree < 0:
         raise ValueError("degree must be nonnegative")
+    if spec.a3 != 0:
+        raise NotCastableError(f"casting requires a3 = 0, got a3 = {spec.a3}")
     mat = _operator_matrix(spec, degree)
     basis = _gauss_nullspace(mat)
     verified = True
@@ -350,18 +395,7 @@ def polynomial_solution(spec: OdeSpec, degree: int) -> PolynomialSolutionResult:
             verified = False
     spectral: tuple[Fraction, ...] = ()
     if not basis:
-        square = [row[:] for row in mat[: degree + 1]]
-        det_points = []
-        for t in range(degree + 3):
-            shifted = [
-                [
-                    square[i][k] + (Fraction(t) if i == k else Fraction(0))
-                    for k in range(degree + 1)
-                ]
-                for i in range(degree + 1)
-            ]
-            det_points.append((Fraction(t), _determinant(shifted)))
-        char = poly_interpolate(det_points)
+        char = _characteristic_polynomial(spec, degree)
         # det vanishes at a8 = spec.a8 + t, so report the shifted roots
         spectral = tuple(spec.a8 + t for t in rational_roots(char))
     return PolynomialSolutionResult(
@@ -370,26 +404,3 @@ def polynomial_solution(spec: OdeSpec, degree: int) -> PolynomialSolutionResult:
         spectral_a8=spectral,
         verified=verified,
     )
-
-
-def _determinant(mat: list[list[Fraction]]) -> Fraction:
-    """Exact determinant by Bareiss elimination."""
-    n = len(mat)
-    if n == 0:
-        return Fraction(1)
-    m = [row[:] for row in mat]
-    sign = 1
-    prev = Fraction(1)
-    for k in range(n - 1):
-        if m[k][k] == 0:
-            swap = next((i for i in range(k + 1, n) if m[i][k] != 0), None)
-            if swap is None:
-                return Fraction(0)
-            m[k], m[swap] = m[swap], m[k]
-            sign = -sign
-        for i in range(k + 1, n):
-            for jcol in range(k + 1, n):
-                m[i][jcol] = (m[k][k] * m[i][jcol] - m[i][k] * m[k][jcol]) / prev
-            m[i][k] = Fraction(0)
-        prev = m[k][k]
-    return sign * m[n - 1][n - 1]

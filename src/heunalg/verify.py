@@ -14,8 +14,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Sequence
 
-import numpy as np
-
 from .algebra import OdeSpec
 from .errors import ResonantExponentError
 from .kink import SigmaOde, sigma_of_x
@@ -98,8 +96,7 @@ def residual_sigma(
         kept.append(sigma)
         residuals.append(sum(terms))
         scale = max(scale, *(abs(t) for t in terms))
-    res = np.asarray(residuals, dtype=float)
-    max_abs = float(np.max(np.abs(res))) if res.size else 0.0
+    max_abs = max((abs(r) for r in residuals), default=0.0)
     return ResidualReport(
         grid=tuple(kept),
         max_abs_residual=max_abs,

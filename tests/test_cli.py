@@ -1,7 +1,12 @@
 """Command-line behavior: exit codes, formats, determinism."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
+import numpy as np
 import pytest
 
 from heunalg.cli import main
@@ -227,3 +232,22 @@ def test_classify_determinism(heun_path, capsys):
     first = capsys.readouterr().out
     main(["classify", heun_path, "--format", "json"])
     assert capsys.readouterr().out == first
+
+
+@pytest.mark.parametrize("xmin, xmax, points", [
+    (-10.0, 10.0, 401), (-3.0, 3.0, 121), (0.1, 12.0, 60), (-2.0, 2.0, 5), (1.0, -1.0, 2),
+])
+def test_kink_grid_equals_linspace(xmin, xmax, points, capsys):
+    main(["kink", "--eps-sq", "1", "--state", "n2", "--xmin", str(xmin), "--xmax", str(xmax),
+          "--points", str(points), "--format", "json"])
+    rows = json.loads(capsys.readouterr().out)["rows"]
+    assert [row["x"] for row in rows] == np.linspace(xmin, xmax, points).tolist()
+
+
+def test_import_does_not_load_numpy():
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    probe = "import sys, heunalg, heunalg.cli; print('numpy' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", probe], env=env,
+                         capture_output=True, text=True, check=True).stdout
+    assert out.strip() == "False"

@@ -10,6 +10,7 @@ from heunalg import (
     GeneralizedSeries,
     HeunalgError,
     NoIndicialRootError,
+    NotCastableError,
     OdeSpec,
     ResonantExponentError,
     build_generators,
@@ -370,6 +371,14 @@ class TestPolynomialSolution:
     def test_diagonal_spec_constants(self):
         result = polynomial_solution(OdeSpec(a1=1, a5=1), 2)
         assert any(vec[0] != 0 and vec[1] == vec[2] == 0 for vec in result.basis)
+
+    @pytest.mark.parametrize("spec, degree", [
+        (OdeSpec(a1=1, a3=1, a5=2, a8=-6), 3),  # the a3-blind block solves x^2
+        (OdeSpec(a1=1, a3=1, a5=3, a8=-5), 4),  # the a3-blind block has spectral values
+    ])
+    def test_a3_not_castable(self, spec, degree):
+        with pytest.raises(NotCastableError, match="casting requires a3 = 0, got a3 = 1"):
+            polynomial_solution(spec, degree)
 
     def test_termination_nullspace_coherence(self):
         spec = OdeSpec(a4=1, a7=-3, a1=0, a5=1, a8=0)

@@ -1,0 +1,357 @@
+"""The spectral step of polynomial_solution and the root finder behind it.
+
+The Bareiss-plus-interpolation characteristic polynomial, the dense
+Gauss-Jordan null space and the trial-division rational_roots that
+polynomial_solution once used are kept here as test-only references.
+"""
+
+import math
+import random
+import time
+from fractions import Fraction as F
+
+import pytest
+
+from heunalg import OdeSpec, full_operator, kink_spec, polynomial_solution
+from heunalg.operators import GeneralizedSeries
+from heunalg.polynomials import poly, poly_eval, poly_interpolate, poly_mul, rational_roots
+from heunalg.solvability import (
+    PolynomialSolutionResult,
+    _characteristic_polynomial,
+    _gauss_nullspace,
+    _operator_matrix,
+)
+
+
+# -- test-only references ---------------------------------------------------------
+
+
+def reference_rational_roots(p):
+    """Rational-root theorem by trial division over the divisors of the
+    constant and leading terms; cost grows with their square roots."""
+    q = poly(p)
+    if not q:
+        raise ZeroDivisionError("the zero polynomial vanishes everywhere")
+    if len(q) == 1:
+        return []
+    denom_lcm = 1
+    for c in q:
+        denom_lcm = denom_lcm * c.denominator // math.gcd(denom_lcm, c.denominator)
+    ints = [int(c * denom_lcm) for c in q]
+    roots = set()
+    low = 0
+    while ints[low] == 0:
+        low += 1
+    if low > 0:
+        roots.add(F(0))
+        ints = ints[low:]
+    if len(ints) == 1:
+        return sorted(roots)
+    lead, const = abs(ints[-1]), abs(ints[0])
+    for p_div in _divisors(const):
+        for q_div in _divisors(lead):
+            for cand in (F(p_div, q_div), F(-p_div, q_div)):
+                if poly_eval(q, cand) == 0:
+                    roots.add(cand)
+    return sorted(roots)
+
+
+def _divisors(n):
+    out = []
+    d = 1
+    while d * d <= n:
+        if n % d == 0:
+            out.append(d)
+            if d != n // d:
+                out.append(n // d)
+        d += 1
+    return sorted(out)
+
+
+def reference_gauss_nullspace(mat):
+    """Null-space basis by dense Gauss-Jordan elimination with exact division."""
+    rows = [list(r) for r in mat]
+    n_rows, n_cols = len(rows), len(rows[0]) if rows else 0
+    pivot_cols = []
+    r = 0
+    for c in range(n_cols):
+        pivot = next((i for i in range(r, n_rows) if rows[i][c] != 0), None)
+        if pivot is None:
+            continue
+        rows[r], rows[pivot] = rows[pivot], rows[r]
+        inv = 1 / rows[r][c]
+        rows[r] = [v * inv for v in rows[r]]
+        for i in range(n_rows):
+            if i != r and rows[i][c] != 0:
+                factor = rows[i][c]
+                rows[i] = [vi - factor * vr for vi, vr in zip(rows[i], rows[r])]
+        pivot_cols.append(c)
+        r += 1
+        if r == n_rows:
+            break
+    free_cols = [c for c in range(n_cols) if c not in pivot_cols]
+    basis = []
+    for fc in free_cols:
+        vec = [F(0)] * n_cols
+        vec[fc] = F(1)
+        for pr, pc in enumerate(pivot_cols):
+            vec[pc] = -rows[pr][fc]
+        basis.append(vec)
+    return basis
+
+
+def reference_determinant(mat):
+    """Exact determinant by Bareiss elimination."""
+    n = len(mat)
+    if n == 0:
+        return F(1)
+    m = [row[:] for row in mat]
+    sign = 1
+    prev = F(1)
+    for k in range(n - 1):
+        if m[k][k] == 0:
+            swap = next((i for i in range(k + 1, n) if m[i][k] != 0), None)
+            if swap is None:
+                return F(0)
+            m[k], m[swap] = m[swap], m[k]
+            sign = -sign
+        for i in range(k + 1, n):
+            for jcol in range(k + 1, n):
+                m[i][jcol] = (m[k][k] * m[i][jcol] - m[i][k] * m[k][jcol]) / prev
+            m[i][k] = F(0)
+        prev = m[k][k]
+    return sign * m[n - 1][n - 1]
+
+
+def reference_characteristic_polynomial(spec, degree):
+    """det(B + t I) interpolated through Bareiss determinants at t = 0..degree+2."""
+    square = _operator_matrix(spec, degree)[: degree + 1]
+    points = []
+    for t in range(degree + 3):
+        shifted = [
+            [square[i][k] + (F(t) if i == k else F(0)) for k in range(degree + 1)]
+            for i in range(degree + 1)
+        ]
+        points.append((F(t), reference_determinant(shifted)))
+    return poly_interpolate(points)
+
+
+def reference_polynomial_solution(spec, degree, roots=reference_rational_roots):
+    if degree < 0:
+        raise ValueError("degree must be nonnegative")
+    basis = reference_gauss_nullspace(_operator_matrix(spec, degree))
+    op = full_operator(spec)
+    verified = all(
+        op.apply(GeneralizedSeries(0, dict(enumerate(vec)))).is_zero() for vec in basis
+    )
+    spectral = ()
+    if not basis:
+        char = reference_characteristic_polynomial(spec, degree)
+        spectral = tuple(spec.a8 + t for t in roots(char))
+    return PolynomialSolutionResult(
+        degree=degree,
+        basis=tuple(tuple(v) for v in basis),
+        spectral_a8=spectral,
+        verified=verified,
+    )
+
+
+# -- seeded inputs ------------------------------------------------------------------
+
+
+def _small(rng, lo=-3, hi=3):
+    return F(rng.randint(lo, hi), rng.choice((1, 1, 2)))
+
+
+SPEC_KINDS = ("generic", "exact", "qes", "qes-terminating", "diagonal", "kink")
+
+
+def random_spectral_case(rng):
+    """(spec, degree) with a3 = 0 and small coefficients, so that the
+    trial-division reference stays affordable up to degree 6."""
+    kind = rng.choice(SPEC_KINDS)
+    degree = rng.randint(0, 6)
+    if kind == "kink":
+        eps_sq = F(rng.randint(1, 3), rng.choice((1, 2)))
+        return kink_spec(eps_sq, F(rng.choice((1, 2, 3)), 2)), min(degree, 4)
+    c = {name: _small(rng) for name in ("a1", "a5", "a8")}
+    if kind in ("generic", "exact"):
+        c.update(a2=_small(rng), a6=_small(rng))
+    if kind in ("generic", "qes", "qes-terminating"):
+        c.update(a0=_small(rng, -2, 2), a4=_small(rng, -2, 2), a7=_small(rng))
+    if kind == "qes-terminating":
+        # R(s) = a0 s(s-1) + a4 s + a7 vanishes at s = degree: the ascent stops there
+        s = degree
+        c["a7"] = -(c["a0"] * s * (s - 1) + c["a4"] * s)
+    return OdeSpec(**c), degree
+
+
+def test_polynomial_solution_matches_reference():
+    rng = random.Random(1304)
+    seen = {"basis": 0, "spectral": 0, "neither": 0}
+    for _ in range(1000):
+        spec, degree = random_spectral_case(rng)
+        want = reference_polynomial_solution(spec, degree)
+        assert polynomial_solution(spec, degree) == want, (spec, degree)
+        seen["basis" if want.basis else "spectral" if want.spectral_a8 else "neither"] += 1
+    # the seeded mix reaches solutions, spectral reports and empty reports
+    assert min(seen.values()) >= 100, seen
+
+
+def test_continuant_matches_interpolated_determinant():
+    rng = random.Random(2225)
+    for _ in range(200):
+        spec, degree = random_spectral_case(rng)
+        assert _characteristic_polynomial(spec, degree) == reference_characteristic_polynomial(
+            spec, degree
+        )
+
+
+def _random_matrix(rng, rows, cols, density):
+    return [
+        [F(rng.randint(-4, 4), rng.randint(1, 3)) if rng.random() < density else F(0)
+         for _ in range(cols)]
+        for _ in range(rows)
+    ]
+
+
+def test_sparse_nullspace_matches_dense_on_operator_matrices():
+    rng = random.Random(11)
+    for _ in range(300):
+        spec, degree = random_spectral_case(rng)
+        mat = _operator_matrix(spec, degree + rng.randint(0, 6))
+        assert _gauss_nullspace(mat) == reference_gauss_nullspace(mat)
+
+
+def test_sparse_nullspace_matches_dense_on_random_matrices():
+    rng = random.Random(12)
+    nonempty = 0
+    for _ in range(300):
+        rows, cols = rng.randint(1, 8), rng.randint(1, 8)
+        mat = _random_matrix(rng, rows, cols, rng.choice((0.2, 0.5, 1.0)))
+        if rng.random() < 0.3 and rows > 1:
+            # a row that depends on two others
+            i, j = rng.sample(range(rows), 2)
+            mat[rng.randrange(rows)] = [2 * a - b for a, b in zip(mat[i], mat[j])]
+        basis = _gauss_nullspace(mat)
+        assert basis == reference_gauss_nullspace(mat)
+        nonempty += bool(basis)
+    assert nonempty >= 100
+    assert _gauss_nullspace([]) == reference_gauss_nullspace([]) == []
+
+
+# -- rational_roots -------------------------------------------------------------------
+
+
+IRRATIONAL_FACTORS = (
+    (F(-2), F(0), F(1)),  # x^2 - 2
+    (F(1), F(1), F(1)),  # x^2 + x + 1, no real root
+    (F(-3), F(0), F(0), F(1)),  # x^3 - 3
+    (F(-1), F(-1), F(1)),  # x^2 - x - 1
+    (F(5), F(0), F(-7), F(0), F(1)),  # x^4 - 7 x^2 + 5
+)
+
+
+def random_root_case(rng):
+    """A polynomial with known rational roots, repeated roots and factors
+    without rational roots, scaled by a random rational."""
+    p = (F(rng.randint(1, 300), rng.randint(1, 40)) * rng.choice((1, -1)),)
+    expected = set()
+    for _ in range(rng.randint(0, 5)):
+        root = F(rng.randint(-300, 300), rng.randint(1, 40))
+        expected.add(root)
+        for _ in range(rng.choice((1, 1, 1, 2, 3))):
+            p = poly_mul(p, (-root, F(1)))
+    for _ in range(rng.randint(0, 2)):
+        p = poly_mul(p, rng.choice(IRRATIONAL_FACTORS))
+    if rng.random() < 0.3:
+        # a random factor, usually without rational roots
+        p = poly_mul(p, tuple(F(rng.randint(-300, 300), rng.randint(1, 40))
+                              for _ in range(rng.randint(2, 4))) + (F(1),))
+    return p, expected
+
+
+def test_rational_roots_matches_sympy_ground_roots():
+    sympy = pytest.importorskip("sympy")
+    x = sympy.Symbol("x")
+    rng = random.Random(1988)
+    for _ in range(1000):
+        p, expected = random_root_case(rng)
+        found = rational_roots(p)
+        oracle = sympy.Poly(
+            [sympy.Rational(c.numerator, c.denominator) for c in reversed(p)], x, domain="QQ"
+        ).ground_roots()
+        assert found == sorted(F(int(r.p), int(r.q)) for r in oracle), p
+        assert expected <= set(found)
+
+
+def test_rational_roots_matches_trial_division():
+    rng = random.Random(467)
+    for _ in range(300):
+        p = tuple(F(rng.randint(-12, 12), rng.randint(1, 4)) for _ in range(rng.randint(1, 6)))
+        if not poly(p):
+            continue
+        assert rational_roots(p) == reference_rational_roots(p), p
+
+
+class TestRationalRootsEdges:
+    def test_zero_polynomial_rejected(self):
+        with pytest.raises(ZeroDivisionError):
+            rational_roots([F(0), F(0)])
+
+    def test_nonzero_constant_has_no_roots(self):
+        assert rational_roots([F(7, 3)]) == []
+
+    def test_root_zero_with_multiplicity(self):
+        assert rational_roots([F(0), F(0), F(0), F(5)]) == [F(0)]
+        assert rational_roots([F(0), F(0), F(-1), F(1)]) == [F(0), F(1)]
+
+    def test_repeated_and_irrational(self):
+        # (x - 1/2)^3 (x^2 - 2) (3x + 300)
+        p = (F(1),)
+        for factor in [(F(-1, 2), F(1))] * 3 + [(F(-2), F(0), F(1)), (F(300), F(3))]:
+            p = poly_mul(p, factor)
+        assert rational_roots(p) == [F(-100), F(1, 2)]
+
+    def test_large_roots_near_the_bound(self):
+        big = 2 ** 200 + 1
+        p = poly_mul((F(-big), F(1)), (F(big, 3), F(1)))
+        assert rational_roots(p) == [F(-big, 3), F(big)]
+
+
+# -- former hang probes ------------------------------------------------------------------
+
+
+HANG_PROBES = ((F(1, 3), F(1, 2), 12), (F(11, 13), F(3, 4), 8))
+
+
+@pytest.mark.parametrize("eps_sq, s, degree", HANG_PROBES)
+def test_former_hang_probes_match_reference(eps_sq, s, degree):
+    """Trial division does not finish on these; the reference characteristic
+    polynomial's rational roots come from sympy instead."""
+    sympy = pytest.importorskip("sympy")
+    x = sympy.Symbol("x")
+
+    def sympy_roots(p):
+        oracle = sympy.Poly(
+            [sympy.Rational(c.numerator, c.denominator) for c in reversed(p)], x, domain="QQ"
+        ).ground_roots()
+        return sorted(F(int(r.p), int(r.q)) for r in oracle)
+
+    spec = kink_spec(eps_sq, s)
+    start = time.perf_counter()
+    got = polynomial_solution(spec, degree)
+    assert time.perf_counter() - start < 5.0
+    assert got == reference_polynomial_solution(spec, degree, roots=sympy_roots)
+
+
+def test_degree_40_finishes_in_polynomial_time():
+    spec = kink_spec(F(1, 3), F(1, 2))
+    start = time.perf_counter()
+    result = polynomial_solution(spec, 40)
+    elapsed = time.perf_counter() - start
+    assert elapsed < 20.0, elapsed
+    assert result.degree == 40 and result.verified
+    char = _characteristic_polynomial(spec, 40)
+    assert len(char) == 42 and char[-1] == 1
+    assert all(poly_eval(char, a8 - spec.a8) == 0 for a8 in result.spectral_a8)
