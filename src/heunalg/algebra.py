@@ -23,6 +23,12 @@ whose coefficients this module computes in closed form and cross-checks by
 brute-force normal-ordered commutation.  A Casimir C = P- P+ + g(P0) with
 g(n) - g(n-1) = f(n) commutes with all three generators and acts as the
 scalar a6*a7.
+
+Every generator maps x^m to a multiple of a monomial, and P0 acts on x^m by
+m - j.  The exact polynomial work is therefore done in the monomial shift m,
+where eigenvalues are sampled at the small integer nodes m = 0, 1, 2, ...
+and the commutator polynomial carries no power of j; one Taylor shift by j
+at the end rewrites a result as a polynomial in P0.
 """
 
 from __future__ import annotations
@@ -40,6 +46,7 @@ from .polynomials import (
     poly_add,
     poly_eval,
     poly_interpolate,
+    poly_shift,
 )
 
 
@@ -214,10 +221,15 @@ def deformation_coefficients(spec: OdeSpec) -> DeformationCoeffs:
 def fit_diagonal_polynomial(op: DiffOp, j: RationalLike, max_degree: int) -> Poly:
     """Fit op x^m = p(m - j) x^m by exact interpolation; verify on 2 extra points.
 
+    The eigenvalues are interpolated at the nodes m = 0..max_degree and checked
+    at m = max_degree + 1 and + 2; one Taylor shift by j then gives p.
     Raises DiagonalFitError when the operator is not diagonal on the probed
-    monomials or when the eigenvalues are not polynomial of the stated degree.
+    monomials or when the eigenvalues are not polynomial of the stated degree,
+    and ValueError when max_degree is negative.
     Returns the coefficients of p ascending in (m - j).
     """
+    if max_degree < 0:
+        raise ValueError("max_degree must be nonnegative")
     jf = as_fraction(j)
     eigenvalues: list[Fraction] = []
     for m in range(max_degree + 3):
@@ -226,14 +238,13 @@ def fit_diagonal_polynomial(op: DiffOp, j: RationalLike, max_degree: int) -> Pol
         if off_diag:
             raise DiagonalFitError(f"operator is not diagonal on x^{m}: {off_diag}")
         eigenvalues.append(image.coefficient_at(m))
-    pts = [(Fraction(m) - jf, eigenvalues[m]) for m in range(max_degree + 1)]
-    fitted = poly_interpolate(pts)
+    in_m = poly_interpolate([(Fraction(m), eigenvalues[m]) for m in range(max_degree + 1)])
     for m in (max_degree + 1, max_degree + 2):
-        if poly_eval(fitted, Fraction(m) - jf) != eigenvalues[m]:
+        if poly_eval(in_m, Fraction(m)) != eigenvalues[m]:
             raise DiagonalFitError(
                 f"eigenvalues are not polynomial of degree <= {max_degree}"
             )
-    return fitted
+    return poly_shift(in_m, jf)
 
 
 def classify_deformation(spec: OdeSpec) -> str:
@@ -256,27 +267,40 @@ def is_abelian(spec: OdeSpec) -> bool:
     return c.alpha1 == 0 and c.beta1 == 0 and c.gamma1 == 0 and c.delta1 == 0
 
 
-def casimir(spec: OdeSpec, m_range: int = 10) -> CasimirResult:
-    """Construct C = P- P+ + g(P0) and test scalarness on x^m, m = 0..m_range.
+def _lowering_raising(spec: OdeSpec, m: int) -> Fraction:
+    """Eigenvalue of P- P+ on x^m."""
+    return spec.raise_factor(Fraction(m)) * spec.lower_factor(Fraction(m) + 1)
 
-    g is the discrete antidifference of the commutator polynomial; its free
-    additive constant is fixed so the scalar equals a6*a7 at m = 0, then the
-    constancy across the whole monomial range is the verified claim.
+
+def _casimir_g(spec: OdeSpec) -> Poly:
+    """g with g(n) - g(n-1) = f(n), fixed so that C acts on x^0 by a6*a7.
+
+    In the shift m, G(m) = g(m - j) obeys G(m) - G(m-1) = k(m) for the j-free
+    commutator polynomial k, so G is k's antidifference in m; its constant is
+    fixed at m = 0 and one Taylor shift by j gives g.
     """
     if spec.a3 != 0:
         raise NotCastableError(f"casting requires a3 = 0, got a3 = {spec.a3}")
-    f = deformation_coefficients(spec).as_poly()
-    g0 = discrete_antidifference(f)
+    g_in_m = discrete_antidifference(_base_commutator_poly(spec))
+    shift = spec.a6 * spec.a7 - (_lowering_raising(spec, 0) + poly_eval(g_in_m, Fraction(0)))
+    return poly_shift(poly_add(g_in_m, (shift,)), spec.j)
 
-    def lowering_raising(m: int) -> Fraction:
-        # coefficient of P- P+ on x^m
-        return spec.raise_factor(Fraction(m)) * spec.lower_factor(Fraction(m) + 1)
 
-    target = spec.a6 * spec.a7
-    shift = target - (lowering_raising(0) + poly_eval(g0, -spec.j))
-    g = poly_add(g0, (shift,))
+def casimir(spec: OdeSpec, m_range: int = 10) -> CasimirResult:
+    """Construct C = P- P+ + g(P0) and test scalarness on x^m, m = 0..m_range.
+
+    g is the discrete antidifference of the commutator polynomial, taken in
+    the monomial shift m, where that polynomial is free of j, and moved to
+    P0 = m - j by one Taylor shift.  Its free additive constant is fixed so
+    the scalar equals a6*a7 at m = 0; the returned g, evaluated at m - j, is
+    then checked to give the same scalar across the whole monomial range.
+    A negative m_range raises ValueError.
+    """
+    if m_range < 0:
+        raise ValueError("m_range must be nonnegative")
+    g = _casimir_g(spec)
     values = [
-        lowering_raising(m) + poly_eval(g, Fraction(m) - spec.j)
+        _lowering_raising(spec, m) + poly_eval(g, Fraction(m) - spec.j)
         for m in range(m_range + 1)
     ]
     is_scalar = all(v == values[0] for v in values)
@@ -286,8 +310,7 @@ def casimir(spec: OdeSpec, m_range: int = 10) -> CasimirResult:
 def casimir_operator(spec: OdeSpec) -> DiffOp:
     """C = P- o P+ + g(P0) as an exact DiffOp."""
     gens = build_generators(spec)
-    result = casimir(spec)
-    return gens.p_minus.compose(gens.p_plus) + poly_of_op(result.g_poly, gens.p_zero)
+    return gens.p_minus.compose(gens.p_plus) + poly_of_op(_casimir_g(spec), gens.p_zero)
 
 
 def brute_force_deformation(spec: OdeSpec) -> DeformationCoeffs:

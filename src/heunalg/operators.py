@@ -172,14 +172,11 @@ class DiffOp:
         out: list[tuple[Fraction, int, int]] = []
         for a in self._terms:
             for b in other._terms:
-                # x^p1 D^k1 x^p2 D^k2 -> Leibniz expansion of D^k1 x^p2
+                # x^p1 D^k1 x^p2 D^k2 -> Leibniz expansion of D^k1 x^p2,
+                # with the integer factor C(k1, i) * p2!/(p2-i)!
+                ab = a.coeff * b.coeff
                 for i in range(min(a.dorder, b.xpow) + 1):
-                    c = (
-                        a.coeff
-                        * b.coeff
-                        * math.comb(a.dorder, i)
-                        * falling_factorial(Fraction(b.xpow), i)
-                    )
+                    c = ab * (math.comb(a.dorder, i) * math.perm(b.xpow, i))
                     out.append((c, a.xpow + b.xpow - i, a.dorder + b.dorder - i))
         return DiffOp(out)
 

@@ -1,11 +1,11 @@
 """Small exact univariate polynomial toolbox over Fraction.
 
 Polynomials are tuples of Fractions in ascending degree order with no trailing
-zeros; () is the zero polynomial.  Just enough machinery for interpolation,
-rational roots and discrete antidifferences; nothing here rounds.  Rational
-roots are isolated by Sturm bisection over the integers, so their cost is
-polynomial in the degree and the coefficient bit-length rather than in the
-size of the constant term.
+zeros; () is the zero polynomial.  Just enough machinery for interpolation
+(Newton form), Taylor shifts, rational roots and discrete antidifferences;
+nothing here rounds.  Rational roots are isolated by Sturm bisection over the
+integers, so their cost is polynomial in the degree and the coefficient
+bit-length rather than in the size of the constant term.
 """
 
 from __future__ import annotations
@@ -53,18 +53,32 @@ def poly_mul(p: Sequence[Fraction], q: Sequence[Fraction]) -> Poly:
 
 
 def poly_interpolate(points: Sequence[tuple[Fraction, Fraction]]) -> Poly:
-    """Lagrange interpolation through distinct abscissae, exact."""
-    result: Poly = ()
-    for i, (xi, yi) in enumerate(points):
-        basis: Poly = (Fraction(1),)
-        denom = Fraction(1)
-        for k, (xk, _) in enumerate(points):
-            if k == i:
-                continue
-            basis = poly_mul(basis, (-xk, Fraction(1)))
-            denom *= xi - xk
-        result = poly_add(result, poly_scale(basis, yi / denom))
-    return result
+    """The polynomial of degree < len(points) through distinct abscissae, exact.
+
+    Newton divided differences, expanded to the monomial basis by Horner's
+    rule: O(n^2) exact operations.  Repeated abscissae raise ZeroDivisionError.
+    """
+    xs = [Fraction(x) for x, _ in points]
+    diffs = [Fraction(y) for _, y in points]
+    for k in range(1, len(xs)):  # diffs[i] becomes f[x_{i-k}, ..., x_i]
+        for i in range(len(xs) - 1, k - 1, -1):
+            diffs[i] = (diffs[i] - diffs[i - 1]) / (xs[i] - xs[i - k])
+    out: list[Fraction] = []
+    for k in range(len(xs) - 1, -1, -1):  # out = out * (t - x_k) + diffs[k]
+        out = [Fraction(0)] + out
+        for i in range(len(out) - 1):
+            out[i] -= xs[k] * out[i + 1]
+        out[0] += diffs[k]
+    return poly(out)
+
+
+def poly_shift(p: Sequence[Fraction], h: Fraction) -> Poly:
+    """Coefficients of p(t + h), by repeated synthetic division (Taylor shift)."""
+    out = list(poly(p))
+    for i in range(len(out) - 1):
+        for k in range(len(out) - 2, i - 1, -1):
+            out[k] += h * out[k + 1]
+    return poly(out)
 
 
 def is_rational_square(value: Fraction) -> tuple[bool, Fraction]:
@@ -211,11 +225,11 @@ def discrete_antidifference(f: Sequence[Fraction]) -> Poly:
     n = 0..deg(f)+1 and verified at two extra points.
     """
     d = len(poly(f))  # deg f + 1, or 0 for the zero polynomial
-    points = []
-    running = Fraction(0)
-    for n in range(d + 2):
-        running += poly_eval(f, Fraction(n)) if n > 0 else Fraction(0)
-        points.append((Fraction(n), running + poly_eval(f, Fraction(0))))
+    running = poly_eval(f, Fraction(0))
+    points = [(Fraction(0), running)]
+    for n in range(1, d + 2):
+        running += poly_eval(f, Fraction(n))
+        points.append((Fraction(n), running))
     g = poly_interpolate(points)
     for n in (d + 2, d + 3):  # overdetermined check, free in exact arithmetic
         expected = poly_eval(g, Fraction(n - 1)) + poly_eval(f, Fraction(n))
