@@ -227,6 +227,42 @@ class TestCatalog:
         assert capsys.readouterr().out == expected
 
 
+SPEC_FILES = {"heun.spec": HEUN_FILE, "exact.spec": EXACT_FILE, "qes.spec": QES_FILE}
+GOLDEN_DIR = Path(__file__).resolve().parent / "golden" / "cli"
+GOLDEN_MATRIX = {
+    "classify-heun": ["classify", "heun.spec"],
+    "classify-exact": ["classify", "exact.spec"],
+    "series-qes": ["series", "qes.spec", "--lambda", "0", "--terms", "12"],
+    "series-exact": ["series", "exact.spec", "--terms", "10"],
+    "series-heun": ["series", "heun.spec", "--terms", "5"],  # irrational roots: exit 5
+    "kink-n2": ["kink", "--eps-sq", "1", "--state", "n2",
+                "--xmin", "-2", "--xmax", "2", "--points", "5"],
+    "kink-n3half": ["kink", "--eps-sq", "1/2", "--state", "n3half",
+                    "--xmin", "-3", "--xmax", "3", "--points", "4"],
+    "catalog": ["catalog"],
+}
+
+
+@pytest.mark.parametrize("fmt", ("table", "csv", "json"))
+@pytest.mark.parametrize("case", GOLDEN_MATRIX)
+def test_golden_matrix(case, fmt, tmp_path, monkeypatch, capsys):
+    """Exit code, stdout and stderr of every subcommand in every format, byte for byte.
+
+    Each golden file reads ``exit N``, ``--- stdout``, the stdout text,
+    ``--- stderr`` and the stderr text.
+    """
+    monkeypatch.chdir(tmp_path)
+    for name, text in SPEC_FILES.items():
+        (tmp_path / name).write_text(text)
+    code = main([*GOLDEN_MATRIX[case], "--format", fmt])
+    out, err = capsys.readouterr()
+    head, _, body = (GOLDEN_DIR / f"{case}-{fmt}.txt").read_text().partition("--- stdout\n")
+    want_out, _, want_err = body.partition("--- stderr\n")
+    assert head == f"exit {code}\n"
+    assert out == want_out
+    assert err == want_err
+
+
 def test_classify_determinism(heun_path, capsys):
     main(["classify", heun_path, "--format", "json"])
     first = capsys.readouterr().out
