@@ -130,6 +130,12 @@ class CasimirResult:
     is_scalar: bool
 
 
+def require_castable(spec: OdeSpec) -> None:
+    """Raise NotCastableError unless a3 = 0, which the ladder split needs."""
+    if spec.a3 != 0:
+        raise NotCastableError(f"casting requires a3 = 0, got a3 = {spec.a3}")
+
+
 def full_operator(spec: OdeSpec) -> DiffOp:
     """f1 D^2 + f2 D + f3 as a canonical DiffOp (a3 included when present)."""
     return DiffOp(
@@ -148,23 +154,22 @@ def build_generators(spec: OdeSpec) -> GeneratorSet:
         F(P0) = a1 P0^2 + ((2j-1)a1 + a5) P0 + (a1 j^2 - (a1-a5) j + a8),
     which equals a1 x^2 D^2 + a5 x D + a8 identically.
     """
-    if spec.a3 != 0:
-        raise NotCastableError(f"casting requires a3 = 0, got a3 = {spec.a3}")
-    j = spec.j
+    require_castable(spec)
     p_plus = DiffOp([(spec.a0, 3, 2), (spec.a4, 2, 1), (spec.a7, 1, 0)])
-    p_zero = DiffOp([(1, 1, 1), (-j, 0, 0)])
+    p_zero = DiffOp([(1, 1, 1), (-spec.j, 0, 0)])
     p_minus = DiffOp([(spec.a2, 1, 2), (spec.a6, 0, 1)])
-    f_of_p0 = poly_of_op(
-        poly(
-            (
-                spec.a1 * j * j - (spec.a1 - spec.a5) * j + spec.a8,
-                (2 * j - 1) * spec.a1 + spec.a5,
-                spec.a1,
-            )
-        ),
-        p_zero,
-    )
+    f_of_p0 = poly_of_op(poly(diagonal_coefficients(spec)), p_zero)
     return GeneratorSet(p_plus, p_zero, p_minus, f_of_p0)
+
+
+def diagonal_coefficients(spec: OdeSpec) -> tuple[Fraction, Fraction, Fraction]:
+    """(n0, n1, n2) with F(P0) = n2 P0^2 + n1 P0 + n0; zeros are kept."""
+    j = spec.j
+    return (
+        spec.a1 * j * j - (spec.a1 - spec.a5) * j + spec.a8,
+        (2 * j - 1) * spec.a1 + spec.a5,
+        spec.a1,
+    )
 
 
 def sl2_generators(j: RationalLike) -> GeneratorSet:
@@ -205,8 +210,7 @@ def _base_commutator_poly(spec: OdeSpec) -> Poly:
 def deformation_coefficients(spec: OdeSpec) -> DeformationCoeffs:
     """Closed-form (alpha1, beta1, gamma1, delta1); the Taylor shift of the
     j-free commutator eigenvalue polynomial by j."""
-    if spec.a3 != 0:
-        raise NotCastableError(f"casting requires a3 = 0, got a3 = {spec.a3}")
+    require_castable(spec)
     padded = list(_base_commutator_poly(spec)) + [Fraction(0)] * 4
     k0, k1, k2, k3 = padded[:4]
     j = spec.j
@@ -279,8 +283,7 @@ def _casimir_g(spec: OdeSpec) -> Poly:
     commutator polynomial k, so G is k's antidifference in m; its constant is
     fixed at m = 0 and one Taylor shift by j gives g.
     """
-    if spec.a3 != 0:
-        raise NotCastableError(f"casting requires a3 = 0, got a3 = {spec.a3}")
+    require_castable(spec)
     g_in_m = discrete_antidifference(_base_commutator_poly(spec))
     shift = spec.a6 * spec.a7 - (_lowering_raising(spec, 0) + poly_eval(g_in_m, Fraction(0)))
     return poly_shift(poly_add(g_in_m, (shift,)), spec.j)

@@ -15,12 +15,15 @@ one JSON object on stderr.
 from __future__ import annotations
 
 import argparse
+import csv
 import json
+import math
 import sys
 from fractions import Fraction
 from typing import Sequence
 
 from .algebra import (
+    DeformationCoeffs,
     OdeSpec,
     cast_check,
     casimir,
@@ -79,18 +82,49 @@ def _emit_error(code: int, kind: str, message: str, fmt: str) -> int:
     return code
 
 
-def _kv_table(pairs: list[tuple[str, str]]) -> str:
-    width = max(len(k) for k, _ in pairs)
-    return "\n".join(f"{k:<{width}}  {v}" for k, v in pairs)
+def _render(
+    fmt: str,
+    payload: dict,
+    header: Sequence[str] = (),
+    rows: Sequence[Sequence[str]] = (),
+    footer: Sequence[tuple[str, str]] = (),
+    notes: Sequence[str] = (),
+) -> None:
+    """Print one result; the only code that knows the three output formats.
+
+    json prints the payload.  csv prints the column table, or the footer as
+    one header row and one value row when there is no column table.  table
+    prints left-aligned auto-width columns, then a blank line and the
+    key/value footer.  Notes follow a table as '# ' lines, go to stderr with
+    csv, and with json live only in the payload.
+    """
+    if fmt == "json":
+        # a non-finite float raises ValueError (exit 2) instead of printing NaN
+        print(json.dumps(payload, indent=2, allow_nan=False))
+        return
+    if fmt == "csv":
+        writer = csv.writer(sys.stdout, lineterminator="\n")
+        writer.writerows([header, *rows] if header else list(zip(*footer)))
+        for note in notes:
+            print(f"# {note}", file=sys.stderr)
+        return
+    if header:
+        widths = [max([len(h), *(len(row[i]) for row in rows)]) for i, h in enumerate(header)]
+        for line in (header, *rows):
+            print("  ".join(v.ljust(w) for v, w in zip(line, widths)))
+        if footer:
+            print()
+    if footer:
+        width = max(len(k) for k, _ in footer)
+        for k, v in footer:
+            print(f"{k:<{width}}  {v}")
+    for note in notes:
+        print(f"# {note}")
 
 
-def _csv_row(values: Sequence[str]) -> str:
-    out = []
-    for v in values:
-        if any(ch in v for ch in ",\"\n"):
-            v = '"' + v.replace('"', '""') + '"'
-        out.append(v)
-    return ",".join(out)
+def _deformation(coeffs: DeformationCoeffs) -> dict[str, str]:
+    """alpha1..delta1 as exact strings, in the order of the cubic's powers."""
+    return {name: str(getattr(coeffs, name)) for name in ("alpha1", "beta1", "gamma1", "delta1")}
 
 
 # -- classify ----------------------------------------------------------------
@@ -98,51 +132,34 @@ def _csv_row(values: Sequence[str]) -> str:
 
 def cmd_classify(args: argparse.Namespace) -> int:
     spec = read_spec_file(args.specfile)
-    if spec.a3 != 0:
-        raise NotCastableError(f"casting requires a3 = 0, got a3 = {spec.a3}")
     kind = classify_deformation(spec)
-    coeffs = deformation_coefficients(spec)
+    deformation = _deformation(deformation_coefficients(spec))
     cas = casimir(spec, m_range=10)
     ok = cast_check(spec)
     abelian = is_abelian(spec)
-    if args.format == "json":
-        payload = {
-            "file": str(args.specfile),
-            "j": str(spec.j),
-            "class": kind,
-            "abelian": abelian,
-            "deformation": {
-                "alpha1": str(coeffs.alpha1),
-                "beta1": str(coeffs.beta1),
-                "gamma1": str(coeffs.gamma1),
-                "delta1": str(coeffs.delta1),
-            },
-            "casimir": {
-                "scalar": str(cas.scalar),
-                "is_scalar": cas.is_scalar,
-                "g_poly": [str(c) for c in cas.g_poly],
-            },
-            "cast_check": ok,
-        }
-        print(json.dumps(payload, indent=2))
-        return EXIT_OK
-    pairs = [
+    payload = {
+        "file": str(args.specfile),
+        "j": str(spec.j),
+        "class": kind,
+        "abelian": abelian,
+        "deformation": deformation,
+        "casimir": {
+            "scalar": str(cas.scalar),
+            "is_scalar": cas.is_scalar,
+            "g_poly": [str(c) for c in cas.g_poly],
+        },
+        "cast_check": ok,
+    }
+    footer = [
         ("file", str(args.specfile)),
         ("j", str(spec.j)),
         ("class", kind + (" (abelian)" if abelian else "")),
-        ("alpha1", str(coeffs.alpha1)),
-        ("beta1", str(coeffs.beta1)),
-        ("gamma1", str(coeffs.gamma1)),
-        ("delta1", str(coeffs.delta1)),
+        *deformation.items(),
         ("casimir scalar", str(cas.scalar)),
         ("casimir is_scalar", str(cas.is_scalar).lower()),
         ("cast_check", str(ok).lower()),
     ]
-    if args.format == "csv":
-        print(_csv_row([k for k, _ in pairs]))
-        print(_csv_row([v for _, v in pairs]))
-    else:
-        print(_kv_table(pairs))
+    _render(args.format, payload, footer=footer)
     return EXIT_OK
 
 
@@ -171,19 +188,16 @@ def _pick_lambda(spec: OdeSpec, branch: str) -> Fraction:
 
 def cmd_series(args: argparse.Namespace) -> int:
     spec = read_spec_file(args.specfile)
-    try:
-        lam = _pick_lambda(spec, args.branch)
-    except (NoIndicialRootError, DegenerateDiagonalError) as exc:
-        raise _BranchRootError(str(exc)) from exc
+    lam = _pick_lambda(spec, args.branch)
     horizon = max(32, args.terms)
     series, report = series_solution_with_report(spec, lam, args.terms, horizon)
     rows = [
-        (m, lam + m, c)
+        {"shift": m, "exponent": str(lam + m), "coefficient": str(c)}
         for m, c in sorted(series.items())
     ]
     notes = []
     if report.stationary_at is not None:
-        exponents = [e for _, e, _ in rows]
+        exponents = [lam + m for m, _ in series.items()]
         if all(e.denominator == 1 and e >= 0 for e in exponents):
             degree = max(int(e) for e in exponents)
             notes.append(f"terminated: polynomial of degree {degree}")
@@ -191,35 +205,15 @@ def cmd_series(args: argparse.Namespace) -> int:
             notes.append(f"terminated: series stationary after {report.stationary_at} iterations")
     if report.dropped:
         notes.append(f"truncated: dropped {report.dropped} coefficients beyond |shift| <= {horizon}")
-    if args.format == "json":
-        print(json.dumps({
-            "file": str(args.specfile),
-            "lambda": str(lam),
-            "terms": args.terms,
-            "rows": [
-                {"shift": m, "exponent": str(e), "coefficient": str(c)}
-                for m, e, c in rows
-            ],
-            "notes": notes,
-        }, indent=2))
-        return EXIT_OK
-    header = ("shift", "exponent", "coefficient")
-    table = [(str(m), str(e), str(c)) for m, e, c in rows]
-    if args.format == "csv":
-        print(_csv_row(header))
-        for row in table:
-            print(_csv_row(row))
-    else:
-        widths = [max(len(h), *(len(r[i]) for r in table)) if table else len(h)
-                  for i, h in enumerate(header)]
-        print("  ".join(h.ljust(w) for h, w in zip(header, widths)))
-        for row in table:
-            print("  ".join(v.ljust(w) for v, w in zip(row, widths)))
-        for note in notes:
-            print(f"# {note}")
-    if args.format != "table":
-        for note in notes:
-            print(f"# {note}", file=sys.stderr)
+    payload = {
+        "file": str(args.specfile),
+        "lambda": str(lam),
+        "terms": args.terms,
+        "rows": rows,
+        "notes": notes,
+    }
+    table = [[str(v) for v in row.values()] for row in rows]
+    _render(args.format, payload, ("shift", "exponent", "coefficient"), table, notes=notes)
     return EXIT_OK
 
 
@@ -235,81 +229,58 @@ def cmd_kink(args: argparse.Namespace) -> int:
         raise DegenerateKinkError("--mu must be positive")
     if args.points < 2:
         raise SpecFileError("--points must be at least 2")
+    xmin, xmax = args.xmin, args.xmax
+    if not (math.isfinite(xmin) and math.isfinite(xmax)):
+        raise SpecFileError("--xmin and --xmax must be finite")
     s = Fraction(1, 2) if args.state == "n2" else Fraction(1)
     nu_sq = 4 * (1 + eps_sq) * (1 - s * s)
     heun = kink_heun_reduction(eps_sq, s)
     algebra = kink_algebra(eps_sq, s)
     pairs = kink_termination()
     ode = kink_sigma_ode(eps_sq, 1 - s * s)
-    xmin, xmax = float(args.xmin), float(args.xmax)
     step = (xmax - xmin) / (args.points - 1)
     grid = [k * step + xmin for k in range(args.points - 1)] + [xmax]
     psi_sigma = psi_n2_sigma(float(eps_sq)) if args.state == "n2" else psi_n3half_sigma(float(eps_sq))
     residual = residual_sigma(ode, psi_sigma, grid, mu=float(mu))
-    table = [
-        (
-            float(x),
-            sigma_of_x(float(eps_sq), float(mu), float(x)),
-            kink_wavefunction(args.state, float(eps_sq), float(mu), float(x)),
+    if not residual.grid:
+        raise SpecFileError(
+            f"the residual check kept no grid point: all {residual.excluded_points} were excluded"
         )
+    samples = [
+        {
+            "x": x,
+            "sigma": sigma_of_x(float(eps_sq), float(mu), x),
+            "psi": kink_wavefunction(args.state, float(eps_sq), float(mu), x),
+        }
         for x in grid
     ]
+    heun_fields = {
+        "gamma": str(heun.gamma), "delta": str(heun.delta),
+        "eps": str(heun.eps_h), "a": str(heun.a_sing),
+        "alpha": str(heun.alpha), "beta": str(heun.beta), "q": str(heun.q),
+    }
+    deformation = _deformation(algebra.coeffs)
+    head = [("state", args.state), ("eps_sq", str(eps_sq)), ("mu", str(mu)),
+            ("s", str(s)), ("nu_sq", str(nu_sq))]
+    payload = {
+        **dict(head),
+        "heun": heun_fields,
+        "deformation": deformation,
+        "termination": [[str(n), str(sv)] for n, sv in pairs],
+        "max_rel_residual": residual.max_rel_residual,
+        "excluded_points": residual.excluded_points,
+        "rows": samples,
+    }
     footer = [
-        ("state", args.state),
-        ("eps_sq", str(eps_sq)),
-        ("mu", str(mu)),
-        ("s", str(s)),
-        ("nu_sq", str(nu_sq)),
-        ("heun gamma", str(heun.gamma)),
-        ("heun delta", str(heun.delta)),
-        ("heun eps", str(heun.eps_h)),
-        ("heun a", str(heun.a_sing)),
-        ("heun alpha", str(heun.alpha)),
-        ("heun beta", str(heun.beta)),
-        ("heun q", str(heun.q)),
-        ("alpha1", str(algebra.coeffs.alpha1)),
-        ("beta1", str(algebra.coeffs.beta1)),
-        ("gamma1", str(algebra.coeffs.gamma1)),
-        ("delta1", str(algebra.coeffs.delta1)),
+        *head,
+        *((f"heun {k}", v) for k, v in heun_fields.items()),
+        *deformation.items(),
         ("termination", "; ".join(f"n={n}, s={sv}" for n, sv in pairs)),
         ("max_rel_residual", _fmt_float(residual.max_rel_residual)),
         ("excluded_points", str(residual.excluded_points)),
     ]
-    if args.format == "json":
-        print(json.dumps({
-            "state": args.state,
-            "eps_sq": str(eps_sq),
-            "mu": str(mu),
-            "s": str(s),
-            "nu_sq": str(nu_sq),
-            "heun": {
-                "gamma": str(heun.gamma), "delta": str(heun.delta),
-                "eps": str(heun.eps_h), "a": str(heun.a_sing),
-                "alpha": str(heun.alpha), "beta": str(heun.beta), "q": str(heun.q),
-            },
-            "deformation": {
-                "alpha1": str(algebra.coeffs.alpha1),
-                "beta1": str(algebra.coeffs.beta1),
-                "gamma1": str(algebra.coeffs.gamma1),
-                "delta1": str(algebra.coeffs.delta1),
-            },
-            "termination": [[str(n), str(sv)] for n, sv in pairs],
-            "max_rel_residual": residual.max_rel_residual,
-            "excluded_points": residual.excluded_points,
-            "rows": [
-                {"x": x, "sigma": sig, "psi": psi} for x, sig, psi in table
-            ],
-        }, indent=2))
-    elif args.format == "csv":
-        print(_csv_row(("x", "sigma", "psi")))
-        for x, sig, psi in table:
-            print(_csv_row((_fmt_float(x), _fmt_float(sig), _fmt_float(psi))))
-    else:
-        print(f"{'x':>24}  {'sigma':>24}  {'psi':>24}")
-        for x, sig, psi in table:
-            print(f"{_fmt_float(x):>24}  {_fmt_float(sig):>24}  {_fmt_float(psi):>24}")
-        print()
-        print(_kv_table(footer))
+    rows = [[_fmt_float(v) for v in sample.values()] for sample in samples]
+    _render(args.format, payload, ("x", "sigma", "psi"), rows, footer)
     if residual.max_rel_residual > RESIDUAL_THRESHOLD:
         if args.format != "json":
             print(
@@ -325,44 +296,28 @@ def cmd_kink(args: argparse.Namespace) -> int:
 
 
 def cmd_catalog(args: argparse.Namespace) -> int:
-    rows = catalog_rows()
-    if args.format == "json":
-        print(json.dumps({
-            "rows": [
-                {
-                    "name": r.name,
-                    "sample": r.sample,
-                    "a": [str(c) for c in r.spec.coefficients()],
-                    "computed": r.computed_class,
-                    "expected": r.expected_class,
-                    "match": r.matches,
-                    "note": r.conflict,
-                }
-                for r in rows
-            ]
-        }, indent=2))
-        return EXIT_OK
+    payload = {
+        "rows": [
+            {
+                "name": r.name,
+                "sample": r.sample,
+                "a": [str(c) for c in r.spec.coefficients()],
+                "computed": r.computed_class,
+                "expected": r.expected_class,
+                "match": r.matches,
+                "note": r.conflict,
+            }
+            for r in catalog_rows()
+        ]
+    }
     header = ["name", "a0", "a1", "a2", "a3", "a4", "a5", "a6", "a7", "a8",
               "computed", "expected", "match"]
     body = []
-    for r in rows:
-        match = "-" if r.matches is None else ("yes" if r.matches else "NO")
-        body.append(
-            [r.name] + [str(c) for c in r.spec.coefficients()]
-            + [r.computed_class or "-", r.expected_class, match]
-        )
-    if args.format == "csv":
-        print(_csv_row(header))
-        for row in body:
-            print(_csv_row(row))
-    else:
-        widths = [max(len(header[i]), *(len(row[i]) for row in body)) for i in range(len(header))]
-        print("  ".join(h.ljust(w) for h, w in zip(header, widths)))
-        for row in body:
-            print("  ".join(v.ljust(w) for v, w in zip(row, widths)))
-        for r in rows:
-            if r.conflict:
-                print(f"# {r.name}: {r.conflict}")
+    for row in payload["rows"]:
+        match = "-" if row["match"] is None else ("yes" if row["match"] else "NO")
+        body.append([row["name"], *row["a"], row["computed"] or "-", row["expected"], match])
+    notes = [f"{row['name']}: {row['note']}" for row in payload["rows"] if row["note"]]
+    _render(args.format, payload, header, body, notes=notes)
     return EXIT_OK
 
 
@@ -378,16 +333,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_classify = sub.add_parser("classify", help="deformation class, commutator and Casimir")
     p_classify.add_argument("specfile")
-    p_classify.add_argument("--format", choices=("table", "json", "csv"), default="table")
-    p_classify.set_defaults(func=cmd_classify)
 
     p_series = sub.add_parser("series", help="series solution rows for an indicial branch")
     p_series.add_argument("specfile")
     p_series.add_argument("--lambda", dest="branch", default="plus",
                           help="plus, minus, or an explicit rational exponent")
     p_series.add_argument("--terms", type=int, default=10)
-    p_series.add_argument("--format", choices=("table", "json", "csv"), default="table")
-    p_series.set_defaults(func=cmd_series)
 
     p_kink = sub.add_parser("kink", help="phi^6 kink profile, state and residual")
     p_kink.add_argument("--eps-sq", dest="eps_sq", required=True,
@@ -397,13 +348,13 @@ def build_parser() -> argparse.ArgumentParser:
     p_kink.add_argument("--xmin", type=float, default=-10.0)
     p_kink.add_argument("--xmax", type=float, default=10.0)
     p_kink.add_argument("--points", type=int, default=401)
-    p_kink.add_argument("--format", choices=("table", "json", "csv"), default="table")
-    p_kink.set_defaults(func=cmd_kink)
 
     p_catalog = sub.add_parser("catalog", help="equation-family table with classifications")
-    p_catalog.add_argument("--format", choices=("table", "json", "csv"), default="table")
-    p_catalog.set_defaults(func=cmd_catalog)
 
+    for p, func in ((p_classify, cmd_classify), (p_series, cmd_series),
+                    (p_kink, cmd_kink), (p_catalog, cmd_catalog)):
+        p.add_argument("--format", choices=("table", "json", "csv"), default="table")
+        p.set_defaults(func=func)
     return parser
 
 
@@ -428,15 +379,13 @@ def main(argv: Sequence[str] | None = None) -> int:
     fmt = getattr(args, "format", "table")
     try:
         return args.func(args)
-    except SpecFileError as exc:
-        return _emit_error(EXIT_INPUT, "input", str(exc), fmt)
     except NotCastableError as exc:
         return _emit_error(EXIT_UNCASTABLE, "not-castable", str(exc), fmt)
     except ResonantExponentError as exc:
         return _emit_error(EXIT_RESONANT, "resonant-exponent", str(exc), fmt)
-    except _BranchRootError as exc:
+    except (_BranchRootError, NoIndicialRootError, DegenerateDiagonalError) as exc:
         return _emit_error(EXIT_NO_ROOT, "no-indicial-root", str(exc), fmt)
-    except (DegenerateKinkError, ValueError) as exc:
+    except (SpecFileError, DegenerateKinkError, ValueError) as exc:
         return _emit_error(EXIT_INPUT, "input", str(exc), fmt)
 
 

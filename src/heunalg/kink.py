@@ -25,7 +25,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Literal, Sequence
 
-from .algebra import OdeSpec, DeformationCoeffs, deformation_coefficients, full_operator
+from .algebra import (
+    OdeSpec,
+    DeformationCoeffs,
+    deformation_coefficients,
+    diagonal_coefficients,
+    full_operator,
+)
 from .catalog import HeunParams, heun_spec
 from .errors import DegenerateKinkError, HeunalgError
 from .operators import DiffOp, GeneralizedSeries, RationalLike, as_fraction
@@ -166,17 +172,15 @@ def kink_algebra(eps_sq: RationalLike, s: RationalLike, j: RationalLike = 0) -> 
         gamma1=core + 6 * edge * jf + 12 * jf * jf,
         delta1=ab * g + core * jf + 3 * edge * jf * jf + 4 * jf ** 3,
     )
-    raw = deformation_coefficients(heun_spec(h, j=jf))
+    spec = heun_spec(h, j=jf)
+    raw = deformation_coefficients(spec)
     if raw != block.scale(e2):
         raise HeunalgError(
             "internal consistency failure: closed-form kink algebra does not "
             f"match the commutator of the Heun operator (closed {block}, raw {raw})"
         )
-    a1 = -(h.a_sing + 1)
-    spec = heun_spec(h, j=jf)
-    n1 = (2 * jf - 1) * spec.a1 + spec.a5
-    n0 = spec.a1 * jf * jf - (spec.a1 - spec.a5) * jf + spec.a8
-    return KinkAlgebra(coeffs=block, n2=a1, n1=n1, n0=n0)
+    n0, n1, n2 = diagonal_coefficients(spec)
+    return KinkAlgebra(coeffs=block, n2=n2, n1=n1, n0=n0)
 
 
 def kink_termination() -> tuple[tuple[Fraction, Fraction], ...]:

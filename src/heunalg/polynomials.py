@@ -92,21 +92,6 @@ def is_rational_square(value: Fraction) -> tuple[bool, Fraction]:
     return False, Fraction(0)
 
 
-def quadratic_rational_roots(a: Fraction, b: Fraction, c: Fraction) -> list[Fraction]:
-    """Rational roots of a x^2 + b x + c; irrational roots are not returned."""
-    if a == 0:
-        if b == 0:
-            raise ZeroDivisionError("degenerate quadratic: a = b = 0")
-        return [-c / b]
-    disc = b * b - 4 * a * c
-    square, root = is_rational_square(disc)
-    if not square:
-        return []
-    if root == 0:
-        return [-b / (2 * a)]
-    return [(-b + root) / (2 * a), (-b - root) / (2 * a)]
-
-
 def rational_roots(p: Sequence[Fraction]) -> list[Fraction]:
     """All distinct rational roots of p, ascending, each verified exactly.
 

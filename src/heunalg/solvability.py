@@ -34,11 +34,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .algebra import OdeSpec, full_operator
+from .algebra import OdeSpec, full_operator, require_castable
 from .errors import (
     DegenerateDiagonalError,
     NoIndicialRootError,
-    NotCastableError,
     ResonantExponentError,
 )
 from .operators import GeneralizedSeries, RationalLike, as_fraction
@@ -49,7 +48,6 @@ from .polynomials import (
     poly_add,
     poly_mul,
     poly_scale,
-    quadratic_rational_roots,
     rational_roots,
 )
 
@@ -220,8 +218,7 @@ def series_solution_with_report(
     lam = as_fraction(lam)
     if spec.f_value(lam) != 0:
         raise ValueError(f"lambda = {lam} is not an indicial root: F({lam}) = {spec.f_value(lam)}")
-    if spec.a3 != 0:
-        raise NotCastableError(f"casting requires a3 = 0, got a3 = {spec.a3}")
+    require_castable(spec)
     window = DEFAULT_HORIZON if horizon is None else horizon
     factors: dict[int, tuple[Fraction, Fraction, Fraction]] = {}
 
@@ -284,7 +281,7 @@ def termination_condition(spec: OdeSpec) -> TerminationResult:
             return TerminationResult(values=(), all_n=True)
         return TerminationResult(values=(), all_n=False)
     # quadratic in t = n - 1: a0 t^2 + (a4 - a0) t + a7
-    roots = quadratic_rational_roots(a0, a4 - a0, a7)
+    roots = rational_roots(poly((a7, a4 - a0, a0)))
     values = tuple(sorted(t + 1 for t in roots if t + 1 > 0))
     return TerminationResult(values=values, all_n=False)
 
@@ -383,8 +380,7 @@ def polynomial_solution(spec: OdeSpec, degree: int) -> PolynomialSolutionResult:
     """
     if degree < 0:
         raise ValueError("degree must be nonnegative")
-    if spec.a3 != 0:
-        raise NotCastableError(f"casting requires a3 = 0, got a3 = {spec.a3}")
+    require_castable(spec)
     mat = _operator_matrix(spec, degree)
     basis = _gauss_nullspace(mat)
     verified = True

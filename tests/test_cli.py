@@ -179,6 +179,29 @@ class TestKink:
     def test_eps_zero_rejected(self, capsys):
         assert main(["kink", "--eps-sq", "0", "--state", "n2"]) == 2
 
+    @pytest.mark.parametrize("bound", (["--xmin", "nan"], ["--xmin=-inf"], ["--xmax", "inf"]))
+    def test_non_finite_bound_exit_2(self, bound, capsys):
+        assert main(["kink", "--eps-sq", "1", *bound, "--format", "json"]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert json.loads(err)["error"]["message"] == "--xmin and --xmax must be finite"
+
+    def test_all_points_excluded_exit_2(self, capsys):
+        # sigma is within the guard distance of 1 on the whole grid
+        assert main(["kink", "--eps-sq", "1", "--state", "n3half",
+                     "--xmin", "50", "--xmax", "60", "--points", "5"]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "kept no grid point" in err
+
+    def test_json_never_holds_nan(self, capsys):
+        # sinh(mu x / 2)^2 overflows here, so the closed-form psi evaluates to NaN
+        assert main(["kink", "--eps-sq", "1", "--xmin", "900", "--xmax", "1000",
+                     "--points", "3", "--format", "json"]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert json.loads(err)["error"]["kind"] == "input"
+
     def test_json_footer_fields(self, capsys):
         main(["kink", "--eps-sq", "1", "--state", "n2", "--points", "11",
               "--format", "json"])
