@@ -26,9 +26,9 @@ scalar a6*a7.
 
 Every generator maps x^m to a multiple of a monomial, and P0 acts on x^m by
 m - j.  The exact polynomial work is therefore done in the monomial shift m,
-where eigenvalues are sampled at the small integer nodes m = 0, 1, 2, ...
-and the commutator polynomial carries no power of j; one Taylor shift by j
-at the end rewrites a result as a polynomial in P0.
+where the ladder factors and the commutator polynomial carry no power of j
+and eigenvalues are sampled at the small integer nodes m = 0, 1, 2, ...;
+one Taylor shift by j at the end rewrites a result as a polynomial in P0.
 """
 
 from __future__ import annotations
@@ -41,11 +41,12 @@ from .errors import DiagonalFitError, NotCastableError
 from .operators import DiffOp, RationalLike, as_fraction, commutator
 from .polynomials import (
     Poly,
-    discrete_antidifference,
     poly,
     poly_add,
     poly_eval,
     poly_interpolate,
+    poly_mul,
+    poly_scale,
     poly_shift,
 )
 
@@ -90,6 +91,14 @@ class OdeSpec:
     def lower_factor(self, sigma: Fraction) -> Fraction:
         """P- x^sigma = lower_factor(sigma) x^(sigma-1)."""
         return self.a2 * sigma * (sigma - 1) + self.a6 * sigma
+
+    def ladder_polys(self) -> tuple[Poly, Poly, Poly]:
+        """raise_factor, f_value and lower_factor as polynomials in sigma."""
+        return (
+            poly((self.a7, self.a4 - self.a0, self.a0)),
+            poly((self.a8, self.a5 - self.a1, self.a1)),
+            poly((0, self.a6 - self.a2, self.a2)),
+        )
 
 
 @dataclass(frozen=True)
@@ -211,15 +220,8 @@ def deformation_coefficients(spec: OdeSpec) -> DeformationCoeffs:
     """Closed-form (alpha1, beta1, gamma1, delta1); the Taylor shift of the
     j-free commutator eigenvalue polynomial by j."""
     require_castable(spec)
-    padded = list(_base_commutator_poly(spec)) + [Fraction(0)] * 4
-    k0, k1, k2, k3 = padded[:4]
-    j = spec.j
-    return DeformationCoeffs(
-        alpha1=k3,
-        beta1=k2 + 3 * j * k3,
-        gamma1=k1 + 2 * j * k2 + 3 * j * j * k3,
-        delta1=k0 + j * k1 + j * j * k2 + j ** 3 * k3,
-    )
+    c = list(poly_shift(_base_commutator_poly(spec), spec.j)) + [Fraction(0)] * 4
+    return DeformationCoeffs(alpha1=c[3], beta1=c[2], gamma1=c[1], delta1=c[0])
 
 
 def fit_diagonal_polynomial(op: DiffOp, j: RationalLike, max_degree: int) -> Poly:
@@ -271,43 +273,36 @@ def is_abelian(spec: OdeSpec) -> bool:
     return c.alpha1 == 0 and c.beta1 == 0 and c.gamma1 == 0 and c.delta1 == 0
 
 
-def _lowering_raising(spec: OdeSpec, m: int) -> Fraction:
-    """Eigenvalue of P- P+ on x^m."""
-    return spec.raise_factor(Fraction(m)) * spec.lower_factor(Fraction(m) + 1)
-
-
 def _casimir_g(spec: OdeSpec) -> Poly:
-    """g with g(n) - g(n-1) = f(n), fixed so that C acts on x^0 by a6*a7.
+    """g with C = P- P+ + g(P0) acting on every x^m by a6*a7.
 
-    In the shift m, G(m) = g(m - j) obeys G(m) - G(m-1) = k(m) for the j-free
-    commutator polynomial k, so G is k's antidifference in m; its constant is
-    fixed at m = 0 and one Taylor shift by j gives g.
+    P- P+ acts on x^m by R(m) L(m+1), so G(m) = g(m - j) = a6 a7 - R(m) L(m+1);
+    one Taylor shift by j gives g.
     """
     require_castable(spec)
-    g_in_m = discrete_antidifference(_base_commutator_poly(spec))
-    shift = spec.a6 * spec.a7 - (_lowering_raising(spec, 0) + poly_eval(g_in_m, Fraction(0)))
-    return poly_shift(poly_add(g_in_m, (shift,)), spec.j)
+    raising, _, lowering = spec.ladder_polys()
+    ladder_product = poly_mul(raising, poly_shift(lowering, Fraction(1)))
+    g_in_m = poly_add((spec.a6 * spec.a7,), poly_scale(ladder_product, Fraction(-1)))
+    return poly_shift(g_in_m, spec.j)
 
 
 def casimir(spec: OdeSpec, m_range: int = 10) -> CasimirResult:
-    """Construct C = P- P+ + g(P0) and test scalarness on x^m, m = 0..m_range.
+    """Construct C = P- P+ + g(P0) and certify that it is a scalar on every x^m.
 
-    g is the discrete antidifference of the commutator polynomial, taken in
-    the monomial shift m, where that polynomial is free of j, and moved to
-    P0 = m - j by one Taylor shift.  Its free additive constant is fixed so
-    the scalar equals a6*a7 at m = 0; the returned g, evaluated at m - j, is
-    then checked to give the same scalar across the whole monomial range.
-    A negative m_range raises ValueError.
+    g is built from the ladder factors (see _casimir_g).  C commutes with the
+    generators exactly when g(n) - g(n-1) is the commutator polynomial f(n);
+    is_scalar checks that polynomial identity, which compares the product of
+    the ladder factors with the closed-form commutator and holds for every n.
+    scalar is C's eigenvalue on x^0.  m_range no longer changes the result;
+    a negative m_range raises ValueError.
     """
     if m_range < 0:
         raise ValueError("m_range must be nonnegative")
     g = _casimir_g(spec)
-    values = [
-        _lowering_raising(spec, m) + poly_eval(g, Fraction(m) - spec.j)
-        for m in range(m_range + 1)
-    ]
-    is_scalar = all(v == values[0] for v in values)
-    return CasimirResult(g_poly=g, scalar=values[0], is_scalar=is_scalar)
+    difference = poly_add(g, poly_scale(poly_shift(g, Fraction(-1)), Fraction(-1)))
+    is_scalar = difference == deformation_coefficients(spec).as_poly()
+    scalar = spec.raise_factor(Fraction(0)) * spec.lower_factor(Fraction(1)) + poly_eval(g, -spec.j)
+    return CasimirResult(g_poly=g, scalar=scalar, is_scalar=is_scalar)
 
 
 def casimir_operator(spec: OdeSpec) -> DiffOp:

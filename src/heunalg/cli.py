@@ -134,7 +134,7 @@ def cmd_classify(args: argparse.Namespace) -> int:
     spec = read_spec_file(args.specfile)
     kind = classify_deformation(spec)
     deformation = _deformation(deformation_coefficients(spec))
-    cas = casimir(spec, m_range=10)
+    cas = casimir(spec)
     ok = cast_check(spec)
     abelian = is_abelian(spec)
     payload = {
@@ -220,6 +220,17 @@ def cmd_series(args: argparse.Namespace) -> int:
 # -- kink --------------------------------------------------------------------
 
 
+def _as_double(value: Fraction, name: str) -> float:
+    """float(value), which must be finite and positive (SpecFileError otherwise)."""
+    try:
+        out = float(value)
+    except OverflowError:
+        out = math.inf
+    if not 0 < out < math.inf:
+        raise SpecFileError(f"{name} must be a positive number within double range")
+    return out
+
+
 def cmd_kink(args: argparse.Namespace) -> int:
     eps_sq = parse_rational(args.eps_sq)
     mu = parse_rational(args.mu)
@@ -227,6 +238,7 @@ def cmd_kink(args: argparse.Namespace) -> int:
         raise DegenerateKinkError("--eps-sq must be positive")
     if mu <= 0:
         raise DegenerateKinkError("--mu must be positive")
+    eps_sq_f, mu_f = _as_double(eps_sq, "--eps-sq"), _as_double(mu, "--mu")
     if args.points < 2:
         raise SpecFileError("--points must be at least 2")
     xmin, xmax = args.xmin, args.xmax
@@ -239,9 +251,11 @@ def cmd_kink(args: argparse.Namespace) -> int:
     pairs = kink_termination()
     ode = kink_sigma_ode(eps_sq, 1 - s * s)
     step = (xmax - xmin) / (args.points - 1)
+    if not math.isfinite(step):
+        raise SpecFileError("the span --xmax - --xmin must be finite")
     grid = [k * step + xmin for k in range(args.points - 1)] + [xmax]
-    psi_sigma = psi_n2_sigma(float(eps_sq)) if args.state == "n2" else psi_n3half_sigma(float(eps_sq))
-    residual = residual_sigma(ode, psi_sigma, grid, mu=float(mu))
+    psi_sigma = psi_n2_sigma(eps_sq_f) if args.state == "n2" else psi_n3half_sigma(eps_sq_f)
+    residual = residual_sigma(ode, psi_sigma, grid, mu=mu_f)
     if not residual.grid:
         raise SpecFileError(
             f"the residual check kept no grid point: all {residual.excluded_points} were excluded"
@@ -249,8 +263,8 @@ def cmd_kink(args: argparse.Namespace) -> int:
     samples = [
         {
             "x": x,
-            "sigma": sigma_of_x(float(eps_sq), float(mu), x),
-            "psi": kink_wavefunction(args.state, float(eps_sq), float(mu), x),
+            "sigma": sigma_of_x(eps_sq_f, mu_f, x),
+            "psi": kink_wavefunction(args.state, eps_sq_f, mu_f, x),
         }
         for x in grid
     ]

@@ -201,13 +201,31 @@ def kink_termination() -> tuple[tuple[Fraction, Fraction], ...]:
     return tuple(sorted(pairs))
 
 
-def sigma_of_x(eps_sq: float, mu: float, x: float) -> float:
-    """Kink profile sigma(x); odd, monotone, sigma(+-inf) = +-1."""
-    if eps_sq <= 0 or mu <= 0:
+def _profile(eps_sq: float, mu: float, x: float) -> tuple[float, float, float]:
+    """(sigma, 1 - zeta, zeta) at x, with zeta = sigma^2; finite for every finite x.
+
+    With A = (eps^2+1)/eps^2 and sh = sinh(mu x/2) these are sh/sqrt(A + sh^2),
+    A/(A + sh^2) and sh^2/(A + sh^2).  Once A + sh^2 overflows a double
+    (|mu x/2| above about 355) they are taken from r = A/sh^2 = 4A exp(-|mu x|),
+    exact to double precision there, which underflows to 0 as |x| grows.
+    """
+    if not (0 < eps_sq < math.inf and 0 < mu < math.inf):
         raise DegenerateKinkError("eps^2 and mu must be positive")
     big_a = (eps_sq + 1.0) / eps_sq
-    sh = math.sinh(mu * x / 2.0)
-    return sh / math.sqrt(big_a + sh * sh)
+    if big_a == math.inf:
+        raise DegenerateKinkError("eps^2 is too small: (eps^2+1)/eps^2 overflows a double")
+    half = mu * x / 2.0
+    sh = math.sinh(half) if abs(half) < 710.0 else math.inf  # math.sinh overflows above
+    denom = big_a + sh * sh
+    if denom < math.inf:
+        return sh / math.sqrt(denom), big_a / denom, sh * sh / denom
+    r = math.exp(math.log(4.0) + math.log(big_a) - 2.0 * abs(half))
+    return math.copysign(1.0 / math.sqrt(1.0 + r), half), r / (1.0 + r), 1.0 / (1.0 + r)
+
+
+def sigma_of_x(eps_sq: float, mu: float, x: float) -> float:
+    """Kink profile sigma(x); odd, monotone, sigma(+-inf) = +-1."""
+    return _profile(eps_sq, mu, x)[0]
 
 
 def kink_wavefunction(state: KinkState, eps_sq: float, mu: float, x: float) -> float:
@@ -221,15 +239,11 @@ def kink_wavefunction(state: KinkState, eps_sq: float, mu: float, x: float) -> f
     nu^2 = 0 eigenfunction of the sigma-equation, which differs from these
     closed forms; the residual checks in numeric-verify quantify the gap.
     """
-    if eps_sq <= 0 or mu <= 0:
-        raise DegenerateKinkError("eps^2 and mu must be positive")
-    big_a = (eps_sq + 1.0) / eps_sq
-    sh = math.sinh(mu * x / 2.0)
-    denom = big_a + sh * sh
+    sigma, one_minus_zeta, zeta = _profile(eps_sq, mu, x)
     if state == "n2":
-        return math.sqrt(big_a / denom) * (sh * sh / denom)
+        return math.sqrt(one_minus_zeta) * zeta
     if state == "n3half":
-        return (big_a / denom) * (sh / math.sqrt(denom))
+        return one_minus_zeta * sigma
     raise ValueError(f"unknown state {state!r}; expected 'n2' or 'n3half'")
 
 

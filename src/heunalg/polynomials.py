@@ -2,10 +2,10 @@
 
 Polynomials are tuples of Fractions in ascending degree order with no trailing
 zeros; () is the zero polynomial.  Just enough machinery for interpolation
-(Newton form), Taylor shifts, rational roots and discrete antidifferences;
-nothing here rounds.  Rational roots are isolated by Sturm bisection over the
-integers, so their cost is polynomial in the degree and the coefficient
-bit-length rather than in the size of the constant term.
+(Newton form), Taylor shifts and rational roots; nothing here rounds.
+Rational roots are isolated by Sturm bisection over the integers, so their
+cost is polynomial in the degree and the coefficient bit-length rather than
+in the size of the constant term.
 """
 
 from __future__ import annotations
@@ -200,24 +200,3 @@ def _negated_remainder(a: list[int], b: list[int]) -> list[int]:
         return []
     content = math.gcd(*rem)
     return [-c // content for c in rem]
-
-
-def discrete_antidifference(f: Sequence[Fraction]) -> Poly:
-    """A polynomial g with g(n) - g(n-1) = f(n), normalized so g(0) = f(0).
-
-    deg g = deg f + 1; the additive constant is arbitrary and can be shifted
-    by the caller.  Built by interpolating the cumulative sums of f at
-    n = 0..deg(f)+1 and verified at two extra points.
-    """
-    d = len(poly(f))  # deg f + 1, or 0 for the zero polynomial
-    running = poly_eval(f, Fraction(0))
-    points = [(Fraction(0), running)]
-    for n in range(1, d + 2):
-        running += poly_eval(f, Fraction(n))
-        points.append((Fraction(n), running))
-    g = poly_interpolate(points)
-    for n in (d + 2, d + 3):  # overdetermined check, free in exact arithmetic
-        expected = poly_eval(g, Fraction(n - 1)) + poly_eval(f, Fraction(n))
-        if poly_eval(g, Fraction(n)) != expected:
-            raise AssertionError("antidifference interpolation failed verification")
-    return g

@@ -275,14 +275,10 @@ class SeriesReport:
 
 def termination_condition(spec: OdeSpec) -> TerminationResult:
     """Rational n > 0 with a0(n-1)(n-2) + a4(n-1) + a7 = 0, i.e. P+ x^(n-1) = 0."""
-    a0, a4, a7 = spec.a0, spec.a4, spec.a7
-    if a0 == 0 and a4 == 0:
-        if a7 == 0:
-            return TerminationResult(values=(), all_n=True)
-        return TerminationResult(values=(), all_n=False)
-    # quadratic in t = n - 1: a0 t^2 + (a4 - a0) t + a7
-    roots = rational_roots(poly((a7, a4 - a0, a0)))
-    values = tuple(sorted(t + 1 for t in roots if t + 1 > 0))
+    raising = spec.ladder_polys()[0]  # R(t), at most quadratic in t = n - 1
+    if not raising:
+        return TerminationResult(values=(), all_n=True)
+    values = tuple(sorted(t + 1 for t in rational_roots(raising) if t + 1 > 0))
     return TerminationResult(values=values, all_n=False)
 
 

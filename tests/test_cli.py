@@ -293,6 +293,56 @@ def test_classify_determinism(heun_path, capsys):
     assert capsys.readouterr().out == first
 
 
+class TestKinkExtremeInputs:
+    def test_large_mu_exits_6_without_traceback(self):
+        src = Path(__file__).resolve().parents[1] / "src"
+        env = dict(os.environ, PYTHONPATH=str(src))
+        run = subprocess.run([sys.executable, "-m", "heunalg.cli", "kink", "--eps-sq", "1",
+                              "--mu", "1000"], env=env, capture_output=True, text=True)
+        assert run.returncode == 6
+        assert "Traceback" not in run.stderr
+        assert "nan" not in run.stdout
+        rows = [line.split() for line in run.stdout.splitlines()[1:402]]
+        assert {row[1] for row in rows if abs(float(row[0])) >= 1} == {"-1", "1"}
+
+    @pytest.mark.parametrize("fmt", ["table", "csv"])
+    def test_far_grid_prints_no_nan(self, fmt, capsys):
+        assert main(["kink", "--eps-sq", "1", "--xmin", "900", "--xmax", "1000",
+                     "--points", "3", "--format", fmt]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "kept no grid point" in err
+
+    def test_mu_beyond_double_range_exit_2(self, capsys):
+        assert main(["kink", "--eps-sq", "1", "--mu", "1" + "0" * 400, "--format", "json"]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert json.loads(err)["error"]["message"] == (
+            "--mu must be a positive number within double range")
+
+    @pytest.mark.parametrize("fmt", ["table", "csv"])
+    def test_eps_sq_with_overflowing_a_exit_2(self, fmt, capsys):
+        assert main(["kink", "--eps-sq", "1/1" + "0" * 310, "--format", fmt]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "(eps^2+1)/eps^2 overflows a double" in err
+
+    def test_eps_sq_underflowing_a_double_exit_2(self, capsys):
+        assert main(["kink", "--eps-sq", "1/1" + "0" * 400]) == 2
+        assert "--eps-sq must be a positive number" in capsys.readouterr().err
+
+    def test_grid_span_beyond_double_range_exit_2(self, capsys):
+        assert main(["kink", "--eps-sq", "1", "--xmin=-1e308", "--xmax", "1e308"]) == 2
+        assert "span --xmax - --xmin must be finite" in capsys.readouterr().err
+
+    def test_huge_finite_bounds_print_exact_limits(self, capsys):
+        main(["kink", "--eps-sq", "1", "--xmin=-1e300", "--xmax", "1e300", "--points", "5",
+              "--format", "json"])
+        rows = json.loads(capsys.readouterr().out)["rows"]
+        assert [row["sigma"] for row in rows] == [-1.0, -1.0, 0.0, 1.0, 1.0]
+        assert [row["psi"] for row in rows] == [0.0] * 5
+
+
 @pytest.mark.parametrize("xmin, xmax, points", [
     (-10.0, 10.0, 401), (-3.0, 3.0, 121), (0.1, 12.0, 60), (-2.0, 2.0, 5), (1.0, -1.0, 2),
 ])

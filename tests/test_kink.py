@@ -165,6 +165,39 @@ class TestWavefunctions:
         assert p.s * p.s == 1 - p.omega_over_mu_sq
 
 
+class TestProfileTails:
+    """sinh(mu x/2)^2 overflows a double once |mu x/2| passes about 355."""
+
+    @pytest.mark.parametrize("half", [400.0, 1000.0, 1e300])
+    def test_far_tails_are_exact_limits(self, half):
+        for mu in (1.0, 2.0):
+            x = 2.0 * half / mu
+            assert sigma_of_x(1.0, mu, x) == 1.0
+            assert sigma_of_x(1.0, mu, -x) == -1.0
+            for state in ("n2", "n3half"):
+                for sign in (1.0, -1.0):
+                    psi = kink_wavefunction(state, 1.0, mu, sign * x)
+                    assert psi == 0.0
+
+    def test_tails_with_large_a_stay_finite_and_monotone(self):
+        # eps^2 = 1e-300 makes A about 1e300, so A/sinh^2 is not negligible
+        # where A + sinh^2 overflows
+        halves = [350.0 + 0.5 * k for k in range(21)] + [700.0, 800.0, 1e300]
+        sig = [sigma_of_x(1e-300, 1.0, 2.0 * h) for h in halves]
+        assert all(b >= a for a, b in zip(sig, sig[1:]))
+        assert 0.9 < sig[0] < sig[-1] == 1.0
+        for state in ("n2", "n3half"):
+            tail = [kink_wavefunction(state, 1e-300, 1.0, 2.0 * h) for h in halves]
+            assert all(0.0 <= b <= a for a, b in zip(tail, tail[1:]))
+            assert tail[-1] == 0.0
+
+    def test_eps_too_small_for_a_double_rejected(self):
+        with pytest.raises(DegenerateKinkError, match="overflows a double"):
+            sigma_of_x(1e-310, 1.0, 0.0)
+        with pytest.raises(DegenerateKinkError):
+            kink_wavefunction("n2", 1.0, float("inf"), 0.0)
+
+
 class TestGroundStateChecks:
     def test_lowering_annihilates_sqrt_exactly(self):
         report = kink_ground_state_check(F(1))

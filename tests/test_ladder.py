@@ -1,11 +1,11 @@
 """The ladder layer in the monomial shift m, and the kernels behind it.
 
-fit_diagonal_polynomial and casimir interpolate and take antidifferences at
-the integer nodes m = 0, 1, 2, ... and move to P0 = m - j with one Taylor
-shift.  The Lagrange interpolation, the fit at the nodes m - j, the Casimir
-built as the antidifference of the commutator polynomial in P0 and the
-Leibniz rule with Fraction falling factorials that they replaced are kept
-here as test-only references.
+fit_diagonal_polynomial interpolates at the integer nodes m = 0, 1, 2, ...,
+casimir builds g from the product of the ladder factors in m, and both move
+to P0 = m - j with one Taylor shift.  The Lagrange interpolation, the fit at
+the nodes m - j, the Casimir built as the antidifference of the commutator
+polynomial in P0 and the Leibniz rule with Fraction falling factorials that
+they replaced are kept here as test-only references.
 """
 
 import math
@@ -226,6 +226,27 @@ def test_ladder_calls_match_reference():
         assert build_generators(spec).f_of_p0 == reference_f_of_p0(spec), spec
         seen["result"] += 1
     assert seen["not castable"] == 125 and seen["result"] == 875, seen
+
+
+def test_ladder_polys_match_factor_methods():
+    rng = random.Random(2259)
+    for _, spec in seeded_specs(2251, 400):
+        raising, diagonal, lowering = spec.ladder_polys()
+        assert all(len(p) <= 3 for p in (raising, diagonal, lowering))
+        for _ in range(3):
+            t = _rational(rng, rng.choice((4, 32, 128)))
+            assert poly_eval(raising, t) == spec.raise_factor(t), (spec, t)
+            assert poly_eval(diagonal, t) == spec.f_value(t), (spec, t)
+            assert poly_eval(lowering, t) == spec.lower_factor(t), (spec, t)
+
+
+def test_casimir_ignores_m_range():
+    for family, spec in seeded_specs(2260, 200):
+        if family == "jacobi":
+            continue
+        result = casimir(spec)
+        assert result.is_scalar and result.scalar == spec.a6 * spec.a7, spec
+        assert all(casimir(spec, m) == result for m in (0, 1, 25)), spec
 
 
 def _fit_targets(spec, rng):
