@@ -35,6 +35,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Sequence
 
 from .errors import DiagonalFitError, NotCastableError
@@ -80,25 +81,30 @@ class OdeSpec:
         return (self.a0, self.a1, self.a2, self.a3, self.a4,
                 self.a5, self.a6, self.a7, self.a8)
 
-    # eigenvalue of F on x^m and ladder factors on monomials
-    def f_value(self, sigma: Fraction) -> Fraction:
-        return self.a1 * sigma * (sigma - 1) + self.a5 * sigma + self.a8
-
-    def raise_factor(self, sigma: Fraction) -> Fraction:
-        """P+ x^sigma = raise_factor(sigma) x^(sigma+1)."""
-        return self.a0 * sigma * (sigma - 1) + self.a4 * sigma + self.a7
-
-    def lower_factor(self, sigma: Fraction) -> Fraction:
-        """P- x^sigma = lower_factor(sigma) x^(sigma-1)."""
-        return self.a2 * sigma * (sigma - 1) + self.a6 * sigma
-
-    def ladder_polys(self) -> tuple[Poly, Poly, Poly]:
-        """raise_factor, f_value and lower_factor as polynomials in sigma."""
+    # the three-term action x^s -> R(s) x^(s+1) + F(s) x^s + L(s) x^(s-1)
+    @cached_property
+    def _ladder(self) -> tuple[Poly, Poly, Poly]:
         return (
             poly((self.a7, self.a4 - self.a0, self.a0)),
             poly((self.a8, self.a5 - self.a1, self.a1)),
             poly((0, self.a6 - self.a2, self.a2)),
         )
+
+    def ladder_polys(self) -> tuple[Poly, Poly, Poly]:
+        """(R, F, L) as polynomials in the exponent s, built once per spec."""
+        return self._ladder
+
+    def f_value(self, sigma: Fraction) -> Fraction:
+        """F x^sigma = f_value(sigma) x^sigma."""
+        return poly_eval(self._ladder[1], sigma)
+
+    def raise_factor(self, sigma: Fraction) -> Fraction:
+        """P+ x^sigma = raise_factor(sigma) x^(sigma+1)."""
+        return poly_eval(self._ladder[0], sigma)
+
+    def lower_factor(self, sigma: Fraction) -> Fraction:
+        """P- x^sigma = lower_factor(sigma) x^(sigma-1)."""
+        return poly_eval(self._ladder[2], sigma)
 
 
 @dataclass(frozen=True)
@@ -173,12 +179,8 @@ def build_generators(spec: OdeSpec) -> GeneratorSet:
 
 def diagonal_coefficients(spec: OdeSpec) -> tuple[Fraction, Fraction, Fraction]:
     """(n0, n1, n2) with F(P0) = n2 P0^2 + n1 P0 + n0; zeros are kept."""
-    j = spec.j
-    return (
-        spec.a1 * j * j - (spec.a1 - spec.a5) * j + spec.a8,
-        (2 * j - 1) * spec.a1 + spec.a5,
-        spec.a1,
-    )
+    n = list(poly_shift(spec.ladder_polys()[1], spec.j)) + [Fraction(0)] * 3
+    return n[0], n[1], n[2]
 
 
 def sl2_generators(j: RationalLike) -> GeneratorSet:
@@ -225,10 +227,12 @@ def deformation_coefficients(spec: OdeSpec) -> DeformationCoeffs:
 
 
 def fit_diagonal_polynomial(op: DiffOp, j: RationalLike, max_degree: int) -> Poly:
-    """Fit op x^m = p(m - j) x^m by exact interpolation; verify on 2 extra points.
+    """Fit op x^m = p(m - j) x^m by exact interpolation through 2 extra points.
 
-    The eigenvalues are interpolated at the nodes m = 0..max_degree and checked
-    at m = max_degree + 1 and + 2; one Taylor shift by j then gives p.
+    The eigenvalues at the nodes m = 0..max_degree + 2 are interpolated, and a
+    result of degree above max_degree is rejected: it has degree <= max_degree
+    exactly when the fit through the first max_degree + 1 nodes also hits the
+    other two.  One Taylor shift by j then gives p.
     Raises DiagonalFitError when the operator is not diagonal on the probed
     monomials or when the eigenvalues are not polynomial of the stated degree,
     and ValueError when max_degree is negative.
@@ -244,12 +248,9 @@ def fit_diagonal_polynomial(op: DiffOp, j: RationalLike, max_degree: int) -> Pol
         if off_diag:
             raise DiagonalFitError(f"operator is not diagonal on x^{m}: {off_diag}")
         eigenvalues.append(image.coefficient_at(m))
-    in_m = poly_interpolate([(Fraction(m), eigenvalues[m]) for m in range(max_degree + 1)])
-    for m in (max_degree + 1, max_degree + 2):
-        if poly_eval(in_m, Fraction(m)) != eigenvalues[m]:
-            raise DiagonalFitError(
-                f"eigenvalues are not polynomial of degree <= {max_degree}"
-            )
+    in_m = poly_interpolate([(Fraction(m), value) for m, value in enumerate(eigenvalues)])
+    if len(in_m) > max_degree + 1:
+        raise DiagonalFitError(f"eigenvalues are not polynomial of degree <= {max_degree}")
     return poly_shift(in_m, jf)
 
 

@@ -34,7 +34,6 @@ from .algebra import (
 from .errors import (
     DegenerateDiagonalError,
     DegenerateKinkError,
-    HeunalgError,
     NoIndicialRootError,
     NotCastableError,
     ResonantExponentError,
@@ -63,10 +62,6 @@ EXIT_UNCASTABLE = 3
 EXIT_RESONANT = 4
 EXIT_NO_ROOT = 5
 EXIT_RESIDUAL = 6
-
-
-class _BranchRootError(HeunalgError):
-    """Chosen indicial branch has no rational root."""
 
 
 def _fmt_float(v: float) -> str:
@@ -170,19 +165,19 @@ def _pick_lambda(spec: OdeSpec, branch: str) -> Fraction:
     if branch not in ("plus", "minus"):
         lam = parse_rational(branch)
         if spec.f_value(lam) != 0:
-            raise _BranchRootError(f"{lam} is not an indicial root")
+            raise NoIndicialRootError(f"{lam} is not an indicial root")
         return lam
     roots = indicial_roots(spec)
     if roots.irrational:
-        raise _BranchRootError(
+        raise NoIndicialRootError(
             f"indicial roots are irrational (discriminant {roots.discriminant})"
         )
     if branch == "minus" and roots.degenerate:
         # the second solution at a double root is logarithmic, out of scope
-        raise _BranchRootError("indicial roots are degenerate; no second power-series branch")
+        raise NoIndicialRootError("indicial roots are degenerate; no second power-series branch")
     chosen = roots.lambda_plus if branch == "plus" else roots.lambda_minus
     if chosen is None:
-        raise _BranchRootError(f"no rational indicial root on the {branch} branch")
+        raise NoIndicialRootError(f"no rational indicial root on the {branch} branch")
     return chosen
 
 
@@ -245,11 +240,10 @@ def cmd_kink(args: argparse.Namespace) -> int:
     if not (math.isfinite(xmin) and math.isfinite(xmax)):
         raise SpecFileError("--xmin and --xmax must be finite")
     s = Fraction(1, 2) if args.state == "n2" else Fraction(1)
-    nu_sq = 4 * (1 + eps_sq) * (1 - s * s)
+    ode = kink_sigma_ode(eps_sq, 1 - s * s)
     heun = kink_heun_reduction(eps_sq, s)
     algebra = kink_algebra(eps_sq, s)
     pairs = kink_termination()
-    ode = kink_sigma_ode(eps_sq, 1 - s * s)
     step = (xmax - xmin) / (args.points - 1)
     if not math.isfinite(step):
         raise SpecFileError("the span --xmax - --xmin must be finite")
@@ -275,7 +269,7 @@ def cmd_kink(args: argparse.Namespace) -> int:
     }
     deformation = _deformation(algebra.coeffs)
     head = [("state", args.state), ("eps_sq", str(eps_sq)), ("mu", str(mu)),
-            ("s", str(s)), ("nu_sq", str(nu_sq))]
+            ("s", str(s)), ("nu_sq", str(ode.nu_sq))]
     payload = {
         **dict(head),
         "heun": heun_fields,
@@ -397,7 +391,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         return _emit_error(EXIT_UNCASTABLE, "not-castable", str(exc), fmt)
     except ResonantExponentError as exc:
         return _emit_error(EXIT_RESONANT, "resonant-exponent", str(exc), fmt)
-    except (_BranchRootError, NoIndicialRootError, DegenerateDiagonalError) as exc:
+    except (NoIndicialRootError, DegenerateDiagonalError) as exc:
         return _emit_error(EXIT_NO_ROOT, "no-indicial-root", str(exc), fmt)
     except (SpecFileError, DegenerateKinkError, ValueError) as exc:
         return _emit_error(EXIT_INPUT, "input", str(exc), fmt)

@@ -35,7 +35,7 @@ from .algebra import (
 from .catalog import HeunParams, heun_spec
 from .errors import DegenerateKinkError, HeunalgError
 from .operators import DiffOp, GeneralizedSeries, RationalLike, as_fraction
-from .polynomials import Poly, poly
+from .polynomials import Poly, poly, poly_eval
 
 KinkState = Literal["n2", "n3half"]
 
@@ -51,13 +51,13 @@ class SigmaOde:
     nu_sq: Fraction
 
     def a(self, sigma: float) -> float:
-        return _horner(self.a_poly, sigma)
+        return poly_eval(self.a_poly, sigma)
 
     def b(self, sigma: float) -> float:
-        return _horner(self.b_poly, sigma)
+        return poly_eval(self.b_poly, sigma)
 
     def c(self, sigma: float) -> float:
-        return _horner(self.c_poly, sigma)
+        return poly_eval(self.c_poly, sigma)
 
 
 @dataclass(frozen=True)
@@ -92,13 +92,6 @@ class GroundStateReport:
     kernel_dimension: int
     full_op_on_const: GeneralizedSeries
     constant_eliminated: bool
-
-
-def _horner(p: Sequence[Fraction], x: float) -> float:
-    acc = 0.0
-    for c in reversed(p):
-        acc = acc * x + float(c)
-    return acc
 
 
 def kink_sigma_ode(eps_sq: RationalLike, omega_over_mu_sq: RationalLike) -> SigmaOde:

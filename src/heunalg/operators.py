@@ -20,9 +20,8 @@ total for any rational ``sigma``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator, Mapping, Union
+from typing import Iterable, Iterator, Mapping, NamedTuple, Union
 
 from .errors import IncompatibleBranchError
 
@@ -47,17 +46,12 @@ def falling_factorial(sigma: Fraction, k: int) -> Fraction:
     return out
 
 
-@dataclass(frozen=True)
-class OpTerm:
+class OpTerm(NamedTuple):
     """One normal-ordered term coeff * x^xpow * D^dorder."""
 
     coeff: Fraction
     xpow: int
     dorder: int
-
-    def __post_init__(self) -> None:
-        if self.xpow < 0 or self.dorder < 0:
-            raise ValueError("x-power and derivative order must be nonnegative")
 
 
 class DiffOp:
@@ -75,6 +69,8 @@ class DiffOp:
             c = as_fraction(coeff)
             if c == 0:
                 continue
+            if xpow < 0 or dorder < 0:
+                raise ValueError("x-power and derivative order must be nonnegative")
             key = (dorder, xpow)
             c += acc.get(key, Fraction(0))
             if c == 0:
@@ -116,9 +112,6 @@ class DiffOp:
     def max_xpow(self) -> int:
         return max((t.xpow for t in self._terms), default=0)
 
-    def __iter__(self) -> Iterator[OpTerm]:
-        return iter(self._terms)
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, DiffOp):
             return NotImplemented
@@ -135,10 +128,7 @@ class DiffOp:
     def __add__(self, other: "DiffOp") -> "DiffOp":
         if not isinstance(other, DiffOp):
             return NotImplemented
-        return DiffOp(
-            [(t.coeff, t.xpow, t.dorder) for t in self._terms]
-            + [(t.coeff, t.xpow, t.dorder) for t in other._terms]
-        )
+        return DiffOp(self._terms + other._terms)
 
     def __sub__(self, other: "DiffOp") -> "DiffOp":
         if not isinstance(other, DiffOp):
@@ -151,19 +141,6 @@ class DiffOp:
     def scale(self, factor: RationalLike) -> "DiffOp":
         f = as_fraction(factor)
         return DiffOp([(f * t.coeff, t.xpow, t.dorder) for t in self._terms])
-
-    def __mul__(self, other) -> "DiffOp":
-        """Operator composition for DiffOp operands, scaling for rationals."""
-        if isinstance(other, DiffOp):
-            return self.compose(other)
-        if isinstance(other, (int, Fraction)):
-            return self.scale(other)
-        return NotImplemented
-
-    def __rmul__(self, other) -> "DiffOp":
-        if isinstance(other, (int, Fraction)):
-            return self.scale(other)
-        return NotImplemented
 
     # -- composition and action --------------------------------------------
 
@@ -261,10 +238,6 @@ class GeneralizedSeries:
     @staticmethod
     def monomial(exponent: RationalLike, coeff: RationalLike = 1) -> "GeneralizedSeries":
         return GeneralizedSeries(exponent, {0: coeff})
-
-    @staticmethod
-    def zero() -> "GeneralizedSeries":
-        return GeneralizedSeries(0, {})
 
     @property
     def base(self) -> Fraction:

@@ -148,8 +148,9 @@ def check_solvability(spec: OdeSpec) -> SolvabilityVerdict:
     gates that still admit a termination level are noted: polynomial solutions
     can exist beyond these conditions.
     """
-    exact = spec.a0 == 0 and spec.a4 == 0 and spec.a7 == 0
-    qes_gate = spec.a2 == 0 and spec.a6 == 0
+    raising, _, lowering = spec.ladder_polys()
+    exact = raising == ()
+    qes_gate = lowering == ()
     trivial = exact and qes_gate
     quasi = qes_gate and (not exact or trivial)
 

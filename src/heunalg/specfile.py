@@ -24,12 +24,14 @@ def parse_rational(text: str) -> Fraction:
     text = text.strip()
     if not _RATIONAL_RE.match(text):
         raise SpecFileError(f"not a rational literal: {text!r}")
-    if "/" in text:
-        num, den = text.split("/")
-        if int(den) == 0:
-            raise SpecFileError(f"zero denominator in {text!r}")
-        return Fraction(int(num), int(den))
-    return Fraction(int(text))
+    num, _, den = text.partition("/")
+    try:  # int() refuses literals longer than sys.get_int_max_str_digits()
+        num_int, den_int = int(num), int(den or 1)
+    except ValueError:
+        raise SpecFileError(f"rational literal too long ({len(text)} characters)") from None
+    if den_int == 0:
+        raise SpecFileError(f"zero denominator in {text!r}")
+    return Fraction(num_int, den_int)
 
 
 def parse_spec_text(text: str, source: str = "<string>") -> OdeSpec:

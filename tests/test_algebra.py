@@ -1,5 +1,6 @@
 """Generator construction, deformation coefficients, Casimir."""
 
+import dataclasses
 import random
 from fractions import Fraction as F
 
@@ -228,3 +229,13 @@ def test_sl2_special_case_recovery():
             commutator(gens.p_plus, gens.p_minus), j, 3
         )
         assert fitted == (F(0), F(-2))  # [J+, J-] = -2 P0
+
+
+def test_ladder_cache_leaves_spec_identity_unchanged():
+    warm, fresh = random_spec(random.Random(5)), random_spec(random.Random(5))
+    warm.ladder_polys()
+    assert warm == fresh
+    assert hash(warm) == hash(fresh)
+    assert repr(warm) == repr(fresh)
+    assert dataclasses.fields(warm) == dataclasses.fields(fresh)
+    assert [f.name for f in dataclasses.fields(warm)] == [f"a{i}" for i in range(9)] + ["j"]

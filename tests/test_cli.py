@@ -195,7 +195,8 @@ class TestKink:
         assert "kept no grid point" in err
 
     def test_json_never_holds_nan(self, capsys):
-        # sinh(mu x / 2)^2 overflows here, so the closed-form psi evaluates to NaN
+        # every point lies within the guard of sigma = 1, so the residual check keeps none:
+        # the call must end in a JSON input error and print no payload
         assert main(["kink", "--eps-sq", "1", "--xmin", "900", "--xmax", "1000",
                      "--points", "3", "--format", "json"]) == 2
         out, err = capsys.readouterr()
@@ -360,3 +361,18 @@ def test_import_does_not_load_numpy():
     out = subprocess.run([sys.executable, "-c", probe], env=env,
                          capture_output=True, text=True, check=True).stdout
     assert out.strip() == "False"
+
+
+def test_literal_beyond_int_digit_limit_exit_2(tmp_path):
+    spec = tmp_path / "long.spec"
+    spec.write_text(f"a0 = {'1' * 5000}\n")
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    run = subprocess.run([sys.executable, "-m", "heunalg.cli", "classify", str(spec),
+                          "--format", "json"], env=env, capture_output=True, text=True)
+    assert run.returncode == 2
+    assert run.stdout == ""
+    assert "Traceback" not in run.stderr
+    error = json.loads(run.stderr)["error"]
+    assert error["kind"] == "input"
+    assert "set_int_max_str_digits" not in error["message"]

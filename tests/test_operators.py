@@ -133,3 +133,12 @@ def test_diffop_str_is_deterministic():
     op = DiffOp([(F(-3, 2), 2, 1), (1, 0, 0), (F(1), 3, 2)])
     assert str(op) == "1 - 3/2*x^2*D + x^3*D^2"
     assert str(DiffOp.zero()) == "0"
+
+
+@pytest.mark.parametrize("xpow, dorder", [(-1, 0), (0, -1), (-2, 3)])
+def test_negative_power_or_order_rejected(xpow, dorder):
+    with pytest.raises(ValueError, match="must be nonnegative"):
+        DiffOp([(1, 0, 0), (F(2, 3), xpow, dorder)])
+    with pytest.raises(ValueError, match="must be nonnegative"):
+        DiffOp.term(F(-1, 2), xpow, dorder)
+    assert DiffOp.term(0, xpow, dorder).is_zero()  # zero terms are dropped unchecked

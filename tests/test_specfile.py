@@ -45,3 +45,13 @@ def test_bad_rational_literals(bad):
                                         ("+2", F(2))])
 def test_good_rational_literals(text, value):
     assert parse_rational(text) == value
+
+
+@pytest.mark.parametrize("literal", ["1" * 5000, "-1/" + "7" * 5000],
+                         ids=["numerator", "denominator"])
+def test_literal_beyond_int_digit_limit(literal):
+    with pytest.raises(SpecFileError, match="too long") as info:
+        parse_rational(literal)
+    assert "set_int_max_str_digits" not in str(info.value)
+    with pytest.raises(SpecFileError):
+        parse_spec_text(f"a0 = {literal}\n")
