@@ -51,12 +51,10 @@ from .errors import (
 from .kink import (
     GroundStateReport,
     KinkAlgebra,
-    KinkParams,
     SigmaOde,
     kink_algebra,
     kink_ground_state_check,
     kink_heun_reduction,
-    kink_params,
     kink_sigma_ode,
     kink_spec,
     kink_termination,
@@ -71,7 +69,6 @@ from .operators import (
     DiffOp,
     GeneralizedSeries,
     OpTerm,
-    Rational,
     commutator,
     falling_factorial,
 )

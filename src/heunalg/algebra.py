@@ -47,6 +47,7 @@ from .polynomials import (
     poly_eval,
     poly_interpolate,
     poly_mul,
+    poly_padded,
     poly_scale,
     poly_shift,
 )
@@ -70,12 +71,6 @@ class OdeSpec:
     def __post_init__(self) -> None:
         for name in ("a0", "a1", "a2", "a3", "a4", "a5", "a6", "a7", "a8", "j"):
             object.__setattr__(self, name, as_fraction(getattr(self, name)))
-
-    def with_j(self, j: RationalLike) -> "OdeSpec":
-        return OdeSpec(
-            self.a0, self.a1, self.a2, self.a3, self.a4,
-            self.a5, self.a6, self.a7, self.a8, as_fraction(j),
-        )
 
     def coefficients(self) -> tuple[Fraction, ...]:
         return (self.a0, self.a1, self.a2, self.a3, self.a4,
@@ -129,6 +124,12 @@ class DeformationCoeffs:
     def as_poly(self) -> Poly:
         return poly((self.delta1, self.gamma1, self.beta1, self.alpha1))
 
+    @staticmethod
+    def from_poly(p: Sequence[Fraction]) -> "DeformationCoeffs":
+        """The inverse of as_poly, for a polynomial of degree at most 3."""
+        delta1, gamma1, beta1, alpha1 = poly_padded(p, 4)
+        return DeformationCoeffs(alpha1, beta1, gamma1, delta1)
+
     def scale(self, factor: Fraction) -> "DeformationCoeffs":
         return DeformationCoeffs(
             factor * self.alpha1, factor * self.beta1,
@@ -179,8 +180,7 @@ def build_generators(spec: OdeSpec) -> GeneratorSet:
 
 def diagonal_coefficients(spec: OdeSpec) -> tuple[Fraction, Fraction, Fraction]:
     """(n0, n1, n2) with F(P0) = n2 P0^2 + n1 P0 + n0; zeros are kept."""
-    n = list(poly_shift(spec.ladder_polys()[1], spec.j)) + [Fraction(0)] * 3
-    return n[0], n[1], n[2]
+    return poly_padded(poly_shift(spec.ladder_polys()[1], spec.j), 3)
 
 
 def sl2_generators(j: RationalLike) -> GeneratorSet:
@@ -222,8 +222,7 @@ def deformation_coefficients(spec: OdeSpec) -> DeformationCoeffs:
     """Closed-form (alpha1, beta1, gamma1, delta1); the Taylor shift of the
     j-free commutator eigenvalue polynomial by j."""
     require_castable(spec)
-    c = list(poly_shift(_base_commutator_poly(spec), spec.j)) + [Fraction(0)] * 4
-    return DeformationCoeffs(alpha1=c[3], beta1=c[2], gamma1=c[1], delta1=c[0])
+    return DeformationCoeffs.from_poly(poly_shift(_base_commutator_poly(spec), spec.j))
 
 
 def fit_diagonal_polynomial(op: DiffOp, j: RationalLike, max_degree: int) -> Poly:
@@ -319,5 +318,4 @@ def brute_force_deformation(spec: OdeSpec) -> DeformationCoeffs:
     """
     gens = build_generators(spec)
     fitted = fit_diagonal_polynomial(commutator(gens.p_plus, gens.p_minus), spec.j, 3)
-    c = list(fitted) + [Fraction(0)] * (4 - len(fitted))
-    return DeformationCoeffs(alpha1=c[3], beta1=c[2], gamma1=c[1], delta1=c[0])
+    return DeformationCoeffs.from_poly(fitted)

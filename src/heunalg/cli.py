@@ -55,6 +55,8 @@ from .specfile import parse_rational, read_spec_file
 from .verify import residual_sigma
 
 RESIDUAL_THRESHOLD = 1e-6
+MAX_TERMS = 4000  # series rows and their digits both grow with --terms
+MAX_POINTS = 100_000  # the kink grid is one list, built before the residual check
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -182,6 +184,8 @@ def _pick_lambda(spec: OdeSpec, branch: str) -> Fraction:
 
 
 def cmd_series(args: argparse.Namespace) -> int:
+    if args.terms > MAX_TERMS:
+        raise SpecFileError(f"--terms must be at most {MAX_TERMS}")
     spec = read_spec_file(args.specfile)
     lam = _pick_lambda(spec, args.branch)
     horizon = max(32, args.terms)
@@ -236,6 +240,8 @@ def cmd_kink(args: argparse.Namespace) -> int:
     eps_sq_f, mu_f = _as_double(eps_sq, "--eps-sq"), _as_double(mu, "--mu")
     if args.points < 2:
         raise SpecFileError("--points must be at least 2")
+    if args.points > MAX_POINTS:
+        raise SpecFileError(f"--points must be at most {MAX_POINTS}")
     xmin, xmax = args.xmin, args.xmax
     if not (math.isfinite(xmin) and math.isfinite(xmax)):
         raise SpecFileError("--xmin and --xmax must be finite")
@@ -384,17 +390,20 @@ def _join_lambda_value(argv: Sequence[str]) -> list[str]:
 def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(_join_lambda_value(sys.argv[1:] if argv is None else argv))
-    fmt = getattr(args, "format", "table")
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)  # exact results print in full, whatever their length
     try:
         return args.func(args)
     except NotCastableError as exc:
-        return _emit_error(EXIT_UNCASTABLE, "not-castable", str(exc), fmt)
+        return _emit_error(EXIT_UNCASTABLE, "not-castable", str(exc), args.format)
     except ResonantExponentError as exc:
-        return _emit_error(EXIT_RESONANT, "resonant-exponent", str(exc), fmt)
+        return _emit_error(EXIT_RESONANT, "resonant-exponent", str(exc), args.format)
     except (NoIndicialRootError, DegenerateDiagonalError) as exc:
-        return _emit_error(EXIT_NO_ROOT, "no-indicial-root", str(exc), fmt)
+        return _emit_error(EXIT_NO_ROOT, "no-indicial-root", str(exc), args.format)
     except (SpecFileError, DegenerateKinkError, ValueError) as exc:
-        return _emit_error(EXIT_INPUT, "input", str(exc), fmt)
+        return _emit_error(EXIT_INPUT, "input", str(exc), args.format)
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 def entry() -> None:

@@ -61,18 +61,6 @@ class SigmaOde:
 
 
 @dataclass(frozen=True)
-class KinkParams:
-    """Bound-state bookkeeping: eps^2, mass scale, and the (n, s) level data."""
-
-    eps_sq: Fraction
-    mu: Fraction
-    s: Fraction
-    n: Fraction
-    omega_over_mu_sq: Fraction
-    nu_sq: Fraction
-
-
-@dataclass(frozen=True)
 class KinkAlgebra:
     """Deformation coefficients of the unit-normalized ladder pair, plus the
     diagonal-part coefficients (n2, n1, n0)."""
@@ -105,19 +93,6 @@ def kink_sigma_ode(eps_sq: RationalLike, omega_over_mu_sq: RationalLike) -> Sigm
         b_poly=poly((0, 1 - 2 * e2, 0, 2 * e2 - 4, 0, 3)),
         c_poly=poly((-1 + 2 * e2, 0, 12 - 6 * e2, 0, -15)),
         nu_sq=4 * (1 + e2) * w2,
-    )
-
-
-def kink_params(eps_sq: RationalLike, mu: RationalLike, n: RationalLike, s: RationalLike) -> KinkParams:
-    e2, muf, nf, sf = map(as_fraction, (eps_sq, mu, n, s))
-    if e2 <= 0:
-        raise DegenerateKinkError("eps^2 must be positive")
-    if not 0 <= sf <= 1:
-        raise ValueError(f"bound states require 0 <= s <= 1, got s = {sf}")
-    w2 = 1 - sf * sf
-    return KinkParams(
-        eps_sq=e2, mu=muf, s=sf, n=nf,
-        omega_over_mu_sq=w2, nu_sq=4 * (1 + e2) * w2,
     )
 
 
@@ -263,17 +238,15 @@ def kink_zero_mode(eps_sq: float) -> Callable[[float], float]:
     return lambda sigma: (1.0 - sigma * sigma) * math.sqrt(sigma * sigma + eps_sq)
 
 
-def state_from_factor(
-    s: float, factor: Sequence[Fraction], half_step: bool = False
-) -> Callable[[float], float]:
-    """(1-zeta)^s * sum_k factor[k] zeta^(k or k+1/2) as a function of sigma."""
+def state_from_factor(s: float, factor: Sequence[Fraction]) -> Callable[[float], float]:
+    """(1-zeta)^s * sum_k factor[k] zeta^k as a function of sigma."""
     coeffs = [float(c) for c in factor]
 
     def psi(sigma: float) -> float:
         zeta = sigma * sigma
         f = 0.0
         for k, c in enumerate(coeffs):
-            f += c * zeta ** (k + 0.5 if half_step else k)
+            f += c * zeta ** k
         return (1.0 - zeta) ** s * f
 
     return psi

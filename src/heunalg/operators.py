@@ -25,7 +25,6 @@ from typing import Iterable, Iterator, Mapping, NamedTuple, Union
 
 from .errors import IncompatibleBranchError
 
-Rational = Fraction
 RationalLike = Union[Fraction, int, str]
 
 
@@ -90,10 +89,6 @@ class DiffOp:
         return DiffOp()
 
     @staticmethod
-    def identity() -> "DiffOp":
-        return DiffOp([(1, 0, 0)])
-
-    @staticmethod
     def term(coeff: RationalLike, xpow: int, dorder: int) -> "DiffOp":
         return DiffOp([(coeff, xpow, dorder)])
 
@@ -105,12 +100,6 @@ class DiffOp:
 
     def is_zero(self) -> bool:
         return not self._terms
-
-    def max_dorder(self) -> int:
-        return max((t.dorder for t in self._terms), default=0)
-
-    def max_xpow(self) -> int:
-        return max((t.xpow for t in self._terms), default=0)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, DiffOp):
@@ -299,11 +288,6 @@ class GeneralizedSeries:
     def scale(self, factor: RationalLike) -> "GeneralizedSeries":
         f = as_fraction(factor)
         return GeneralizedSeries(self._base, {m: f * c for m, c in self._coeffs.items()})
-
-    def truncate_window(self, m_min: int, m_max: int) -> tuple["GeneralizedSeries", int]:
-        """Drop shifts outside [m_min, m_max]; returns (series, dropped count)."""
-        kept = {m: c for m, c in self._coeffs.items() if m_min <= m <= m_max}
-        return GeneralizedSeries(self._base, kept), len(self._coeffs) - len(kept)
 
     def __str__(self) -> str:
         if not self._coeffs:

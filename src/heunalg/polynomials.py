@@ -24,6 +24,11 @@ def poly(coeffs: Iterable[Fraction | int]) -> Poly:
     return tuple(out)
 
 
+def poly_padded(p: Sequence[Fraction], n: int) -> tuple[Fraction, ...]:
+    """The coefficients of x^0..x^(n-1) in p, zeros included; p has degree < n."""
+    return tuple(p) + (Fraction(0),) * (n - len(p))
+
+
 def poly_eval(p: Sequence[Fraction], x: Fraction) -> Fraction:
     acc = Fraction(0)
     for c in reversed(p):

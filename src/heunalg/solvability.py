@@ -47,6 +47,7 @@ from .polynomials import (
     poly,
     poly_add,
     poly_mul,
+    poly_padded,
     poly_scale,
     rational_roots,
 )
@@ -56,7 +57,7 @@ DEFAULT_HORIZON = 32
 
 @dataclass(frozen=True)
 class IndicialRoots:
-    """Roots of a1 L^2 + (a5-a1) L + a8 = 0.
+    """Roots of the indicial equation F(L) = 0, F from OdeSpec.ladder_polys().
 
     Rational roots are carried directly; irrational ones are reported through
     (discriminant, rational_part) with the irrational flag set.  When a1 = 0
@@ -104,38 +105,27 @@ class PolynomialSolutionResult:
 
 
 def indicial_roots(spec: OdeSpec) -> IndicialRoots:
-    a1, a5, a8 = spec.a1, spec.a5, spec.a8
-    disc = (a5 - a1) ** 2 - 4 * a1 * a8
-    if a1 == 0:
-        if a5 == 0:
-            if a8 == 0:
+    f0, f1, f2 = poly_padded(spec.ladder_polys()[1], 3)
+    disc = f1 * f1 - 4 * f2 * f0
+    plus = minus = rational_part = None
+    if f2 == 0:
+        if f1 == 0:
+            if f0 == 0:
                 raise DegenerateDiagonalError("F is identically zero: every exponent is a root")
             raise NoIndicialRootError("F is the nonzero constant a8; no exponent annihilates it")
-        return IndicialRoots(
-            lambda_plus=-a8 / a5,
-            lambda_minus=None,
-            discriminant=disc,
-            rational_part=None,
-            irrational=False,
-            degenerate=False,
-        )
-    rational_part = -(a5 - a1) / (2 * a1)
-    square, root = is_rational_square(disc)
-    if not square:
-        return IndicialRoots(
-            lambda_plus=None,
-            lambda_minus=None,
-            discriminant=disc,
-            rational_part=rational_part,
-            irrational=True,
-            degenerate=False,
-        )
+        plus = -f0 / f1
+    else:
+        rational_part = -f1 / (2 * f2)
+        square, root = is_rational_square(disc)
+        if square:
+            plus = rational_part + root / (2 * f2)
+            minus = rational_part - root / (2 * f2)
     return IndicialRoots(
-        lambda_plus=rational_part + root / (2 * a1),
-        lambda_minus=rational_part - root / (2 * a1),
+        lambda_plus=plus,
+        lambda_minus=minus,
         discriminant=disc,
         rational_part=rational_part,
-        irrational=False,
+        irrational=plus is None,
         degenerate=(disc == 0),
     )
 

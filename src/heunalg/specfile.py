@@ -17,6 +17,7 @@ from .errors import SpecFileError
 
 _VALID_KEYS = tuple(f"a{i}" for i in range(9)) + ("j",)
 _RATIONAL_RE = re.compile(r"^[+-]?\d+(/\d+)?$")
+MAX_LITERAL_DIGITS = 4300  # int()'s default limit, which the CLI lifts to print results
 
 
 def parse_rational(text: str) -> Fraction:
@@ -25,10 +26,9 @@ def parse_rational(text: str) -> Fraction:
     if not _RATIONAL_RE.match(text):
         raise SpecFileError(f"not a rational literal: {text!r}")
     num, _, den = text.partition("/")
-    try:  # int() refuses literals longer than sys.get_int_max_str_digits()
-        num_int, den_int = int(num), int(den or 1)
-    except ValueError:
-        raise SpecFileError(f"rational literal too long ({len(text)} characters)") from None
+    if max(len(num.lstrip("+-")), len(den)) > MAX_LITERAL_DIGITS:
+        raise SpecFileError(f"rational literal too long ({len(text)} characters)")
+    num_int, den_int = int(num), int(den or 1)
     if den_int == 0:
         raise SpecFileError(f"zero denominator in {text!r}")
     return Fraction(num_int, den_int)

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Sequence
 
-from .algebra import OdeSpec
+from .algebra import OdeSpec, full_operator
 from .errors import ResonantExponentError
 from .kink import SigmaOde, sigma_of_x
 from .operators import GeneralizedSeries, RationalLike, as_fraction
@@ -160,8 +160,6 @@ def nullspace_oracle(spec: OdeSpec, degree: int) -> tuple[tuple[Fraction, ...], 
     row-reduces over the integers (Bareiss); the back-substituted basis spans
     the same space polynomial_solution must find.
     """
-    from .algebra import full_operator  # local import keeps module layering flat
-
     if degree < 0:
         raise ValueError("degree must be nonnegative")
     op = full_operator(spec)

@@ -376,3 +376,30 @@ def test_literal_beyond_int_digit_limit_exit_2(tmp_path):
     error = json.loads(run.stderr)["error"]
     assert error["kind"] == "input"
     assert "set_int_max_str_digits" not in error["message"]
+
+
+def test_classify_prints_exact_numbers_of_any_length(tmp_path, capsys):
+    """The Casimir scalar a6*a7 has 6,000 digits, past int()'s default string limit."""
+    p = tmp_path / "long.spec"
+    p.write_text(f"a6 = 1{'0' * 2999}\na7 = 3{'0' * 2999}\n")
+    limit = sys.get_int_max_str_digits()
+    assert main(["classify", str(p), "--format", "json"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["casimir"]["scalar"] == "3" + "0" * 5998
+    assert payload["deformation"]["delta1"] == "-3" + "0" * 5998
+    assert sys.get_int_max_str_digits() == limit  # main restores the interpreter's limit
+
+
+@pytest.mark.parametrize("argv", [
+    ["series", "qes.spec", "--lambda", "0", "--terms", "4001"],
+    ["kink", "--eps-sq", "1", "--points", "100001"],
+], ids=["terms", "points"])
+def test_size_caps_exit_2(argv, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "qes.spec").write_text(QES_FILE)
+    assert main([*argv, "--format", "json"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    error = json.loads(err)["error"]
+    assert error["kind"] == "input"
+    assert "must be at most" in error["message"]

@@ -22,7 +22,6 @@ from heunalg import (
     kink_algebra,
     kink_ground_state_check,
     kink_heun_reduction,
-    kink_params,
     kink_sigma_ode,
     kink_spec,
     kink_termination,
@@ -157,12 +156,6 @@ class TestWavefunctions:
                     for x in np.linspace(4.0, 12.0, 20)]
             assert all(b < a for a, b in zip(tail, tail[1:]))
             assert tail[-1] < tail[0] / 20
-
-    def test_params_consistency(self):
-        p = kink_params(F(1), F(1), F(2), F(1, 2))
-        assert p.omega_over_mu_sq == F(3, 4)
-        assert p.nu_sq == 4 * 2 * F(3, 4) == 6
-        assert p.s * p.s == 1 - p.omega_over_mu_sq
 
 
 class TestProfileTails:

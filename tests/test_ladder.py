@@ -319,7 +319,7 @@ def test_casimir_rejects_negative_m_range(m_range):
 @pytest.mark.parametrize("max_degree", [-1, -2, -3])
 def test_fit_rejects_negative_degree(max_degree):
     with pytest.raises(ValueError, match="max_degree must be nonnegative"):
-        fit_diagonal_polynomial(DiffOp.identity(), 0, max_degree)
+        fit_diagonal_polynomial(DiffOp.term(1, 0, 0), 0, max_degree)
 
 
 # -- kernels ----------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """Indicial roots, solvability gates, series and polynomial solutions."""
 
 import random
+from collections import Counter
 from fractions import Fraction as F
 
 import pytest
@@ -25,6 +26,7 @@ from heunalg import (
     termination_condition,
 )
 from heunalg.operators import as_fraction
+from heunalg.polynomials import rational_roots
 from heunalg.solvability import DEFAULT_HORIZON, SeriesReport
 
 
@@ -84,6 +86,73 @@ class TestIndicialRoots:
                 diag = OdeSpec(a1=spec.a1, a5=spec.a5, a8=spec.a8)
                 assert full_operator(diag).apply_to_monomial(lam).is_zero()
                 checked += 1
+
+
+INDICIAL_KINDS = ("zero", "constant", "linear", "rational", "double", "irrational")
+
+
+def random_indicial_spec(rng, kind):
+    """A spec whose F(L) = a1 L^2 + (a5 - a1) L + a8 has the given shape; the
+    coefficients that F does not read are random too."""
+    other = {f"a{i}": _small(rng) for i in (0, 2, 3, 4, 6, 7)}
+    other["j"] = _small(rng)
+    a1, a5, a8 = F(0), F(0), F(0)
+    if kind == "constant":
+        a8 = _small(rng, nonzero=True)
+    elif kind == "linear":
+        a5, a8 = _small(rng, nonzero=True), _small(rng)
+    elif kind in ("rational", "double"):
+        lam1 = _small(rng)
+        lam2 = lam1 if kind == "double" else _small(rng)
+        a1 = _small(rng, nonzero=True)
+        a5, a8 = a1 * (1 - lam1 - lam2), a1 * lam1 * lam2
+    elif kind == "irrational":
+        while a1 == 0 or rational_roots((a8, a5 - a1, a1)):
+            a1, a5, a8 = _small(rng, nonzero=True), _small(rng), _small(rng)
+    return OdeSpec(a1=a1, a5=a5, a8=a8, **other)
+
+
+def test_indicial_roots_match_roots_of_f():
+    """indicial_roots against the rational roots and discriminant of F itself,
+    on 500 seeded specs of every shape F can take."""
+    rng = random.Random(909)
+    seen = Counter()
+    for _ in range(500):
+        kind = rng.choice(INDICIAL_KINDS)
+        spec = random_indicial_spec(rng, kind)
+        f_poly = spec.ladder_polys()[1]
+        f0, f1, f2 = (list(f_poly) + [F(0)] * 3)[:3]
+        if kind == "zero":
+            assert f_poly == ()
+            with pytest.raises(DegenerateDiagonalError):
+                indicial_roots(spec)
+            seen[kind] += 1
+            continue
+        if kind == "constant":
+            assert len(f_poly) == 1
+            with pytest.raises(NoIndicialRootError):
+                indicial_roots(spec)
+            seen[kind] += 1
+            continue
+        r = indicial_roots(spec)
+        roots = rational_roots(f_poly)
+        assert r.discriminant == f1 * f1 - 4 * f2 * f0
+        if f2 == 0:
+            assert (r.lambda_plus, r.lambda_minus, r.rational_part) == (roots[0], None, None)
+            assert not r.irrational and not r.degenerate
+            seen["linear"] += 1
+        elif not roots:
+            assert (r.lambda_plus, r.lambda_minus) == (None, None)
+            assert r.irrational and not r.degenerate
+            assert r.rational_part == -f1 / (2 * f2)
+            seen["irrational"] += 1
+        else:
+            assert {r.lambda_plus, r.lambda_minus} == set(roots)
+            assert r.rational_part == (r.lambda_plus + r.lambda_minus) / 2 == -f1 / (2 * f2)
+            assert r.degenerate == (len(roots) == 1) == (r.discriminant == 0)
+            assert not r.irrational
+            seen["double" if r.degenerate else "rational"] += 1
+    assert set(seen) == set(INDICIAL_KINDS)
 
 
 class TestSolvabilityVerdict:
@@ -183,8 +252,9 @@ def reference_series_with_report(spec, lam, iterations, horizon=None):
                 )
             inverted[m] = c / f_val
         nxt = seed - GeneralizedSeries(lam, inverted)
-        nxt, d = nxt.truncate_window(-window, window)
-        dropped += d
+        kept = {m: c for m, c in nxt.items() if abs(m) <= window}
+        dropped += len(nxt.shifts()) - len(kept)
+        nxt = GeneralizedSeries(lam, kept)
         if nxt == psi:
             stationary_at = k
             break

@@ -1,5 +1,6 @@
 """Coefficient-file parsing."""
 
+import sys
 from fractions import Fraction as F
 
 import pytest
@@ -55,3 +56,17 @@ def test_literal_beyond_int_digit_limit(literal):
     assert "set_int_max_str_digits" not in str(info.value)
     with pytest.raises(SpecFileError):
         parse_spec_text(f"a0 = {literal}\n")
+
+
+def test_literal_bound_is_independent_of_int_digit_limit():
+    """parse_rational keeps its own 4,300-digit bound when int() has none."""
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        with pytest.raises(SpecFileError, match="too long"):
+            parse_rational("1" * 4301)
+        with pytest.raises(SpecFileError, match="too long"):
+            parse_rational("1/" + "7" * 4301)
+        assert parse_rational("-" + "9" * 4300) == -(10 ** 4300 - 1)
+    finally:
+        sys.set_int_max_str_digits(limit)
