@@ -26,8 +26,9 @@ scalar a6*a7.
 
 Every generator maps x^m to a multiple of a monomial, and P0 acts on x^m by
 m - j.  The exact polynomial work is therefore done in the monomial shift m,
-where the ladder factors and the commutator polynomial carry no power of j
-and eigenvalues are sampled at the small integer nodes m = 0, 1, 2, ...;
+where the ladder factors and the commutator polynomial carry no power of j,
+and a diagonal operator's eigenvalue polynomial is read off its x^k D^k
+terms, whose coefficients are its Newton coefficients at m = 0, 1, 2, ...;
 one Taylor shift by j at the end rewrites a result as a polynomial in P0.
 """
 
@@ -45,7 +46,6 @@ from .polynomials import (
     poly,
     poly_add,
     poly_eval,
-    poly_interpolate,
     poly_mul,
     poly_padded,
     poly_scale,
@@ -226,30 +226,38 @@ def deformation_coefficients(spec: OdeSpec) -> DeformationCoeffs:
 
 
 def fit_diagonal_polynomial(op: DiffOp, j: RationalLike, max_degree: int) -> Poly:
-    """Fit op x^m = p(m - j) x^m by exact interpolation through 2 extra points.
+    """Read p with op x^m = p(m - j) x^m off the terms of a diagonal operator.
 
-    The eigenvalues at the nodes m = 0..max_degree + 2 are interpolated, and a
-    result of degree above max_degree is rejected: it has degree <= max_degree
-    exactly when the fit through the first max_degree + 1 nodes also hits the
-    other two.  One Taylor shift by j then gives p.
-    Raises DiagonalFitError when the operator is not diagonal on the probed
-    monomials or when the eigenvalues are not polynomial of the stated degree,
-    and ValueError when max_degree is negative.
+    op is diagonal exactly when every term is c_k x^k D^k, and that term sends
+    x^m to c_k m(m-1)...(m-k+1) x^m: the c_k are the Newton coefficients of the
+    eigenvalue polynomial at the nodes m = 0, 1, 2, ..., whose degree is the
+    highest such k.  One Taylor shift by j then gives p.
+    Raises DiagonalFitError when the operator is not diagonal (naming the first
+    x^m it moves) or when the eigenvalues are not polynomial of degree
+    <= max_degree, and ValueError when max_degree is negative.
     Returns the coefficients of p ascending in (m - j).
     """
     if max_degree < 0:
         raise ValueError("max_degree must be nonnegative")
     jf = as_fraction(j)
-    eigenvalues: list[Fraction] = []
-    for m in range(max_degree + 3):
-        image = op.apply_to_monomial(m)
-        off_diag = {e: c for e, c in image.support().items() if e != m}
-        if off_diag:
-            raise DiagonalFitError(f"operator is not diagonal on x^{m}: {off_diag}")
-        eigenvalues.append(image.coefficient_at(m))
-    in_m = poly_interpolate([(Fraction(m), value) for m, value in enumerate(eigenvalues)])
-    if len(in_m) > max_degree + 1:
+    if any(t.xpow != t.dorder for t in op.terms):
+        # Off the diagonal, op moves x^m by polynomials in m of degree <= K (the
+        # highest derivative order), not all zero, so it moves one of x^0..x^K.
+        for m in range(op.terms[-1].dorder + 1):
+            image = op.apply_to_monomial(m)
+            off_diag = {e: c for e, c in image.support().items() if e != m}
+            if off_diag:
+                raise DiagonalFitError(f"operator is not diagonal on x^{m}: {off_diag}")
+    newton = {t.dorder: t.coeff for t in op.terms}
+    degree = max(newton, default=-1)
+    if degree > max_degree:
         raise DiagonalFitError(f"eigenvalues are not polynomial of degree <= {max_degree}")
+    in_m: list[Fraction] = []
+    for k in range(degree, -1, -1):  # in_m = in_m * (m - k) + c_k
+        in_m = [Fraction(0)] + in_m
+        for i in range(len(in_m) - 1):
+            in_m[i] -= k * in_m[i + 1]
+        in_m[0] += newton.get(k, 0)
     return poly_shift(in_m, jf)
 
 

@@ -184,6 +184,8 @@ def _pick_lambda(spec: OdeSpec, branch: str) -> Fraction:
 
 
 def cmd_series(args: argparse.Namespace) -> int:
+    if args.terms < 0:
+        raise SpecFileError("--terms must be nonnegative")
     if args.terms > MAX_TERMS:
         raise SpecFileError(f"--terms must be at most {MAX_TERMS}")
     spec = read_spec_file(args.specfile)

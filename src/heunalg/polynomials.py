@@ -1,8 +1,8 @@
 """Small exact univariate polynomial toolbox over Fraction.
 
 Polynomials are tuples of Fractions in ascending degree order with no trailing
-zeros; () is the zero polynomial.  Just enough machinery for interpolation
-(Newton form), Taylor shifts and rational roots; nothing here rounds.
+zeros; () is the zero polynomial.  Just enough machinery for Taylor shifts
+and rational roots; nothing here rounds.
 Rational roots are isolated by Sturm bisection over the integers, so their
 cost is polynomial in the degree and the coefficient bit-length rather than
 in the size of the constant term.
@@ -54,26 +54,6 @@ def poly_mul(p: Sequence[Fraction], q: Sequence[Fraction]) -> Poly:
     for i, a in enumerate(p):
         for j, b in enumerate(q):
             out[i + j] += a * b
-    return poly(out)
-
-
-def poly_interpolate(points: Sequence[tuple[Fraction, Fraction]]) -> Poly:
-    """The polynomial of degree < len(points) through distinct abscissae, exact.
-
-    Newton divided differences, expanded to the monomial basis by Horner's
-    rule: O(n^2) exact operations.  Repeated abscissae raise ZeroDivisionError.
-    """
-    xs = [Fraction(x) for x, _ in points]
-    diffs = [Fraction(y) for _, y in points]
-    for k in range(1, len(xs)):  # diffs[i] becomes f[x_{i-k}, ..., x_i]
-        for i in range(len(xs) - 1, k - 1, -1):
-            diffs[i] = (diffs[i] - diffs[i - 1]) / (xs[i] - xs[i - k])
-    out: list[Fraction] = []
-    for k in range(len(xs) - 1, -1, -1):  # out = out * (t - x_k) + diffs[k]
-        out = [Fraction(0)] + out
-        for i in range(len(out) - 1):
-            out[i] -= xs[k] * out[i + 1]
-        out[0] += diffs[k]
     return poly(out)
 
 

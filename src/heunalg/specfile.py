@@ -56,7 +56,7 @@ def parse_spec_text(text: str, source: str = "<string>") -> OdeSpec:
 def read_spec_file(path: str | Path) -> OdeSpec:
     p = Path(path)
     try:
-        text = p.read_text(encoding="utf-8")
+        text = p.read_text(encoding="utf-8-sig")
     except OSError as exc:
         raise SpecFileError(f"cannot read {p}: {exc}") from exc
     return parse_spec_text(text, source=str(p))

@@ -157,6 +157,13 @@ class TestSeries:
         assert main(["series", exact_path, "--terms", "-2"]) == 2
         assert "nonnegative" in capsys.readouterr().err
 
+    def test_negative_terms_names_the_option(self, exact_path, capsys):
+        assert main(["series", exact_path, "--terms", "-2", "--format", "json"]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert json.loads(err)["error"] == {
+            "exit_code": 2, "kind": "input", "message": "--terms must be nonnegative"}
+
 
 class TestKink:
     def test_n2_full_grid_exits_6(self, capsys):
@@ -285,6 +292,18 @@ def test_golden_matrix(case, fmt, tmp_path, monkeypatch, capsys):
     assert head == f"exit {code}\n"
     assert out == want_out
     assert err == want_err
+
+
+def test_spec_file_with_byte_order_mark(tmp_path, capsys):
+    text = (Path(__file__).resolve().parents[1] / "demos" / "specs" / "exact_branch.spec").read_text()
+    spec = tmp_path / "exact_branch.spec"
+    spec.write_text(text, encoding="utf-8")
+    assert main(["classify", str(spec)]) == 0
+    want = capsys.readouterr().out
+    spec.write_text(text, encoding="utf-8-sig")
+    assert spec.read_bytes().startswith(b"\xef\xbb\xbf")
+    assert main(["classify", str(spec)]) == 0
+    assert capsys.readouterr().out == want
 
 
 def test_classify_determinism(heun_path, capsys):

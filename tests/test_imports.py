@@ -1,12 +1,15 @@
-"""Every module of the package uses each name it imports."""
+"""Every module of the package, every test module and every demo uses each
+name it imports."""
 
 import ast
 from pathlib import Path
 
 import pytest
 
-PACKAGE = Path(__file__).resolve().parents[1] / "src" / "heunalg"
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "heunalg"
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+SCRIPTS = sorted([*(ROOT / "tests").glob("*.py"), *(ROOT / "demos").glob("*.py")])
 
 
 def _imported_names(tree):
@@ -19,7 +22,8 @@ def _imported_names(tree):
                 yield alias.asname or alias.name
 
 
-@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+@pytest.mark.parametrize("path", MODULES + SCRIPTS,
+                         ids=lambda p: p.name if p.parent == PACKAGE else str(p.relative_to(ROOT)))
 def test_every_import_is_used(path):
     tree = ast.parse(path.read_text(encoding="utf-8"))
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}

@@ -1,11 +1,12 @@
 """The ladder layer in the monomial shift m, and the kernels behind it.
 
-fit_diagonal_polynomial interpolates at the integer nodes m = 0, 1, 2, ...,
-casimir builds g from the product of the ladder factors in m, and both move
-to P0 = m - j with one Taylor shift.  The Lagrange interpolation, the fit at
-the nodes m - j, the Casimir built as the antidifference of the commutator
-polynomial in P0 and the Leibniz rule with Fraction falling factorials that
-they replaced are kept here as test-only references.
+fit_diagonal_polynomial reads a diagonal operator's eigenvalue polynomial in m
+off its x^k D^k terms, casimir builds g from the product of the ladder factors
+in m, and both move to P0 = m - j with one Taylor shift.  The Lagrange
+interpolation, the sampling fit at the nodes m - j, the Casimir built as the
+antidifference of the commutator polynomial in P0 and the Leibniz rule with
+Fraction falling factorials that they replaced are kept here as test-only
+references.
 """
 
 import math
@@ -36,12 +37,11 @@ from heunalg import (
 )
 from heunalg.algebra import CasimirResult, DeformationCoeffs
 from heunalg.catalog import HeunParams
-from heunalg.operators import falling_factorial
+from heunalg.operators import GeneralizedSeries, falling_factorial
 from heunalg.polynomials import (
     poly,
     poly_add,
     poly_eval,
-    poly_interpolate,
     poly_mul,
     poly_scale,
     poly_shift,
@@ -307,6 +307,40 @@ def test_ladder_calls_on_1024_bit_spec_finish_quickly():
     assert fit_diagonal_polynomial(cas_op, spec.j, 0) == poly((cas.scalar,))
 
 
+@pytest.mark.parametrize("op, max_degree, message", [
+    (DiffOp.term(1, 6, 6), 3, "eigenvalues are not polynomial of degree <= 3"),
+    (DiffOp.term(1, 0, 6), 3, "operator is not diagonal on x^6: {Fraction(0, 1): Fraction(720, 1)}"),
+    # 2 x D is diagonal; x^9 D^5 first moves x^5, past the nodes 0..3 a sampling fit probes
+    (DiffOp([(2, 1, 1), (5, 9, 5)]), 1,
+     "operator is not diagonal on x^5: {Fraction(9, 1): Fraction(600, 1)}"),
+], ids=["x6D6", "D6", "xD+x9D5"])
+def test_fit_sees_terms_of_any_order(op, max_degree, message):
+    with pytest.raises(DiagonalFitError) as caught:
+        fit_diagonal_polynomial(op, 0, max_degree)
+    assert str(caught.value) == message
+
+
+def test_fit_of_falling_factorial_sums_holds_off_the_nodes():
+    """x^k D^k sends x^s to s(s-1)...(s-k+1) x^s for rational s too."""
+    rng = random.Random(2261)
+    for _ in range(300):
+        top = rng.randint(0, 8)
+        coeffs = [_rational(rng, 16) if k == top or rng.random() < 0.5 else F(0)
+                  for k in range(top + 1)]
+        op = DiffOp([(c, k, k) for k, c in enumerate(coeffs)])
+        j = _rational(rng, rng.choice((4, 32)))
+        p = fit_diagonal_polynomial(op, j, top)
+        assert len(p) == top + 1, (op, j)
+        # an odd denominator plus 1/2 is even, so these exponents are not integers
+        exponents = [F(s) for s in range(11)] + [_rational(rng, 16) + F(1, 2) for _ in range(3)]
+        for s in exponents:
+            want = GeneralizedSeries.monomial(s, poly_eval(p, s - j))
+            assert op.apply_to_monomial(s) == want, (op, j, s)
+        if top > 0:
+            with pytest.raises(DiagonalFitError, match=f"not polynomial of degree <= {top - 1}$"):
+                fit_diagonal_polynomial(op, j, top - 1)
+
+
 # -- argument checks --------------------------------------------------------------
 
 
@@ -354,30 +388,3 @@ def test_poly_shift_edges():
     assert poly_shift((F(1), F(2), F(3)), F(0)) == (F(1), F(2), F(3))
     # (t + 1)^2 = t^2 + 2t + 1
     assert poly_shift((F(0), F(0), F(1)), F(1)) == (F(1), F(2), F(1))
-
-
-def test_newton_interpolation_matches_lagrange():
-    rng = random.Random(2258)
-    for _ in range(300):
-        n = rng.randint(0, 9)
-        xs = set()
-        while len(xs) < n:
-            xs.add(_rational(rng, rng.randint(1, 24)))
-        points = [(x, _rational(rng, rng.randint(1, 24))) for x in xs]
-        got = poly_interpolate(points)
-        assert got == reference_interpolate(points), points
-        assert all(poly_eval(got, x) == y for x, y in points)
-
-
-def test_interpolation_accepts_integer_points():
-    assert poly_interpolate([(0, 1), (1, 3), (2, 7)]) == (F(1), F(1), F(1))
-    assert poly_interpolate([]) == ()
-
-
-@pytest.mark.parametrize("points", [
-    [(F(1), F(2)), (F(1), F(3))],
-    [(F(0), F(0)), (F(1, 2), F(1)), (F(2), F(5)), (F(1, 2), F(1))],
-])
-def test_interpolation_rejects_repeated_nodes(points):
-    with pytest.raises(ZeroDivisionError):
-        poly_interpolate(points)

@@ -14,7 +14,7 @@ import pytest
 
 from heunalg import OdeSpec, full_operator, kink_spec, polynomial_solution
 from heunalg.operators import GeneralizedSeries
-from heunalg.polynomials import poly, poly_eval, poly_interpolate, poly_mul, rational_roots
+from heunalg.polynomials import poly, poly_add, poly_eval, poly_mul, poly_scale, rational_roots
 from heunalg.solvability import (
     PolynomialSolutionResult,
     _characteristic_polynomial,
@@ -24,6 +24,21 @@ from heunalg.solvability import (
 
 
 # -- test-only references ---------------------------------------------------------
+
+
+def reference_interpolate(points):
+    """Lagrange interpolation: a chain of poly_mul per node, O(n^3)."""
+    result = ()
+    for i, (xi, yi) in enumerate(points):
+        basis = (F(1),)
+        denom = F(1)
+        for k, (xk, _) in enumerate(points):
+            if k == i:
+                continue
+            basis = poly_mul(basis, (-xk, F(1)))
+            denom *= xi - xk
+        result = poly_add(result, poly_scale(basis, yi / denom))
+    return result
 
 
 def reference_rational_roots(p):
@@ -133,7 +148,7 @@ def reference_characteristic_polynomial(spec, degree):
             for i in range(degree + 1)
         ]
         points.append((F(t), reference_determinant(shifted)))
-    return poly_interpolate(points)
+    return reference_interpolate(points)
 
 
 def reference_polynomial_solution(spec, degree, roots=reference_rational_roots):
