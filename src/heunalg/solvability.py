@@ -22,17 +22,19 @@ sweep changed, plus the two shifts past the truncation window; on a one-sided
 branch that is O(1) shifts, and a whole call is O(iterations) exact
 operations rather than O(iterations^2).
 
-The same action makes the operator on {x^0..x^degree} a banded matrix, so
-polynomial solutions come from a sparse elimination, and the spectral
-condition on a8 is a continuant: a characteristic polynomial built by a
-three-term recurrence in O(degree^2) exact operations.
+The same action makes the operator on {x^0..x^degree} a banded matrix.  Its
+null space comes from a recurrence on the lowest nonzero band (R, else F,
+else L): each row fixes one coefficient by a division, except at the band's
+zeros, which a nonzero quadratic has at most two of; so there are at most
+two free parameters and O(degree) exact operations.  The spectral condition
+on a8 is a continuant: a characteristic polynomial built by a three-term
+recurrence in O(degree^2) exact operations.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
 
 from .algebra import OdeSpec, full_operator, require_castable
 from .errors import (
@@ -46,6 +48,7 @@ from .polynomials import (
     is_rational_square,
     poly,
     poly_add,
+    poly_eval,
     poly_mul,
     poly_padded,
     poly_scale,
@@ -273,65 +276,49 @@ def termination_condition(spec: OdeSpec) -> TerminationResult:
     return TerminationResult(values=values, all_n=False)
 
 
-def _operator_matrix(spec: OdeSpec, degree: int) -> list[list[Fraction]]:
-    """Exact matrix of f1 D^2 + f2 D + f3 on {x^0..x^degree}; rows x^0..x^(degree+1).
+def _polynomial_nullspace(spec: OdeSpec, degree: int) -> list[list[Fraction]]:
+    """Reduced-echelon null-space basis of the operator on {x^0..x^degree}.
 
-    Column c collects the image of x^c: F_val(c) on row c, the raising factor
-    on row c+1, the lowering factor on row c-1 (the lowering factor at 0
-    vanishes, so polynomials map to polynomials).
+    Row r of the image reads R(r-1) c_(r-1) + F(r) c_r + L(r+1) c_(r+1).  The
+    lowest of R, F, L that is not identically zero is the pivot band: walking
+    down from c_(degree+1) = 0, its row fixes each coefficient by one division.
+    At the band's zeros in 0..degree (every column for the zero operator) the
+    coefficient is a free parameter and its row becomes a constraint.  Any
+    other column has its band entry below the reach of earlier columns, so it
+    is a pivot column and free columns sit only at parameters.  One downward
+    pass per parameter z gives a vector on x^0..x^z whose image vanishes off
+    the constraint rows; reducing the images in parameter order against the
+    parameters that are not free leaves the reduced-echelon basis.
     """
-    rows, cols = degree + 2, degree + 1
-    mat = [[Fraction(0)] * cols for _ in range(rows)]
-    for c in range(cols):
-        mc = Fraction(c)
-        mat[c][c] = spec.f_value(mc)
-        mat[c + 1][c] = spec.raise_factor(mc)
-        if c > 0:
-            mat[c - 1][c] += spec.lower_factor(mc)
-    return mat
+    ladder = spec.ladder_polys()
+    factors = [[poly_eval(p, Fraction(s)) for s in range(degree + 1)] for p in ladder]
+    band = next((k for k, p in enumerate(ladder) if p), 0)  # R, else F, else L
+    pivot = factors[band]
 
+    def row(vec: list[Fraction], r: int) -> Fraction:
+        """Coefficient of x^r in the image of sum vec[s] x^s."""
+        return sum((factors[k][r - 1 + k] * vec[r - 1 + k]
+                    for k in range(3) if 0 <= r - 1 + k <= degree), Fraction(0))
 
-def _gauss_nullspace(mat: Sequence[Sequence[Fraction]]) -> list[list[Fraction]]:
-    """Null-space basis from the reduced row-echelon form, by Gauss-Jordan
-    elimination with exact division.
-
-    Rows are kept as {column: nonzero entry}, so a row operation costs the
-    pivot row's nonzeros rather than the width of the matrix; the banded
-    operator matrix stays sparse throughout.
-    """
-    rows = [{c: v for c, v in enumerate(r) if v != 0} for r in mat]
-    n_rows, n_cols = len(rows), len(mat[0]) if mat else 0
-    pivot_cols: list[int] = []
-    r = 0
-    for c in range(n_cols):
-        pivot = next((i for i in range(r, n_rows) if c in rows[i]), None)
-        if pivot is None:
-            continue
-        rows[r], rows[pivot] = rows[pivot], rows[r]
-        inv = 1 / rows[r][c]
-        pivot_row = rows[r] = {k: v * inv for k, v in rows[r].items()}
-        for i in range(n_rows):
-            row = rows[i]
-            if i != r and c in row:
-                factor = row[c]
-                for k, v in pivot_row.items():
-                    value = row.get(k, 0) - factor * v
-                    if value:
-                        row[k] = value
-                    else:
-                        row.pop(k, None)
-        pivot_cols.append(c)
-        r += 1
-        if r == n_rows:
-            break
-    free_cols = [c for c in range(n_cols) if c not in pivot_cols]
-    basis = []
-    for fc in free_cols:
-        vec = [Fraction(0)] * n_cols
-        vec[fc] = Fraction(1)
-        for pr, pc in enumerate(pivot_cols):
-            vec[pc] = -rows[pr].get(fc, Fraction(0))
-        basis.append(vec)
+    basis: list[list[Fraction]] = []
+    reduced: list[tuple[list[Fraction], list[Fraction], int]] = []
+    for z in (c for c in range(degree + 1) if pivot[c] == 0):
+        vec = [Fraction(0)] * (degree + 1)
+        vec[z] = Fraction(1)
+        for c in range(z - 1, -1, -1):
+            if pivot[c]:
+                # the band's row for c is c+1 under R, c under F and c-1 under L
+                vec[c] = -row(vec, c + 1 - band) / pivot[c]
+        image = [row(vec, r) for r in range(degree + 2)]
+        for p_vec, p_image, lead in reduced:
+            scale = image[lead] / p_image[lead]
+            vec = [a - scale * b for a, b in zip(vec, p_vec)]
+            image = [a - scale * b for a, b in zip(image, p_image)]
+        lead = next((r for r, v in enumerate(image) if v), None)
+        if lead is None:
+            basis.append(vec)
+        else:
+            reduced.append((vec, image, lead))
     return basis
 
 
@@ -359,6 +346,12 @@ def _characteristic_polynomial(spec: OdeSpec, degree: int) -> Poly:
 def polynomial_solution(spec: OdeSpec, degree: int) -> PolynomialSolutionResult:
     """Exact null space of the operator on the monomial basis {x^0..x^degree}.
 
+    The basis is in reduced-echelon form and comes from the pivot-band
+    recurrence (see _polynomial_nullspace): the lowest nonzero of R, F, L
+    fixes one coefficient per row, and only its zeros in 0..degree, at most
+    two for a nonzero operator, leave a free parameter.  Each basis vector is
+    certified by applying full_operator to it.
+
     When no polynomial solution exists, the rational a8 values that make the
     (degree+1)-square subsystem singular are reported.  a8 enters that
     tridiagonal block only on the diagonal, so its determinant at a8 + t is
@@ -368,8 +361,7 @@ def polynomial_solution(spec: OdeSpec, degree: int) -> PolynomialSolutionResult:
     if degree < 0:
         raise ValueError("degree must be nonnegative")
     require_castable(spec)
-    mat = _operator_matrix(spec, degree)
-    basis = _gauss_nullspace(mat)
+    basis = _polynomial_nullspace(spec, degree)
     verified = True
     op = full_operator(spec)
     for vec in basis:

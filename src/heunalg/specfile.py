@@ -59,4 +59,9 @@ def read_spec_file(path: str | Path) -> OdeSpec:
         text = p.read_text(encoding="utf-8-sig")
     except OSError as exc:
         raise SpecFileError(f"cannot read {p}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        lineno = exc.object.count(b"\n", 0, exc.start) + 1
+        raise SpecFileError(
+            f"{p}:{lineno}: not UTF-8 text: byte 0x{exc.object[exc.start]:02x} ({exc.reason})"
+        ) from exc
     return parse_spec_text(text, source=str(p))

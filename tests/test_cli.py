@@ -306,6 +306,17 @@ def test_spec_file_with_byte_order_mark(tmp_path, capsys):
     assert capsys.readouterr().out == want
 
 
+@pytest.mark.parametrize("fmt", ["table", "json"])
+def test_spec_file_that_is_not_utf8(tmp_path, capsys, fmt):
+    spec = tmp_path / "latin1.spec"
+    spec.write_bytes("a1 = 1\n# café\na8 = 2\n".encode("latin-1"))
+    assert main(["classify", str(spec), "--format", fmt]) == 2
+    err = capsys.readouterr().err
+    if fmt == "json":
+        err = json.loads(err)["error"]["message"]
+    assert f"{spec}:2: not UTF-8 text: byte 0xe9" in err
+
+
 def test_classify_determinism(heun_path, capsys):
     main(["classify", heun_path, "--format", "json"])
     first = capsys.readouterr().out

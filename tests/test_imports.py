@@ -1,5 +1,6 @@
 """Every module of the package, every test module and every demo uses each
-name it imports."""
+name it imports, and every private function of the package has a caller in
+the package itself."""
 
 import ast
 from pathlib import Path
@@ -28,3 +29,25 @@ def test_every_import_is_used(path):
     tree = ast.parse(path.read_text(encoding="utf-8"))
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     assert sorted(set(_imported_names(tree)) - used) == []
+
+
+def _referenced_names(tree):
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            yield node.id
+        elif isinstance(node, ast.Attribute):
+            yield node.attr
+        elif isinstance(node, ast.ImportFrom):
+            yield from (alias.name for alias in node.names)
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_every_private_function_is_used_by_the_package(path):
+    """A private helper that only tests call is dead code."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    private = {node.name for node in tree.body
+               if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+               and node.name.startswith("_") and not node.name.startswith("__")}
+    used = {name for module in PACKAGE.glob("*.py")
+            for name in _referenced_names(ast.parse(module.read_text(encoding="utf-8")))}
+    assert sorted(private - used) == []

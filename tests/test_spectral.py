@@ -2,9 +2,13 @@
 
 The Bareiss-plus-interpolation characteristic polynomial, the dense
 Gauss-Jordan null space and the trial-division rational_roots that
-polynomial_solution once used are kept here as test-only references.
+polynomial_solution once used are kept here as test-only references.  They
+read the operator matrix from full_operator's action on each monomial, not
+from the R, F, L formulas the solver uses.
 """
 
+import dataclasses
+import itertools
 import math
 import random
 import time
@@ -18,8 +22,7 @@ from heunalg.polynomials import poly, poly_add, poly_eval, poly_mul, poly_scale,
 from heunalg.solvability import (
     PolynomialSolutionResult,
     _characteristic_polynomial,
-    _gauss_nullspace,
-    _operator_matrix,
+    _polynomial_nullspace,
 )
 
 
@@ -83,6 +86,17 @@ def _divisors(n):
     return sorted(out)
 
 
+def reference_operator_matrix(spec, degree):
+    """Matrix of the operator on {x^0..x^degree}, rows x^0..x^(degree+1), built
+    by applying full_operator(spec) to each monomial."""
+    op = full_operator(spec)
+    mat = [[F(0)] * (degree + 1) for _ in range(degree + 2)]
+    for c in range(degree + 1):
+        for exponent, value in op.apply_to_monomial(c).support().items():
+            mat[int(exponent)][c] = value
+    return mat
+
+
 def reference_gauss_nullspace(mat):
     """Null-space basis by dense Gauss-Jordan elimination with exact division."""
     rows = [list(r) for r in mat]
@@ -140,7 +154,7 @@ def reference_determinant(mat):
 
 def reference_characteristic_polynomial(spec, degree):
     """det(B + t I) interpolated through Bareiss determinants at t = 0..degree+2."""
-    square = _operator_matrix(spec, degree)[: degree + 1]
+    square = reference_operator_matrix(spec, degree)[: degree + 1]
     points = []
     for t in range(degree + 3):
         shifted = [
@@ -154,7 +168,7 @@ def reference_characteristic_polynomial(spec, degree):
 def reference_polynomial_solution(spec, degree, roots=reference_rational_roots):
     if degree < 0:
         raise ValueError("degree must be nonnegative")
-    basis = reference_gauss_nullspace(_operator_matrix(spec, degree))
+    basis = reference_gauss_nullspace(reference_operator_matrix(spec, degree))
     op = full_operator(spec)
     verified = all(
         op.apply(GeneralizedSeries(0, dict(enumerate(vec)))).is_zero() for vec in basis
@@ -222,37 +236,39 @@ def test_continuant_matches_interpolated_determinant():
         )
 
 
-def _random_matrix(rng, rows, cols, density):
-    return [
-        [F(rng.randint(-4, 4), rng.randint(1, 3)) if rng.random() < density else F(0)
-         for _ in range(cols)]
-        for _ in range(rows)
-    ]
-
-
-def test_sparse_nullspace_matches_dense_on_operator_matrices():
+def test_recurrence_nullspace_matches_dense_elimination():
     rng = random.Random(11)
     for _ in range(300):
         spec, degree = random_spectral_case(rng)
-        mat = _operator_matrix(spec, degree + rng.randint(0, 6))
-        assert _gauss_nullspace(mat) == reference_gauss_nullspace(mat)
+        degree += rng.randint(0, 6)
+        want = reference_gauss_nullspace(reference_operator_matrix(spec, degree))
+        assert _polynomial_nullspace(spec, degree) == want, (spec, degree)
 
 
-def test_sparse_nullspace_matches_dense_on_random_matrices():
-    rng = random.Random(12)
-    nonempty = 0
-    for _ in range(300):
-        rows, cols = rng.randint(1, 8), rng.randint(1, 8)
-        mat = _random_matrix(rng, rows, cols, rng.choice((0.2, 0.5, 1.0)))
-        if rng.random() < 0.3 and rows > 1:
-            # a row that depends on two others
-            i, j = rng.sample(range(rows), 2)
-            mat[rng.randrange(rows)] = [2 * a - b for a, b in zip(mat[i], mat[j])]
-        basis = _gauss_nullspace(mat)
-        assert basis == reference_gauss_nullspace(mat)
-        nonempty += bool(basis)
-    assert nonempty >= 100
-    assert _gauss_nullspace([]) == reference_gauss_nullspace([]) == []
+# One base per branch of the recurrence; the a1, a5, a8 sweep adds zeros of F.
+NULLSPACE_BRANCHES = {
+    "zero-operator": OdeSpec(),  # every column free; F alone under the sweep
+    "lowering-a6": OdeSpec(a6=1),  # L band, or F band once the sweep makes F nonzero
+    "lowering-a2": OdeSpec(a2=1),
+    "raising-zeros-2-3": OdeSpec(a0=1, a4=-4, a7=6),  # R(s) = (s-2)(s-3)
+    "raising-and-lowering-zero-2": OdeSpec(a0=1, a2=1, a4=-4, a6=-1, a7=6),  # L(2) = 0 too
+}
+
+
+@pytest.mark.parametrize("base", NULLSPACE_BRANCHES.values(), ids=NULLSPACE_BRANCHES.keys())
+def test_recurrence_nullspace_on_each_branch(base):
+    dims = set()
+    for a1, a5, a8 in itertools.product(range(-2, 3), repeat=3):
+        spec = dataclasses.replace(base, a1=F(a1), a5=F(a5), a8=F(a8))
+        for degree in range(7):
+            want = reference_gauss_nullspace(reference_operator_matrix(spec, degree))
+            assert _polynomial_nullspace(spec, degree) == want, (spec, degree)
+            dims.add(len(want))
+    if base == OdeSpec():
+        assert dims == set(range(8))  # the zero operator keeps all 7 monomials at degree 6
+    else:
+        # a nonzero quadratic pivot band has at most two zeros, so at most two parameters
+        assert {0, 1} <= dims <= {0, 1, 2}, dims
 
 
 # -- rational_roots -------------------------------------------------------------------
