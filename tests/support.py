@@ -1,0 +1,31 @@
+"""Helpers that more than one test module uses; pytest collects no tests here."""
+
+from fractions import Fraction as F
+
+from heunalg import OdeSpec
+from heunalg.polynomials import poly_add, poly_mul, poly_scale
+
+
+def exact_branch_spec(lam1, lam2, a1=F(1), a2=F(1), a6=F(3)):
+    """No-raising-part spec whose diagonal roots are lam1, lam2."""
+    return OdeSpec(
+        a1=a1, a2=a2,
+        a5=a1 * (1 - lam1 - lam2),
+        a6=a6,
+        a8=a1 * lam1 * lam2,
+    )
+
+
+def reference_interpolate(points):
+    """Lagrange interpolation: a chain of poly_mul per node, O(n^3)."""
+    result = ()
+    for i, (xi, yi) in enumerate(points):
+        basis = (F(1),)
+        denom = F(1)
+        for k, (xk, _) in enumerate(points):
+            if k == i:
+                continue
+            basis = poly_mul(basis, (-xk, F(1)))
+            denom *= xi - xk
+        result = poly_add(result, poly_scale(basis, yi / denom))
+    return result

@@ -4,12 +4,15 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction as F
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from heunalg import OdeSpec, series_solution_with_report
 from heunalg.cli import main
+from heunalg.solvability import DEFAULT_HORIZON
 
 HEUN_FILE = """\
 # Heun family member: c=2, gamma=delta=eps=1/2, alpha=1, beta=2, q=1
@@ -119,6 +122,28 @@ class TestSeries:
         assert main(["series", str(p), "--lambda", "0", "--terms", "12"]) == 0
         out = capsys.readouterr().out
         assert "polynomial of degree 3" in out
+
+    @pytest.mark.parametrize("fmt", ["table", "json"])
+    def test_rows_past_default_horizon_all_printed(self, tmp_path, capsys, fmt):
+        p = tmp_path / "long.spec"
+        p.write_text("a1 = 6\na2 = 2\na5 = 13\na6 = 1\na8 = -3\n")
+        argv = ["series", str(p), "--lambda", "1/3", "--terms", "40", "--format", fmt]
+        assert main(argv) == 0
+        out = capsys.readouterr().out
+        if fmt == "json":
+            payload = json.loads(out)
+            rows = [[str(r["shift"]), r["exponent"], r["coefficient"]] for r in payload["rows"]]
+            notes = payload["notes"]
+        else:
+            lines = out.splitlines()
+            rows = [line.split() for line in lines[1:] if not line.startswith("#")]
+            notes = [line for line in lines if line.startswith("#")]
+        spec = OdeSpec(a1=6, a2=2, a5=13, a6=1, a8=-3)
+        series, report = series_solution_with_report(spec, F(1, 3), 40, 40)
+        want = [[str(m), str(F(1, 3) + m), str(c)] for m, c in sorted(series.items())]
+        assert len(want) == 41 > DEFAULT_HORIZON and report.dropped == 0
+        assert rows == want
+        assert not any("truncat" in note for note in notes), notes
 
     def test_resonance_exit_4(self, tmp_path):
         p = tmp_path / "res.spec"

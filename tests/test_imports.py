@@ -1,6 +1,6 @@
 """Every module of the package, every test module and every demo uses each
-name it imports, and every private function of the package has a caller in
-the package itself."""
+name it imports, every private function of the package has a caller in the
+package itself, and no function is written out twice."""
 
 import ast
 from pathlib import Path
@@ -51,3 +51,24 @@ def test_every_private_function_is_used_by_the_package(path):
     used = {name for module in PACKAGE.glob("*.py")
             for name in _referenced_names(ast.parse(module.read_text(encoding="utf-8")))}
     assert sorted(private - used) == []
+
+
+def _function_bodies(path):
+    """(name, dump of arguments and body) per module-level function, docstring dropped."""
+    for node in ast.parse(path.read_text(encoding="utf-8")).body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            body = node.body[1:] if ast.get_docstring(node) is not None else node.body
+            yield node.name, ast.dump(node.args) + "".join(ast.dump(stmt) for stmt in body)
+
+
+def test_no_two_module_level_functions_are_identical():
+    """A helper that two modules need lives in one of them (tests/support.py for tests)."""
+    first, duplicates = {}, []
+    for path in sorted(PACKAGE.glob("*.py")) + SCRIPTS:
+        for name, dump in _function_bodies(path):
+            where = f"{path.relative_to(ROOT)}:{name}"
+            if dump in first:
+                duplicates.append((first[dump], where))
+            else:
+                first[dump] = where
+    assert duplicates == []

@@ -38,32 +38,11 @@ from heunalg import (
 from heunalg.algebra import CasimirResult, DeformationCoeffs
 from heunalg.catalog import HeunParams
 from heunalg.operators import GeneralizedSeries, falling_factorial
-from heunalg.polynomials import (
-    poly,
-    poly_add,
-    poly_eval,
-    poly_mul,
-    poly_scale,
-    poly_shift,
-)
+from heunalg.polynomials import poly, poly_add, poly_eval, poly_shift
+from support import reference_interpolate
 
 
 # -- test-only references ---------------------------------------------------------
-
-
-def reference_interpolate(points):
-    """Lagrange interpolation: a chain of poly_mul per node, O(n^3)."""
-    result = ()
-    for i, (xi, yi) in enumerate(points):
-        basis = (F(1),)
-        denom = F(1)
-        for k, (xk, _) in enumerate(points):
-            if k == i:
-                continue
-            basis = poly_mul(basis, (-xk, F(1)))
-            denom *= xi - xk
-        result = poly_add(result, poly_scale(basis, yi / denom))
-    return result
 
 
 def reference_antidifference(f):
@@ -117,7 +96,10 @@ def reference_casimir(spec, m_range=10):
     g0 = reference_antidifference(deformation_coefficients(spec).as_poly())
 
     def lowering_raising(m):
-        return spec.raise_factor(F(m)) * spec.lower_factor(F(m) + 1)
+        """R(m) L(m+1), written out from a0..a8."""
+        raising = spec.a0 * m * (m - 1) + spec.a4 * m + spec.a7
+        lowering = spec.a2 * (m + 1) * m + spec.a6 * (m + 1)
+        return raising * lowering
 
     shift = spec.a6 * spec.a7 - (lowering_raising(0) + poly_eval(g0, -spec.j))
     g = poly_add(g0, (shift,))
@@ -228,16 +210,20 @@ def test_ladder_calls_match_reference():
     assert seen["not castable"] == 125 and seen["result"] == 875, seen
 
 
-def test_ladder_polys_match_factor_methods():
+def test_ladder_at_and_ladder_polys_match_the_coefficients():
     rng = random.Random(2259)
     for _, spec in seeded_specs(2251, 400):
-        raising, diagonal, lowering = spec.ladder_polys()
-        assert all(len(p) <= 3 for p in (raising, diagonal, lowering))
+        ladder = spec.ladder_polys()
+        assert all(len(p) <= 3 for p in ladder)
         for _ in range(3):
             t = _rational(rng, rng.choice((4, 32, 128)))
-            assert poly_eval(raising, t) == spec.raise_factor(t), (spec, t)
-            assert poly_eval(diagonal, t) == spec.f_value(t), (spec, t)
-            assert poly_eval(lowering, t) == spec.lower_factor(t), (spec, t)
+            want = (
+                spec.a0 * t * (t - 1) + spec.a4 * t + spec.a7,
+                spec.a1 * t * (t - 1) + spec.a5 * t + spec.a8,
+                spec.a2 * t * (t - 1) + spec.a6 * t,
+            )
+            assert spec.ladder_at(t) == want, (spec, t)
+            assert tuple(poly_eval(p, t) for p in ladder) == want, (spec, t)
 
 
 def test_casimir_ignores_m_range():

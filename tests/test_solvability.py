@@ -28,16 +28,7 @@ from heunalg import (
 from heunalg.operators import as_fraction
 from heunalg.polynomials import rational_roots
 from heunalg.solvability import DEFAULT_HORIZON, SeriesReport
-
-
-def exact_branch_spec(lam1, lam2, a1=F(1), a2=F(1), a6=F(3)):
-    """No-raising-part spec whose diagonal roots are lam1, lam2."""
-    return OdeSpec(
-        a1=a1, a2=a2,
-        a5=a1 * (1 - lam1 - lam2),
-        a6=a6,
-        a8=a1 * lam1 * lam2,
-    )
+from support import exact_branch_spec
 
 
 class TestIndicialRoots:
@@ -232,8 +223,13 @@ def reference_series_with_report(spec, lam, iterations, horizon=None):
     kept as a test-only reference: it re-applies P+ + P- to the whole series
     on every iteration."""
     lam = as_fraction(lam)
-    if spec.f_value(lam) != 0:
-        raise ValueError(f"lambda = {lam} is not an indicial root: F({lam}) = {spec.f_value(lam)}")
+
+    def diagonal(t):
+        """F(t), written out from a0..a8."""
+        return spec.a1 * t * (t - 1) + spec.a5 * t + spec.a8
+
+    if diagonal(lam) != 0:
+        raise ValueError(f"lambda = {lam} is not an indicial root: F({lam}) = {diagonal(lam)}")
     window = DEFAULT_HORIZON if horizon is None else horizon
     gens = build_generators(spec)
     ladder = gens.p_plus + gens.p_minus
@@ -245,7 +241,7 @@ def reference_series_with_report(spec, lam, iterations, horizon=None):
         pushed = ladder.apply(psi)
         inverted = {}
         for m, c in pushed.items():
-            f_val = spec.f_value(lam + m)
+            f_val = diagonal(lam + m)
             if f_val == 0:
                 raise ResonantExponentError(
                     f"F vanishes at generated exponent {lam + m} (shift {m})"

@@ -18,30 +18,16 @@ import pytest
 
 from heunalg import OdeSpec, full_operator, kink_spec, polynomial_solution
 from heunalg.operators import GeneralizedSeries
-from heunalg.polynomials import poly, poly_add, poly_eval, poly_mul, poly_scale, rational_roots
+from heunalg.polynomials import poly, poly_eval, poly_mul, rational_roots
 from heunalg.solvability import (
     PolynomialSolutionResult,
     _characteristic_polynomial,
     _polynomial_nullspace,
 )
+from support import reference_interpolate
 
 
 # -- test-only references ---------------------------------------------------------
-
-
-def reference_interpolate(points):
-    """Lagrange interpolation: a chain of poly_mul per node, O(n^3)."""
-    result = ()
-    for i, (xi, yi) in enumerate(points):
-        basis = (F(1),)
-        denom = F(1)
-        for k, (xk, _) in enumerate(points):
-            if k == i:
-                continue
-            basis = poly_mul(basis, (-xk, F(1)))
-            denom *= xi - xk
-        result = poly_add(result, poly_scale(basis, yi / denom))
-    return result
 
 
 def reference_rational_roots(p):
@@ -231,7 +217,8 @@ def test_continuant_matches_interpolated_determinant():
     rng = random.Random(2225)
     for _ in range(200):
         spec, degree = random_spectral_case(rng)
-        assert _characteristic_polynomial(spec, degree) == reference_characteristic_polynomial(
+        table = [spec.ladder_at(F(s)) for s in range(degree + 1)]
+        assert _characteristic_polynomial(table) == reference_characteristic_polynomial(
             spec, degree
         )
 
@@ -242,7 +229,8 @@ def test_recurrence_nullspace_matches_dense_elimination():
         spec, degree = random_spectral_case(rng)
         degree += rng.randint(0, 6)
         want = reference_gauss_nullspace(reference_operator_matrix(spec, degree))
-        assert _polynomial_nullspace(spec, degree) == want, (spec, degree)
+        table = [spec.ladder_at(F(s)) for s in range(degree + 1)]
+        assert _polynomial_nullspace(spec, table) == want, (spec, degree)
 
 
 # One base per branch of the recurrence; the a1, a5, a8 sweep adds zeros of F.
@@ -262,7 +250,8 @@ def test_recurrence_nullspace_on_each_branch(base):
         spec = dataclasses.replace(base, a1=F(a1), a5=F(a5), a8=F(a8))
         for degree in range(7):
             want = reference_gauss_nullspace(reference_operator_matrix(spec, degree))
-            assert _polynomial_nullspace(spec, degree) == want, (spec, degree)
+            table = [spec.ladder_at(F(s)) for s in range(degree + 1)]
+            assert _polynomial_nullspace(spec, table) == want, (spec, degree)
             dims.add(len(want))
     if base == OdeSpec():
         assert dims == set(range(8))  # the zero operator keeps all 7 monomials at degree 6
@@ -383,6 +372,6 @@ def test_degree_40_finishes_in_polynomial_time():
     elapsed = time.perf_counter() - start
     assert elapsed < 20.0, elapsed
     assert result.degree == 40 and result.verified
-    char = _characteristic_polynomial(spec, 40)
+    char = _characteristic_polynomial([spec.ladder_at(F(s)) for s in range(41)])
     assert len(char) == 42 and char[-1] == 1
     assert all(poly_eval(char, a8 - spec.a8) == 0 for a8 in result.spectral_a8)

@@ -18,17 +18,9 @@ from heunalg import (
     residual_sigma,
     series_solution,
 )
+from support import exact_branch_spec
 
 GRID = np.linspace(-10.0, 10.0, 401).tolist()
-
-
-def exact_branch_spec(lam1, lam2, a1=F(1), a2=F(1), a6=F(3)):
-    return OdeSpec(
-        a1=a1, a2=a2,
-        a5=a1 * (1 - lam1 - lam2),
-        a6=a6,
-        a8=a1 * lam1 * lam2,
-    )
 
 
 class TestResidualSigma:
