@@ -75,6 +75,7 @@ from .operators import (
 from .solvability import (
     IndicialRoots,
     PolynomialSolutionResult,
+    SeriesReport,
     SolvabilityVerdict,
     TerminationResult,
     check_solvability,

@@ -29,6 +29,7 @@ from .algebra import (
     casimir,
     classify_deformation,
     deformation_coefficients,
+    full_operator,
     is_abelian,
 )
 from .errors import (
@@ -107,6 +108,7 @@ def _render(
         return
     if header:
         widths = [max([len(h), *(len(row[i]) for row in rows)]) for i, h in enumerate(header)]
+        widths[-1] = 0  # the last column is not padded, so no line ends in spaces
         for line in (header, *rows):
             print("  ".join(v.ljust(w) for v, w in zip(line, widths)))
         if footer:
@@ -204,6 +206,10 @@ def cmd_series(args: argparse.Namespace) -> int:
             notes.append(f"terminated: polynomial of degree {degree}")
         else:
             notes.append(f"terminated: series stationary after {report.stationary_at} iterations")
+    shifts = series.shifts()
+    inside = [m for m in full_operator(spec).apply(series).shifts() if shifts[0] <= m <= shifts[-1]]
+    if inside:
+        notes.append(f"residual nonzero at shift {inside[0]} inside the rows: they are not a solution")
     payload = {
         "file": str(args.specfile),
         "lambda": str(lam),

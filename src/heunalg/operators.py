@@ -71,15 +71,11 @@ class DiffOp:
             if xpow < 0 or dorder < 0:
                 raise ValueError("x-power and derivative order must be nonnegative")
             key = (dorder, xpow)
-            c += acc.get(key, Fraction(0))
-            if c == 0:
-                acc.pop(key, None)
-            else:
-                acc[key] = c
+            acc[key] = acc.get(key, 0) + c
         object.__setattr__(
             self,
             "_terms",
-            tuple(OpTerm(acc[key], key[1], key[0]) for key in sorted(acc)),
+            tuple(OpTerm(acc[key], key[1], key[0]) for key in sorted(acc) if acc[key]),
         )
 
     # -- constructors ------------------------------------------------------
@@ -153,15 +149,8 @@ class DiffOp:
             shift = t.xpow - t.dorder
             for m, c in series.items():
                 sigma = series.base + m
-                value = t.coeff * c * falling_factorial(sigma, t.dorder)
-                if value == 0:
-                    continue
                 key = m + shift
-                value += acc.get(key, Fraction(0))
-                if value == 0:
-                    acc.pop(key, None)
-                else:
-                    acc[key] = value
+                acc[key] = acc.get(key, 0) + t.coeff * c * falling_factorial(sigma, t.dorder)
         return GeneralizedSeries(series.base, acc)
 
     def apply_to_monomial(self, exponent: RationalLike) -> "GeneralizedSeries":

@@ -15,12 +15,12 @@ The ladder acts on monomials only through the three-term action
 
     x^s -> R(s) x^(s+1) + F_val(s) x^s + L(s) x^(s-1)
 
-(OdeSpec.ladder_at), so one iteration is a Jacobi
-sweep in which the new coefficient at shift m reads only the old ones at m-1
-and m+1.  A sweep recomputes just the neighbours of the shifts the previous
-sweep changed, plus the two shifts past the truncation window; on a one-sided
-branch that is O(1) shifts, and a whole call is O(iterations) exact
-operations rather than O(iterations^2).
+(OdeSpec.ladder_at).  The truncated map is linear, so psi_k is the partial
+Neumann sum sum_{i<k} (-Finv (P+ + P-))^i x^lambda, and a sweep maps only the
+newest term psi_k - psi_(k-1) through the three-term action at the shifts
+next to its support, then adds the in-window part to psi.  On a one-sided
+branch that term is one monomial, so a sweep is O(1) exact operations and a
+whole call O(iterations) rather than O(iterations^2).
 
 The same action makes the operator on {x^0..x^degree} a banded matrix.  Its
 null space comes from a recurrence on the lowest nonzero band (R, else F,
@@ -197,12 +197,14 @@ def series_solution_with_report(
 ) -> tuple[GeneralizedSeries, "SeriesReport"]:
     """Fixed-point iteration from the seed x^lam; see the module docstring.
 
-    Requires F_val(lam) = 0, a3 = 0 and nonnegative sizes.  Raises
-    ResonantExponentError at the lowest generated shift with a nonzero
-    coefficient and F_val = 0.  Shifts outside |m| <= horizon are dropped and
-    counted on every iteration; the report's stationary_at is the first
-    iteration that changes no coefficient.  Costs O(iterations) exact
-    operations on the one-sided branches.
+    Requires F_val(lam) = 0, a3 = 0 and nonnegative sizes.  Each iteration
+    pushes the newest Neumann term through the three-term action, raises
+    ResonantExponentError at the lowest shift where the pushed value is
+    nonzero and F_val = 0, and adds the part inside |m| <= horizon to psi.
+    The report's dropped counts, over the iterations, the window-edge
+    coefficients of psi that the ladder pushes past the horizon; its
+    stationary_at is the first iteration whose new term is empty.  Costs
+    O(iterations) exact operations on the one-sided branches.
     """
     if iterations < 0:
         raise ValueError("iterations must be nonnegative")
@@ -217,40 +219,32 @@ def series_solution_with_report(
     window = DEFAULT_HORIZON if horizon is None else horizon
 
     psi = {0: Fraction(1)}
-    changed = {0}  # the seed is one sweep from the zero series
-    edges = {-window - 1, window + 1}
+    term = dict(psi)  # psi_1 - psi_0: the seed itself
     dropped = 0
     stationary_at: int | None = None
     for k in range(iterations):
-        updates: dict[int, Fraction] = {}
-        for m in sorted(edges.union(*({n - 1, n + 1} for n in changed))):
-            pushed = Fraction(0)
-            if m - 1 in psi:
-                pushed += factor(m - 1)[0] * psi[m - 1]
-            if m + 1 in psi:
-                pushed += factor(m + 1)[2] * psi[m + 1]
-            if pushed == 0:
-                updates[m] = Fraction(1) if m == 0 else Fraction(0)
-                continue
+        # R(lam + window) psi(window) and L(lam - window) psi(-window) leave the window
+        dropped += sum(1 for m, side in ((window, 0), (-window, 2))
+                       if factor(m)[side] and psi.get(m))
+        pushed: dict[int, Fraction] = {}
+        for n, c in term.items():
+            up, _, down = factor(n)
+            pushed[n + 1] = pushed.get(n + 1, 0) + up * c
+            pushed[n - 1] = pushed.get(n - 1, 0) + down * c
+        term = {}
+        for m in sorted(m for m, p in pushed.items() if p):
             f_val = factor(m)[1]
             if f_val == 0:
                 raise ResonantExponentError(
                     f"F vanishes at generated exponent {lam + m} (shift {m})"
                 )
-            updates[m] = -pushed / f_val
-        dropped += sum(1 for m in edges if updates[m] != 0)
-        changed = {
-            m for m, c in updates.items()
-            if abs(m) <= window and c != psi.get(m, Fraction(0))
-        }
-        if not changed:
+            if abs(m) <= window:
+                term[m] = -pushed[m] / f_val
+        if not term:
             stationary_at = k
             break
-        for m in changed:
-            if updates[m] == 0:
-                del psi[m]
-            else:
-                psi[m] = updates[m]
+        for m, c in term.items():
+            psi[m] = psi.get(m, 0) + c
     return GeneralizedSeries(lam, psi), SeriesReport(dropped=dropped, stationary_at=stationary_at)
 
 

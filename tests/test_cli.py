@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from heunalg import OdeSpec, series_solution_with_report
+from heunalg import OdeSpec, full_operator, series_solution_with_report
 from heunalg.cli import main
 from heunalg.solvability import DEFAULT_HORIZON
 
@@ -145,6 +145,29 @@ class TestSeries:
         assert rows == want
         assert not any("truncat" in note for note in notes), notes
 
+    @pytest.mark.parametrize("fmt", ["table", "json"])
+    def test_residual_inside_rows_noted(self, tmp_path, capsys, fmt):
+        """Two-sided rows can leave a residual between their first and last shift;
+        the rows and exit code stay, and a note says they are not a solution."""
+        p = tmp_path / "two.spec"
+        p.write_text("a0 = 2\na1 = -2\na2 = 3/2\na4 = 3\na5 = -2\na7 = -2\n")
+        argv = ["series", str(p), "--lambda", "0", "--terms", "6", "--format", fmt]
+        assert main(argv) == 0
+        out = capsys.readouterr().out
+        if fmt == "json":
+            payload = json.loads(out)
+            shifts = [r["shift"] for r in payload["rows"]]
+            notes = payload["notes"]
+        else:
+            lines = out.splitlines()
+            shifts = [int(line.split()[0]) for line in lines[1:] if not line.startswith("#")]
+            notes = [line[2:] for line in lines if line.startswith("# ")]
+        spec = OdeSpec(a0=2, a1=-2, a2=F(3, 2), a4=3, a5=-2, a7=-2)
+        series = series_solution_with_report(spec, 0, 6, 6)[0]
+        assert shifts == list(series.shifts()) == list(range(7))
+        assert full_operator(spec).apply(series).shifts()[:3] == (1, 3, 5)
+        assert notes == ["residual nonzero at shift 1 inside the rows: they are not a solution"]
+
     def test_resonance_exit_4(self, tmp_path):
         p = tmp_path / "res.spec"
         p.write_text("a1 = 1\na2 = 1\na5 = -1\na6 = 3\n")
@@ -273,11 +296,11 @@ class TestCatalog:
         main(["catalog"])
         expected = (
             "name               a0  a1  a2  a3  a4   a5  a6  a7  a8  computed   expected   match\n"
-            "Heun               1   -3  2   0   3/2  -3  1   2   -1  cubic      cubic      yes  \n"
-            "Confluent Heun     0   1   -1  0   2    0   -1  2   0   quadratic  quadratic  yes  \n"
-            "Bi-Confluent Heun  0   0   1   0   -2   0   2   0   0   quadratic  quadratic  yes  \n"
-            "Doubly Confluent   0   1   0   0   -1   1   1   -1  0   linear     linear     yes  \n"
-            "Jacobi             0   -1  0   1   0    -2  0   0   6   -          cubic      -    \n"
+            "Heun               1   -3  2   0   3/2  -3  1   2   -1  cubic      cubic      yes\n"
+            "Confluent Heun     0   1   -1  0   2    0   -1  2   0   quadratic  quadratic  yes\n"
+            "Bi-Confluent Heun  0   0   1   0   -2   0   2   0   0   quadratic  quadratic  yes\n"
+            "Doubly Confluent   0   1   0   0   -1   1   1   -1  0   linear     linear     yes\n"
+            "Jacobi             0   -1  0   1   0    -2  0   0   6   -          cubic      -\n"
             "# Jacobi: casting conflict: casting requires a3 = 0, got a3 = 1\n"
         )
         assert capsys.readouterr().out == expected

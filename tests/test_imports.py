@@ -1,6 +1,7 @@
 """Every module of the package, every test module and every demo uses each
 name it imports, every private function of the package has a caller in the
-package itself, and no function is written out twice."""
+package itself, no function is written out twice, and every package class a
+public function returns is exported by the package."""
 
 import ast
 from pathlib import Path
@@ -72,3 +73,24 @@ def test_no_two_module_level_functions_are_identical():
             else:
                 first[dump] = where
     assert duplicates == []
+
+
+def _annotation_names(node):
+    """Names in an annotation, quoted forward references included."""
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            yield sub.id
+        elif isinstance(sub, ast.Constant) and isinstance(sub.value, str):
+            yield from _annotation_names(ast.parse(sub.value, mode="eval"))
+
+
+def test_classes_returned_by_public_functions_are_exported():
+    """A caller can name the type of every result a public function hands back."""
+    trees = [ast.parse(path.read_text(encoding="utf-8")) for path in MODULES]
+    classes = {node.name for tree in trees for node in tree.body if isinstance(node, ast.ClassDef)}
+    returned = {name for tree in trees for node in tree.body
+                if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+                and not node.name.startswith("_") and node.returns is not None
+                for name in _annotation_names(node.returns)}
+    exported = set(_imported_names(ast.parse((PACKAGE / "__init__.py").read_text(encoding="utf-8"))))
+    assert sorted((returned & classes) - exported) == []
