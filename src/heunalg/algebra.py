@@ -34,6 +34,7 @@ one Taylor shift by j at the end rewrites a result as a polynomial in P0.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -85,14 +86,37 @@ class OdeSpec:
             poly((0, self.a6 - self.a2, self.a2)),
         )
 
+    # each factor as (leading numerator, the other numerators descending, common
+    # denominator): R, F and L over one integer denominator each
+    @cached_property
+    def _ladder_integer(self) -> tuple[tuple[int, tuple[int, ...], int], ...]:
+        out = []
+        for p in self._ladder:
+            den = math.lcm(*(c.denominator for c in p))
+            nums = [c.numerator * (den // c.denominator) for c in reversed(p)] or [0]
+            out.append((nums[0], tuple(nums[1:]), den))
+        return tuple(out)
+
     def ladder_polys(self) -> tuple[Poly, Poly, Poly]:
         """(R, F, L) as polynomials in the exponent s, built once per spec."""
         return self._ladder
 
-    def ladder_at(self, s: Fraction) -> tuple[Fraction, Fraction, Fraction]:
-        """(R(s), F(s), L(s)), the three factors of the action on x^s."""
-        raising, diagonal, lowering = self._ladder
-        return poly_eval(raising, s), poly_eval(diagonal, s), poly_eval(lowering, s)
+    def ladder_at(self, s: Fraction | int) -> tuple[Fraction, Fraction, Fraction]:
+        """(R(s), F(s), L(s)), the three factors of the action on x^s.
+
+        Each factor is evaluated in integers, by Horner's rule on the numerator
+        and the denominator of s over the factor's common denominator, and
+        becomes one Fraction at the end.
+        """
+        n, d = s.numerator, s.denominator
+        out = []
+        for acc, rest, den in self._ladder_integer:
+            power = 1
+            for c in rest:  # acc / (den * power) is the Horner partial sum at s
+                power *= d
+                acc = acc * n + c * power
+            out.append(Fraction(acc, den * power))
+        return tuple(out)
 
 
 @dataclass(frozen=True)
@@ -302,7 +326,7 @@ def casimir(spec: OdeSpec, m_range: int = 10) -> CasimirResult:
     g = _casimir_g(spec)
     difference = poly_add(g, poly_scale(poly_shift(g, Fraction(-1)), Fraction(-1)))
     is_scalar = difference == deformation_coefficients(spec).as_poly()
-    scalar = spec.ladder_at(Fraction(0))[0] * spec.ladder_at(Fraction(1))[2] + poly_eval(g, -spec.j)
+    scalar = spec.ladder_at(0)[0] * spec.ladder_at(1)[2] + poly_eval(g, -spec.j)
     return CasimirResult(g_poly=g, scalar=scalar, is_scalar=is_scalar)
 
 

@@ -21,6 +21,8 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from itertools import groupby
+from operator import attrgetter
 from typing import Iterable, Iterator, Mapping, NamedTuple, Union
 
 from .errors import IncompatibleBranchError
@@ -38,11 +40,15 @@ def as_fraction(value: RationalLike) -> Fraction:
 
 
 def falling_factorial(sigma: Fraction, k: int) -> Fraction:
-    """sigma(sigma-1)...(sigma-k+1); the empty product (k=0) is 1."""
-    out = Fraction(1)
+    """sigma(sigma-1)...(sigma-k+1); the empty product (k=0) is 1.
+
+    With sigma = n/d this is (n)(n-d)...(n-(k-1)d) / d^k, made in integers.
+    """
+    n, d = sigma.numerator, sigma.denominator
+    out = 1
     for i in range(k):
-        out *= sigma - i
-    return out
+        out *= n - i * d
+    return Fraction(out, d**k)
 
 
 class OpTerm(NamedTuple):
@@ -143,14 +149,22 @@ class DiffOp:
         return DiffOp(out)
 
     def apply(self, series: "GeneralizedSeries") -> "GeneralizedSeries":
-        """Exact action on a generalized series, term by term."""
+        """Exact action on a generalized series, term by term.
+
+        c x^sigma is sent by every term of derivative order k through the same
+        weight c * sigma(sigma-1)...(sigma-k+1), worked out once per order.
+        """
+        orders = [(k, tuple(terms)) for k, terms in groupby(self._terms, attrgetter("dorder"))]
         acc: dict[int, Fraction] = {}
-        for t in self._terms:
-            shift = t.xpow - t.dorder
-            for m, c in series.items():
-                sigma = series.base + m
-                key = m + shift
-                acc[key] = acc.get(key, 0) + t.coeff * c * falling_factorial(sigma, t.dorder)
+        for m, c in series.items():
+            sigma = series.base + m
+            for k, terms in orders:
+                weight = c * falling_factorial(sigma, k)
+                if not weight:
+                    continue
+                for t in terms:
+                    key = m + t.xpow - k
+                    acc[key] = acc.get(key, 0) + t.coeff * weight
         return GeneralizedSeries(series.base, acc)
 
     def apply_to_monomial(self, exponent: RationalLike) -> "GeneralizedSeries":

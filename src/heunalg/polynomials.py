@@ -2,7 +2,7 @@
 
 Polynomials are tuples of Fractions in ascending degree order with no trailing
 zeros; () is the zero polynomial.  Just enough machinery for Taylor shifts
-and rational roots; nothing here rounds.
+and rational roots; nothing here rounds, except poly_eval when handed a float.
 Rational roots are isolated by Sturm bisection over the integers, so their
 cost is polynomial in the degree and the coefficient bit-length rather than
 in the size of the constant term.
@@ -29,7 +29,10 @@ def poly_padded(p: Sequence[Fraction], n: int) -> tuple[Fraction, ...]:
     return tuple(p) + (Fraction(0),) * (n - len(p))
 
 
-def poly_eval(p: Sequence[Fraction], x: Fraction) -> Fraction:
+def poly_eval(p: Sequence[Fraction], x: Fraction | float) -> Fraction | float:
+    """p(x) by Horner's rule in the type of x: exact at a Fraction, a float at a
+    float.  The kink profile (kink.SigmaOde) evaluates here at a float sigma, so
+    this stays generic; OdeSpec.ladder_at has its own integer evaluator."""
     acc = Fraction(0)
     for c in reversed(p):
         acc = acc * x + c

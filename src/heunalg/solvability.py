@@ -349,7 +349,7 @@ def polynomial_solution(spec: OdeSpec, degree: int) -> PolynomialSolutionResult:
     if degree < 0:
         raise ValueError("degree must be nonnegative")
     require_castable(spec)
-    table = [spec.ladder_at(Fraction(s)) for s in range(degree + 1)]
+    table = [spec.ladder_at(s) for s in range(degree + 1)]
     basis = _polynomial_nullspace(spec, table)
     verified = True
     op = full_operator(spec)

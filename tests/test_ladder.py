@@ -226,6 +226,44 @@ def test_ladder_at_and_ladder_polys_match_the_coefficients():
             assert tuple(poly_eval(p, t) for p in ladder) == want, (spec, t)
 
 
+def _closed_form_ladder(spec, t):
+    return (
+        spec.a0 * t * (t - 1) + spec.a4 * t + spec.a7,
+        spec.a1 * t * (t - 1) + spec.a5 * t + spec.a8,
+        spec.a2 * t * (t - 1) + spec.a6 * t,
+    )
+
+
+def _ladder_at_arguments(rng):
+    """int and Fraction exponents: zero, negative, and denominators up to 2^64."""
+    yield from (0, F(0), 1, -1, -7, F(-5, 3), F(1, 2**64), F(-(2**70 + 1), 2**64 - 59))
+    for _ in range(3):
+        yield rng.randint(-2**40, 2**40)
+        den = rng.randint(1, 2 ** rng.choice((1, 8, 64)))
+        yield F(rng.randint(-2**65, 2**65), den)
+
+
+def test_ladder_at_is_integer_horner_of_the_ladder_polys():
+    """ladder_at against poly_eval on ladder_polys() and the closed form."""
+    rng = random.Random(2261)
+    specs = [OdeSpec(), OdeSpec(a1=3, a5=F(-1, 2), a8=7), OdeSpec(a0=F(2, 3), a4=F(2, 3), a7=5),
+             OdeSpec(a2=F(5, 7), a6=F(5, 7)), OdeSpec(a6=-4, a8=F(1, 9))]
+    for bits in (4, 16, 64, 256, 1024):
+        specs += [random_ladder_spec(rng, "sparse", bits) for _ in range(12)]
+        specs += [random_ladder_spec(rng, "generic", bits) for _ in range(2)]
+    empty = [0, 0, 0]
+    for spec in specs:
+        ladder = spec.ladder_polys()
+        for k, p in enumerate(ladder):
+            empty[k] += not p
+        for s in _ladder_at_arguments(rng):
+            got = spec.ladder_at(s)
+            assert all(type(v) is F for v in got), (spec, s, got)
+            assert got == tuple(poly_eval(p, F(s)) for p in ladder), (spec, s)
+            assert got == _closed_form_ladder(spec, F(s)), (spec, s)
+    assert min(empty) >= 3, empty
+
+
 def test_casimir_ignores_m_range():
     for family, spec in seeded_specs(2260, 200):
         if family == "jacobi":

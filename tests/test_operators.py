@@ -5,7 +5,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from heunalg import DiffOp, GeneralizedSeries, IncompatibleBranchError, commutator
+from heunalg import DiffOp, GeneralizedSeries, IncompatibleBranchError, commutator, falling_factorial
 
 D = DiffOp.term(1, 0, 1)
 X = DiffOp.term(1, 1, 0)
@@ -57,6 +57,55 @@ def test_compose_xd_squared():
         lhs = xd.compose(xd).apply_to_monomial(m)
         rhs = xd.apply(xd.apply_to_monomial(m))
         assert lhs == rhs
+
+
+def reference_falling_factorial(sigma, k):
+    out = F(1)
+    for i in range(k):
+        out *= sigma - i
+    return out
+
+
+def reference_apply(op, series):
+    """The per-term loop: one Fraction falling factorial per term and monomial."""
+    acc = {}
+    for t in op.terms:
+        for m, c in series.items():
+            key = m + t.xpow - t.dorder
+            sigma = series.base + m
+            acc[key] = acc.get(key, 0) + t.coeff * c * reference_falling_factorial(sigma, t.dorder)
+    return GeneralizedSeries(series.base, acc)
+
+
+def _rational(rng, bits):
+    return F(rng.randint(-2**bits, 2**bits), rng.randint(1, 2**bits))
+
+
+def test_apply_matches_the_per_term_loop():
+    rng = random.Random(2262)
+    cases = [(DiffOp.zero(), GeneralizedSeries.monomial(F(1, 3))),
+             (DiffOp.term(2, 1, 6), GeneralizedSeries(F(-2, 5), {})),
+             (DiffOp.zero(), GeneralizedSeries(0, {}))]
+    for _ in range(300):
+        op = DiffOp([(_rational(rng, rng.choice((4, 64))), rng.randint(0, 4), rng.randint(0, 6))
+                     for _ in range(rng.randint(0, 9))])
+        base = rng.choice((F(0), F(rng.randint(-6, 6)), _rational(rng, 3)))
+        series = GeneralizedSeries(base, {rng.randint(-6, 8): _rational(rng, rng.choice((4, 64)))
+                                          for _ in range(rng.randint(0, 8))})
+        cases.append((op, series))
+    for op, series in cases:
+        got, want = op.apply(series), reference_apply(op, series)
+        assert got.base == want.base and list(got.items()) == list(want.items()), (op, series)
+        assert all(type(c) is F for _, c in got.items())
+
+
+def test_falling_factorial_matches_the_fraction_product():
+    rng = random.Random(2263)
+    for _ in range(200):
+        sigma = rng.choice((F(rng.randint(-9, 9)), _rational(rng, rng.choice((2, 64)))))
+        k = rng.randint(0, 7)
+        got = falling_factorial(sigma, k)
+        assert type(got) is F and got == reference_falling_factorial(sigma, k), (sigma, k)
 
 
 def test_commutator_with_self_is_zero():
