@@ -17,8 +17,10 @@ from heunalg import (
     classify_deformation,
     commutator,
     deformation_coefficients,
+    poly_of_op,
     sl2_generators,
 )
+from heunalg.algebra import diagonal_coefficients
 
 print("=" * 72)
 print("1. The undeformed triple")
@@ -40,7 +42,7 @@ gens = build_generators(spec)
 print("P+    =", gens.p_plus)
 print("P0    =", gens.p_zero)
 print("P-    =", gens.p_minus)
-print("F(P0) =", gens.f_of_p0)
+print("F(P0) =", poly_of_op(diagonal_coefficients(spec), gens.p_zero))
 print("cast check (P+ + F + P- == original operator):", cast_check(spec))
 
 coeffs = deformation_coefficients(spec)

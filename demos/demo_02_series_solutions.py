@@ -13,7 +13,7 @@ from heunalg import (
     indicial_roots,
     nullspace_oracle,
     polynomial_solution,
-    series_solution,
+    series_solution_with_report,
     termination_condition,
 )
 
@@ -29,7 +29,7 @@ print("exactly solvable:", verdict.exactly_solvable,
 roots = indicial_roots(spec)
 print("indicial roots:", roots.lambda_plus, ",", roots.lambda_minus)
 
-series = series_solution(spec, roots.lambda_plus, 12)
+series, _ = series_solution_with_report(spec, roots.lambda_plus, 12)
 oracle = hypergeometric_oracle(spec, roots.lambda_plus, 13)
 print("series == two-term recurrence oracle (13 coefficients):", series == oracle)
 print("first few rows (shift, exponent, coefficient):")
@@ -45,7 +45,7 @@ print("=" * 72)
 spec2 = OdeSpec(a4=1, a7=-3, a5=1)
 print("termination levels n with P+ x^(n-1) = 0:",
       [str(n) for n in termination_condition(spec2).values])
-poly_series = series_solution(spec2, 0, 12)
+poly_series, _ = series_solution_with_report(spec2, 0, 12)
 print("series from lambda=0 stops at degree 3:", poly_series.shifts())
 print("exact null space on {1..x^3}:")
 result = polynomial_solution(spec2, 3)

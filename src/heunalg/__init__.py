@@ -81,7 +81,6 @@ from .solvability import (
     check_solvability,
     indicial_roots,
     polynomial_solution,
-    series_solution,
     series_solution_with_report,
     termination_condition,
 )

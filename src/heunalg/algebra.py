@@ -46,7 +46,6 @@ from .polynomials import (
     Poly,
     poly,
     poly_add,
-    poly_eval,
     poly_mul,
     poly_padded,
     poly_scale,
@@ -121,12 +120,11 @@ class OdeSpec:
 
 @dataclass(frozen=True)
 class GeneratorSet:
-    """The ladder triple plus the diagonal part rewritten as a polynomial in P0."""
+    """The generator triple (P+, P0, P-) of the deformed algebra."""
 
     p_plus: DiffOp
     p_zero: DiffOp
     p_minus: DiffOp
-    f_of_p0: DiffOp
 
 
 @dataclass(frozen=True)
@@ -181,18 +179,15 @@ def full_operator(spec: OdeSpec) -> DiffOp:
 
 
 def build_generators(spec: OdeSpec) -> GeneratorSet:
-    """Split the equation into (P+, P0, P-) and F(P0); requires a3 = 0.
+    """The generator triple (P+, P0 = x D - j, P-); requires a3 = 0.
 
-    F is stored via its simplified quadratic form in P0,
-        F(P0) = a1 P0^2 + ((2j-1)a1 + a5) P0 + (a1 j^2 - (a1-a5) j + a8),
-    which equals a1 x^2 D^2 + a5 x D + a8 identically.
+    The diagonal part F is not a generator; cast_check builds it as F(P0).
     """
     require_castable(spec)
     p_plus = DiffOp([(spec.a0, 3, 2), (spec.a4, 2, 1), (spec.a7, 1, 0)])
     p_zero = DiffOp([(1, 1, 1), (-spec.j, 0, 0)])
     p_minus = DiffOp([(spec.a2, 1, 2), (spec.a6, 0, 1)])
-    f_of_p0 = poly_of_op(poly(diagonal_coefficients(spec)), p_zero)
-    return GeneratorSet(p_plus, p_zero, p_minus, f_of_p0)
+    return GeneratorSet(p_plus, p_zero, p_minus)
 
 
 def diagonal_coefficients(spec: OdeSpec) -> tuple[Fraction, Fraction, Fraction]:
@@ -211,15 +206,20 @@ def sl2_generators(j: RationalLike) -> GeneratorSet:
 
 
 def cast_check(spec: OdeSpec) -> bool:
-    """True iff P+ + F(P0) + P- reproduces the original operator exactly."""
+    """True iff P+ + F(P0) + P- reproduces the original operator exactly.
+
+    F(P0) is the diagonal part as a quadratic polynomial in P0,
+        F(P0) = a1 P0^2 + ((2j-1)a1 + a5) P0 + (a1 j^2 - (a1-a5) j + a8),
+    composed out of P0 here; it equals a1 x^2 D^2 + a5 x D + a8 identically.
+    """
     gens = build_generators(spec)
-    assembled = gens.p_plus + gens.f_of_p0 + gens.p_minus
-    return assembled == full_operator(spec)
+    f_of_p0 = poly_of_op(diagonal_coefficients(spec), gens.p_zero)
+    return gens.p_plus + f_of_p0 + gens.p_minus == full_operator(spec)
 
 
 def poly_of_op(p: Sequence[Fraction], op: DiffOp) -> DiffOp:
     """Evaluate a polynomial at an operator by Horner composition."""
-    result = DiffOp.zero()
+    result = DiffOp()
     for c in reversed(poly(p)):
         result = result.compose(op) + DiffOp.term(c, 0, 0)
     return result
@@ -314,11 +314,12 @@ def _casimir_g(spec: OdeSpec) -> Poly:
 def casimir(spec: OdeSpec, m_range: int = 10) -> CasimirResult:
     """Construct C = P- P+ + g(P0) and certify that it is a scalar on every x^m.
 
-    g is built from the ladder factors (see _casimir_g).  C commutes with the
+    g is built from the ladder factors so that C acts on every x^m by a6*a7
+    (see _casimir_g), and scalar is that value.  C commutes with the
     generators exactly when g(n) - g(n-1) is the commutator polynomial f(n);
-    is_scalar checks that polynomial identity, which compares the product of
-    the ladder factors with the closed-form commutator and holds for every n.
-    scalar is C's eigenvalue on x^0.  m_range no longer changes the result;
+    is_scalar, the certificate, checks that polynomial identity, which
+    compares the product of the ladder factors with the closed-form
+    commutator and holds for every n.  m_range no longer changes the result;
     a negative m_range raises ValueError.
     """
     if m_range < 0:
@@ -326,8 +327,7 @@ def casimir(spec: OdeSpec, m_range: int = 10) -> CasimirResult:
     g = _casimir_g(spec)
     difference = poly_add(g, poly_scale(poly_shift(g, Fraction(-1)), Fraction(-1)))
     is_scalar = difference == deformation_coefficients(spec).as_poly()
-    scalar = spec.ladder_at(0)[0] * spec.ladder_at(1)[2] + poly_eval(g, -spec.j)
-    return CasimirResult(g_poly=g, scalar=scalar, is_scalar=is_scalar)
+    return CasimirResult(g_poly=g, scalar=spec.a6 * spec.a7, is_scalar=is_scalar)
 
 
 def casimir_operator(spec: OdeSpec) -> DiffOp:

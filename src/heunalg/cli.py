@@ -239,10 +239,6 @@ def _as_double(value: Fraction, name: str) -> float:
 def cmd_kink(args: argparse.Namespace) -> int:
     eps_sq = parse_rational(args.eps_sq)
     mu = parse_rational(args.mu)
-    if eps_sq <= 0:
-        raise DegenerateKinkError("--eps-sq must be positive")
-    if mu <= 0:
-        raise DegenerateKinkError("--mu must be positive")
     eps_sq_f, mu_f = _as_double(eps_sq, "--eps-sq"), _as_double(mu, "--mu")
     if args.points < 2:
         raise SpecFileError("--points must be at least 2")

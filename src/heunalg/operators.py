@@ -74,8 +74,8 @@ class DiffOp:
             c = as_fraction(coeff)
             if c == 0:
                 continue
-            if xpow < 0 or dorder < 0:
-                raise ValueError("x-power and derivative order must be nonnegative")
+            if type(xpow) is not int or type(dorder) is not int or xpow < 0 or dorder < 0:
+                raise ValueError("x-power and derivative order must be nonnegative integers")
             key = (dorder, xpow)
             acc[key] = acc.get(key, 0) + c
         object.__setattr__(
@@ -85,10 +85,6 @@ class DiffOp:
         )
 
     # -- constructors ------------------------------------------------------
-
-    @staticmethod
-    def zero() -> "DiffOp":
-        return DiffOp()
 
     @staticmethod
     def term(coeff: RationalLike, xpow: int, dorder: int) -> "DiffOp":
@@ -221,9 +217,11 @@ class GeneralizedSeries:
     def __init__(self, base: RationalLike, coeffs: Mapping[int, RationalLike] | None = None):
         clean: dict[int, Fraction] = {}
         for m, c in (coeffs or {}).items():
+            if type(m) is not int:
+                raise ValueError(f"series shifts must be integers, got {m!r}")
             frac = as_fraction(c)
             if frac != 0:
-                clean[int(m)] = frac
+                clean[m] = frac
         object.__setattr__(self, "_base", as_fraction(base))
         object.__setattr__(self, "_coeffs", dict(sorted(clean.items())))
 
@@ -241,15 +239,12 @@ class GeneralizedSeries:
     def shifts(self) -> tuple[int, ...]:
         return tuple(self._coeffs)
 
-    def coefficient(self, shift: int) -> Fraction:
-        return self._coeffs.get(shift, Fraction(0))
-
     def coefficient_at(self, exponent: RationalLike) -> Fraction:
         """Coefficient of x^exponent; zero when the exponent is off-branch."""
         delta = as_fraction(exponent) - self._base
         if delta.denominator != 1:
             return Fraction(0)
-        return self.coefficient(int(delta))
+        return self._coeffs.get(delta.numerator, Fraction(0))
 
     def is_zero(self) -> bool:
         return not self._coeffs

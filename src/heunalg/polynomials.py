@@ -3,9 +3,9 @@
 Polynomials are tuples of Fractions in ascending degree order with no trailing
 zeros; () is the zero polynomial.  Just enough machinery for Taylor shifts
 and rational roots; nothing here rounds, except poly_eval when handed a float.
-Rational roots are isolated by Sturm bisection over the integers, so their
-cost is polynomial in the degree and the coefficient bit-length rather than
-in the size of the constant term.
+Rational roots, 0 among them, are isolated by Sturm bisection over the
+integers, so their cost is polynomial in the degree and the coefficient
+bit-length rather than in the size of the constant term.
 """
 
 from __future__ import annotations
@@ -83,40 +83,33 @@ def is_rational_square(value: Fraction) -> tuple[bool, Fraction]:
 def rational_roots(p: Sequence[Fraction]) -> list[Fraction]:
     """All distinct rational roots of p, ascending, each verified exactly.
 
-    After clearing denominators and splitting off the root 0, p has integer
-    coefficients c_0..c_n with c_0 != 0.  The substitution y = c_n x turns it
-    into a monic integer polynomial, whose rational roots are integers; those
-    are isolated by Sturm bisection (see _integer_root_candidates) and every
-    candidate is checked by exact evaluation.  The cost is polynomial in the
-    degree and the coefficient bit-length.
+    After clearing denominators (by their lcm) and dividing out the content,
+    p has integer coefficients c_0..c_n.  The substitution y = c_n x turns it
+    into a monic integer polynomial, whose rational roots are integers, the
+    root 0 among them; those are isolated by Sturm bisection (see
+    _integer_root_candidates) and every candidate is checked by exact integer
+    evaluation.  The cost is polynomial in the degree and the coefficient
+    bit-length.
     """
     q = poly(p)
     if not q:
         raise ZeroDivisionError("the zero polynomial vanishes everywhere")
     if len(q) == 1:
         return []
-    # clear denominators to integer coefficients
-    denom_lcm = 1
-    for c in q:
-        denom_lcm = denom_lcm * c.denominator // math.gcd(denom_lcm, c.denominator)
-    ints = [int(c * denom_lcm) for c in q]
-    # strip factors of x
-    roots: list[Fraction] = []
-    low = 0
-    while ints[low] == 0:
-        low += 1
-    if low > 0:
-        roots.append(Fraction(0))
-        ints = ints[low:]
-    if len(ints) > 1:
-        content = math.gcd(*ints)
-        ints = [c // content for c in ints]
-        n, lead = len(ints) - 1, ints[-1]
-        # lead^(n-1) p(y / lead) is monic in y with integer coefficients
-        monic = [c * lead ** (n - 1 - i) for i, c in enumerate(ints[:-1])] + [1]
-        for y in _integer_root_candidates(monic):
-            if poly_eval(monic, Fraction(y)) == 0:
-                roots.append(Fraction(y, lead))
+    denom_lcm = math.lcm(*(c.denominator for c in q))
+    ints = [c.numerator * (denom_lcm // c.denominator) for c in q]
+    content = math.gcd(*ints)
+    ints = [c // content for c in ints]
+    n, lead = len(ints) - 1, ints[-1]
+    # lead^(n-1) p(y / lead) is monic in y with integer coefficients
+    monic = [c * lead ** (n - 1 - i) for i, c in enumerate(ints[:-1])] + [1]
+    roots = []
+    for y in _integer_root_candidates(monic):
+        acc = 0
+        for c in reversed(monic):
+            acc = acc * y + c
+        if acc == 0:
+            roots.append(Fraction(y, lead))
     return sorted(roots)
 
 

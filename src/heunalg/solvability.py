@@ -179,16 +179,6 @@ def check_solvability(spec: OdeSpec) -> SolvabilityVerdict:
     )
 
 
-def series_solution(
-    spec: OdeSpec,
-    lam: RationalLike,
-    iterations: int,
-    horizon: int | None = None,
-) -> GeneralizedSeries:
-    series, _ = series_solution_with_report(spec, lam, iterations, horizon)
-    return series
-
-
 def series_solution_with_report(
     spec: OdeSpec,
     lam: RationalLike,

@@ -30,7 +30,6 @@ class ResidualReport:
     max_abs_residual: float
     max_rel_residual: float
     excluded_points: int
-    derivative_scheme: str
 
 
 def _fd_derivatives(f: Callable[[float], float], x: float, h: float) -> tuple[float, float]:
@@ -102,7 +101,6 @@ def residual_sigma(
         max_abs_residual=max_abs,
         max_rel_residual=max_abs / scale if scale > 0 else max_abs,
         excluded_points=excluded,
-        derivative_scheme=f"5-point central + Richardson, h = {h:g}*(|sigma|+1)",
     )
 
 

@@ -2,7 +2,8 @@
 
 from fractions import Fraction as F
 
-from heunalg import OdeSpec
+from heunalg import OdeSpec, build_generators, poly_of_op
+from heunalg.algebra import diagonal_coefficients
 from heunalg.polynomials import poly_add, poly_mul, poly_scale
 
 
@@ -14,6 +15,11 @@ def exact_branch_spec(lam1, lam2, a1=F(1), a2=F(1), a6=F(3)):
         a6=a6,
         a8=a1 * lam1 * lam2,
     )
+
+
+def f_of_p0(spec):
+    """The diagonal part F(P0) as a DiffOp, composed the way cast_check does."""
+    return poly_of_op(diagonal_coefficients(spec), build_generators(spec).p_zero)
 
 
 def reference_interpolate(points):

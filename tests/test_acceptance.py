@@ -35,7 +35,7 @@ from heunalg import (
     psi_n2_sigma,
     psi_n3half_sigma,
     residual_sigma,
-    series_solution,
+    series_solution_with_report,
     state_from_factor,
 )
 
@@ -209,7 +209,7 @@ def test_criterion_9_series_oracle_equivalence():
             a6=spec.a6,
             a8=spec.a1 * lam1 * lam2,
         )
-        series = series_solution(spec, lam1, 30, horizon=30)
+        series, _ = series_solution_with_report(spec, lam1, 30, horizon=30)
         ok &= series == hypergeometric_oracle(spec, lam1, 31)
         residual = full_operator(spec).apply(series)
         ok &= all(abs(m) > 29 for m in residual.shifts())

@@ -27,6 +27,7 @@ from heunalg import (
     sl2_generators,
 )
 from heunalg.polynomials import poly_eval
+from support import f_of_p0
 
 
 def random_spec(rng, j=None):
@@ -85,7 +86,7 @@ class TestBuildGenerators:
             for m in range(4):
                 up = gens.p_plus.apply_to_monomial(m)
                 down = gens.p_minus.apply_to_monomial(m)
-                diag = gens.f_of_p0.apply_to_monomial(m)
+                diag = f_of_p0(spec).apply_to_monomial(m)
                 assert all(e == m + 1 for e in up.support())
                 assert all(e == m - 1 for e in down.support())
                 assert all(e == m for e in diag.support())
@@ -102,7 +103,7 @@ class TestCastCheck:
 
     def test_perturbed_constant_fails(self):
         gens = build_generators(HEUN_INSTANCE)
-        perturbed = gens.p_plus + gens.f_of_p0 + DiffOp.term(1, 0, 0) + gens.p_minus
+        perturbed = gens.p_plus + f_of_p0(HEUN_INSTANCE) + DiffOp.term(1, 0, 0) + gens.p_minus
         assert perturbed != full_operator(HEUN_INSTANCE)
 
 
@@ -140,8 +141,7 @@ class TestDeformation:
 class TestFitDiagonal:
     def test_recovers_f_of_p0(self):
         spec = dataclasses.replace(HEUN_INSTANCE, j=F(2, 3))
-        gens = build_generators(spec)
-        fitted = fit_diagonal_polynomial(gens.f_of_p0, spec.j, 2)
+        fitted = fit_diagonal_polynomial(f_of_p0(spec), spec.j, 2)
         j = spec.j
         expected = (
             spec.a1 * j * j - (spec.a1 - spec.a5) * j + spec.a8,
@@ -151,16 +151,15 @@ class TestFitDiagonal:
         assert fitted == expected
 
     def test_zero_operator(self):
-        assert fit_diagonal_polynomial(DiffOp.zero(), 0, 3) == ()
+        assert fit_diagonal_polynomial(DiffOp(), 0, 3) == ()
 
     def test_non_diagonal_rejected(self):
         with pytest.raises(DiagonalFitError):
             fit_diagonal_polynomial(DiffOp.term(1, 1, 0), 0, 2)
 
     def test_degree_overflow_rejected(self):
-        gens = build_generators(HEUN_INSTANCE)
         with pytest.raises(DiagonalFitError):
-            fit_diagonal_polynomial(gens.f_of_p0, 0, 1)
+            fit_diagonal_polynomial(f_of_p0(HEUN_INSTANCE), 0, 1)
 
 
 class TestClassify:

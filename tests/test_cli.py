@@ -232,7 +232,18 @@ class TestKink:
         assert float(middle[0]) == 0.0 and float(middle[2]) == 0.0
 
     def test_eps_zero_rejected(self, capsys):
-        assert main(["kink", "--eps-sq", "0", "--state", "n2"]) == 2
+        for option, value in (("--eps-sq", "0"), ("--mu", "-1")):
+            message = f"{option} must be a positive number within double range"
+            for fmt in ("table", "json"):
+                argv = ["kink", "--eps-sq", "1", "--state", "n2", option, value, "--format", fmt]
+                assert main(argv) == 2
+                out, err = capsys.readouterr()
+                assert out == ""
+                if fmt == "json":
+                    error = {"exit_code": 2, "kind": "input", "message": message}
+                    assert json.loads(err)["error"] == error
+                else:
+                    assert err == f"error (input): {message}\n"
 
     @pytest.mark.parametrize("bound", (["--xmin", "nan"], ["--xmin=-inf"], ["--xmax", "inf"]))
     def test_non_finite_bound_exit_2(self, bound, capsys):

@@ -39,7 +39,7 @@ from heunalg.algebra import CasimirResult, DeformationCoeffs
 from heunalg.catalog import HeunParams
 from heunalg.operators import GeneralizedSeries, falling_factorial
 from heunalg.polynomials import poly, poly_add, poly_eval, poly_shift
-from support import reference_interpolate
+from support import f_of_p0, reference_interpolate
 
 
 # -- test-only references ---------------------------------------------------------
@@ -67,7 +67,7 @@ def reference_compose(a, b):
 
 
 def reference_poly_of_op(p, op):
-    result = DiffOp.zero()
+    result = DiffOp()
     for c in reversed(poly(p)):
         result = reference_compose(result, op) + DiffOp.term(c, 0, 0)
     return result
@@ -205,7 +205,7 @@ def test_ladder_calls_match_reference():
             seen["not castable"] += 1
             continue
         assert cast_check(spec) is True
-        assert build_generators(spec).f_of_p0 == reference_f_of_p0(spec), spec
+        assert f_of_p0(spec) == reference_f_of_p0(spec), spec
         seen["result"] += 1
     assert seen["not castable"] == 125 and seen["result"] == 875, seen
 
@@ -281,7 +281,7 @@ def _fit_targets(spec, rng):
     gens = build_generators(spec)
     comm = gens.p_plus.compose(gens.p_minus) - gens.p_minus.compose(gens.p_plus)
     yield comm, rng.randint(0, 5)
-    yield gens.f_of_p0, rng.randint(0, 3)
+    yield f_of_p0(spec), rng.randint(0, 3)
     yield casimir_operator(spec), rng.randint(0, 2)
     yield gens.p_plus if rng.random() < 0.5 else full_operator(spec), rng.randint(0, 3)
     p = poly(_rational(rng, 8) for _ in range(rng.randint(0, 6)))

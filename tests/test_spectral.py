@@ -322,21 +322,33 @@ class TestRationalRootsEdges:
     def test_nonzero_constant_has_no_roots(self):
         assert rational_roots([F(7, 3)]) == []
 
-    def test_root_zero_with_multiplicity(self):
-        assert rational_roots([F(0), F(0), F(0), F(5)]) == [F(0)]
-        assert rational_roots([F(0), F(0), F(-1), F(1)]) == [F(0), F(1)]
-
-    def test_repeated_and_irrational(self):
-        # (x - 1/2)^3 (x^2 - 2) (3x + 300)
+    @staticmethod
+    def repeated_and_irrational():
+        """(x - 1/2)^3 (x^2 - 2) (3x + 300) and its rational roots."""
         p = (F(1),)
         for factor in [(F(-1, 2), F(1))] * 3 + [(F(-2), F(0), F(1)), (F(300), F(3))]:
             p = poly_mul(p, factor)
-        assert rational_roots(p) == [F(-100), F(1, 2)]
+        return p, [F(-100), F(1, 2)]
+
+    @staticmethod
+    def large_roots_near_the_bound():
+        big = 2 ** 200 + 1
+        return poly_mul((F(-big), F(1)), (F(big, 3), F(1))), [F(-big, 3), F(big)]
+
+    def test_root_zero_with_multiplicity(self):
+        assert rational_roots([F(0), F(0), F(0), F(5)]) == [F(0)]
+        assert rational_roots([F(0), F(0), F(-1), F(1)]) == [F(0), F(1)]
+        for p, roots in (self.repeated_and_irrational(), self.large_roots_near_the_bound()):
+            for k in range(1, 4):
+                assert rational_roots((F(0),) * k + p) == sorted(roots + [F(0)]), k
+
+    def test_repeated_and_irrational(self):
+        p, roots = self.repeated_and_irrational()
+        assert rational_roots(p) == roots
 
     def test_large_roots_near_the_bound(self):
-        big = 2 ** 200 + 1
-        p = poly_mul((F(-big), F(1)), (F(big, 3), F(1)))
-        assert rational_roots(p) == [F(-big, 3), F(big)]
+        p, roots = self.large_roots_near_the_bound()
+        assert rational_roots(p) == roots
 
 
 # -- former hang probes ------------------------------------------------------------------
