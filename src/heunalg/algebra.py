@@ -26,10 +26,12 @@ scalar a6*a7.
 
 Every generator maps x^m to a multiple of a monomial, and P0 acts on x^m by
 m - j.  The exact polynomial work is therefore done in the monomial shift m,
-where the ladder factors and the commutator polynomial carry no power of j,
-and a diagonal operator's eigenvalue polynomial is read off its x^k D^k
-terms, whose coefficients are its Newton coefficients at m = 0, 1, 2, ...;
-one Taylor shift by j at the end rewrites a result as a polynomial in P0.
+where the ladder factors, the commutator polynomial and G(m) = g(m - j) carry
+no power of j.  The Casimir identity is checked there, as G(m) - G(m-1)
+against the commutator polynomial, and C is built as P- o P+ plus the
+diagonal sum c_k x^k D^k over G's Newton coefficients c_k at m = 0, 1, 2, ...;
+fit_diagonal_polynomial reads such coefficients back off a diagonal
+operator.  One Taylor shift by j rewrites a result as a polynomial in P0.
 """
 
 from __future__ import annotations
@@ -298,42 +300,55 @@ def is_abelian(spec: OdeSpec) -> bool:
     return c.alpha1 == 0 and c.beta1 == 0 and c.gamma1 == 0 and c.delta1 == 0
 
 
-def _casimir_g(spec: OdeSpec) -> Poly:
-    """g with C = P- P+ + g(P0) acting on every x^m by a6*a7.
+def _casimir_in_m(spec: OdeSpec) -> Poly:
+    """G(m) = a6 a7 - R(m) L(m+1), the eigenvalue of g(P0) on x^m.
 
-    P- P+ acts on x^m by R(m) L(m+1), so G(m) = g(m - j) = a6 a7 - R(m) L(m+1);
-    one Taylor shift by j gives g.
+    P- P+ acts on x^m by R(m) L(m+1), so C = P- P+ + g(P0) acts on every x^m
+    by a6*a7 when g(m - j) = G(m).
     """
     require_castable(spec)
     raising, _, lowering = spec.ladder_polys()
     ladder_product = poly_mul(raising, poly_shift(lowering, Fraction(1)))
-    g_in_m = poly_add((spec.a6 * spec.a7,), poly_scale(ladder_product, Fraction(-1)))
-    return poly_shift(g_in_m, spec.j)
+    return poly_add((spec.a6 * spec.a7,), poly_scale(ladder_product, Fraction(-1)))
+
+
+def _diagonal_operator(p_in_m: Sequence[Fraction]) -> DiffOp:
+    """sum c_k x^k D^k, acting on every x^m by p(m), which fit_diagonal_polynomial
+    reads back; m^n = sum_k S(n, k) m(m-1)...(m-k+1), with S the Stirling
+    numbers of the second kind, gives the Newton coefficients c_k."""
+    newton, stirling = [Fraction(0)] * len(p_in_m), [1]  # S(n, 0..n)
+    for c in p_in_m:
+        for k, s in enumerate(stirling):
+            newton[k] += c * s
+        stirling = [k * s + t for k, (s, t) in enumerate(zip(stirling + [0], [0] + stirling))]
+    return DiffOp([(c, k, k) for k, c in enumerate(newton)])
 
 
 def casimir(spec: OdeSpec, m_range: int = 10) -> CasimirResult:
     """Construct C = P- P+ + g(P0) and certify that it is a scalar on every x^m.
 
-    g is built from the ladder factors so that C acts on every x^m by a6*a7
-    (see _casimir_g), and scalar is that value.  C commutes with the
-    generators exactly when g(n) - g(n-1) is the commutator polynomial f(n);
-    is_scalar, the certificate, checks that polynomial identity, which
-    compares the product of the ladder factors with the closed-form
-    commutator and holds for every n.  m_range no longer changes the result;
-    a negative m_range raises ValueError.
+    g_poly is the Taylor shift by j of G(m) = g(m - j) (see _casimir_in_m), so
+    C acts on every x^m by scalar = a6*a7.  C commutes with the generators
+    exactly when g(n) - g(n-1) is the commutator polynomial f(n); the shift by
+    j commutes with the backward difference, so is_scalar, the certificate,
+    checks G(m) - G(m-1) against the j-free commutator polynomial in m, an
+    identity that compares the product of the ladder factors with the closed
+    form.  m_range no longer changes the result; a negative m_range raises
+    ValueError.
     """
     if m_range < 0:
         raise ValueError("m_range must be nonnegative")
-    g = _casimir_g(spec)
-    difference = poly_add(g, poly_scale(poly_shift(g, Fraction(-1)), Fraction(-1)))
-    is_scalar = difference == deformation_coefficients(spec).as_poly()
-    return CasimirResult(g_poly=g, scalar=spec.a6 * spec.a7, is_scalar=is_scalar)
+    g_in_m = _casimir_in_m(spec)
+    difference = poly_add(g_in_m, poly_scale(poly_shift(g_in_m, Fraction(-1)), Fraction(-1)))
+    is_scalar = difference == _base_commutator_poly(spec)
+    return CasimirResult(poly_shift(g_in_m, spec.j), spec.a6 * spec.a7, is_scalar)
 
 
 def casimir_operator(spec: OdeSpec) -> DiffOp:
-    """C = P- o P+ + g(P0) as an exact DiffOp."""
+    """C = P- o P+ + g(P0) as an exact DiffOp; g(P0) is diagonal with eigenvalue
+    G(m) on x^m, so it is sum c_k x^k D^k over G's Newton coefficients."""
     gens = build_generators(spec)
-    return gens.p_minus.compose(gens.p_plus) + poly_of_op(_casimir_g(spec), gens.p_zero)
+    return gens.p_minus.compose(gens.p_plus) + _diagonal_operator(_casimir_in_m(spec))
 
 
 def brute_force_deformation(spec: OdeSpec) -> DeformationCoeffs:

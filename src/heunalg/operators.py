@@ -78,13 +78,18 @@ class DiffOp:
                 raise ValueError("x-power and derivative order must be nonnegative integers")
             key = (dorder, xpow)
             acc[key] = acc.get(key, 0) + c
-        object.__setattr__(
-            self,
-            "_terms",
-            tuple(OpTerm(acc[key], key[1], key[0]) for key in sorted(acc) if acc[key]),
-        )
+        object.__setattr__(self, "_terms", DiffOp._canonical(acc)._terms)
 
     # -- constructors ------------------------------------------------------
+
+    @staticmethod
+    def _canonical(acc: dict[tuple[int, int], Fraction]) -> "DiffOp":
+        """The operator sum acc[(k, p)] x^p D^k, from validated keys and Fraction
+        coefficients; terms are sorted by (dorder, xpow) and zeros dropped."""
+        op = object.__new__(DiffOp)
+        terms = tuple(OpTerm(acc[key], key[1], key[0]) for key in sorted(acc) if acc[key])
+        object.__setattr__(op, "_terms", terms)
+        return op
 
     @staticmethod
     def term(coeff: RationalLike, xpow: int, dorder: int) -> "DiffOp":
@@ -115,7 +120,10 @@ class DiffOp:
     def __add__(self, other: "DiffOp") -> "DiffOp":
         if not isinstance(other, DiffOp):
             return NotImplemented
-        return DiffOp(self._terms + other._terms)
+        acc = {(t.dorder, t.xpow): t.coeff for t in self._terms}
+        for t in other._terms:
+            acc[t.dorder, t.xpow] = acc.get((t.dorder, t.xpow), 0) + t.coeff
+        return DiffOp._canonical(acc)
 
     def __sub__(self, other: "DiffOp") -> "DiffOp":
         if not isinstance(other, DiffOp):
@@ -123,26 +131,27 @@ class DiffOp:
         return self + (-other)
 
     def __neg__(self) -> "DiffOp":
-        return DiffOp([(-t.coeff, t.xpow, t.dorder) for t in self._terms])
+        return DiffOp._canonical({(t.dorder, t.xpow): -t.coeff for t in self._terms})
 
     def scale(self, factor: RationalLike) -> "DiffOp":
         f = as_fraction(factor)
-        return DiffOp([(f * t.coeff, t.xpow, t.dorder) for t in self._terms])
+        return DiffOp._canonical({(t.dorder, t.xpow): f * t.coeff for t in self._terms})
 
     # -- composition and action --------------------------------------------
 
     def compose(self, other: "DiffOp") -> "DiffOp":
         """Normal-ordered composition self o other (apply other first)."""
-        out: list[tuple[Fraction, int, int]] = []
+        acc: dict[tuple[int, int], Fraction] = {}
         for a in self._terms:
             for b in other._terms:
                 # x^p1 D^k1 x^p2 D^k2 -> Leibniz expansion of D^k1 x^p2,
                 # with the integer factor C(k1, i) * p2!/(p2-i)!
                 ab = a.coeff * b.coeff
                 for i in range(min(a.dorder, b.xpow) + 1):
+                    key = (a.dorder + b.dorder - i, a.xpow + b.xpow - i)
                     c = ab * (math.comb(a.dorder, i) * math.perm(b.xpow, i))
-                    out.append((c, a.xpow + b.xpow - i, a.dorder + b.dorder - i))
-        return DiffOp(out)
+                    acc[key] = acc.get(key, 0) + c
+        return DiffOp._canonical(acc)
 
     def apply(self, series: "GeneralizedSeries") -> "GeneralizedSeries":
         """Exact action on a generalized series, term by term.

@@ -18,7 +18,7 @@ Poly = tuple[Fraction, ...]
 
 
 def poly(coeffs: Iterable[Fraction | int]) -> Poly:
-    out = [Fraction(c) for c in coeffs]
+    out = [c if isinstance(c, Fraction) else Fraction(c) for c in coeffs]
     while out and out[-1] == 0:
         out.pop()
     return tuple(out)

@@ -1,12 +1,13 @@
 """The ladder layer in the monomial shift m, and the kernels behind it.
 
 fit_diagonal_polynomial reads a diagonal operator's eigenvalue polynomial in m
-off its x^k D^k terms, casimir builds g from the product of the ladder factors
-in m, and both move to P0 = m - j with one Taylor shift.  The Lagrange
-interpolation, the sampling fit at the nodes m - j, the Casimir built as the
-antidifference of the commutator polynomial in P0 and the Leibniz rule with
-Fraction falling factorials that they replaced are kept here as test-only
-references.
+off its x^k D^k terms, casimir builds G(m) = g(m - j) from the product of the
+ladder factors in m and checks its backward difference there, casimir_operator
+turns G's Newton coefficients back into x^k D^k terms, and results move to
+P0 = m - j with one Taylor shift.  The Lagrange interpolation, the sampling fit
+at the nodes m - j, the Casimir built as the antidifference of the commutator
+polynomial in P0 and the Leibniz rule with Fraction falling factorials that
+they replaced are kept here as test-only references.
 """
 
 import math
@@ -35,7 +36,7 @@ from heunalg import (
     heun_spec,
     jacobi_spec,
 )
-from heunalg.algebra import CasimirResult, DeformationCoeffs
+from heunalg.algebra import CasimirResult, DeformationCoeffs, _diagonal_operator
 from heunalg.catalog import HeunParams
 from heunalg.operators import GeneralizedSeries, falling_factorial
 from heunalg.polynomials import poly, poly_add, poly_eval, poly_shift
@@ -345,9 +346,11 @@ def test_fit_sees_terms_of_any_order(op, max_degree, message):
 
 
 def test_fit_of_falling_factorial_sums_holds_off_the_nodes():
-    """x^k D^k sends x^s to s(s-1)...(s-k+1) x^s for rational s too."""
+    """x^k D^k sends x^s to s(s-1)...(s-k+1) x^s for rational s too, and the
+    diagonal operator built from a polynomial in m is what the fit reads back."""
     rng = random.Random(2261)
-    for _ in range(300):
+    round_trip_rng = random.Random(2264)
+    for n in range(300):
         top = rng.randint(0, 8)
         coeffs = [_rational(rng, 16) if k == top or rng.random() < 0.5 else F(0)
                   for k in range(top + 1)]
@@ -363,6 +366,17 @@ def test_fit_of_falling_factorial_sums_holds_off_the_nodes():
         if top > 0:
             with pytest.raises(DiagonalFitError, match=f"not polynomial of degree <= {top - 1}$"):
                 fit_diagonal_polynomial(op, j, top - 1)
+        # degree n % 8 - 1, from the zero polynomial () to degree 6, up to 256 bits
+        bits = (4, 32, 256)[n % 3]
+        p_in_m = poly(_rational(round_trip_rng, bits) for _ in range(n % 8))
+        diagonal = _diagonal_operator(p_in_m)
+        assert all(t.xpow == t.dorder for t in diagonal.terms), p_in_m
+        degree = max(len(p_in_m) - 1, 0)
+        assert fit_diagonal_polynomial(diagonal, 0, degree) == p_in_m
+        assert fit_diagonal_polynomial(diagonal, j, degree) == poly_shift(p_in_m, j), (p_in_m, j)
+        for s in exponents[:4] + exponents[-1:]:
+            want = GeneralizedSeries.monomial(s, poly_eval(p_in_m, s))
+            assert diagonal.apply_to_monomial(s) == want, (p_in_m, s)
 
 
 # -- argument checks --------------------------------------------------------------

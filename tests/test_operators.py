@@ -1,5 +1,6 @@
 """Operator core: normal ordering, actions, series arithmetic, canonical form."""
 
+import math
 import random
 import re
 from fractions import Fraction as F
@@ -18,6 +19,29 @@ def rand_op(rng, max_terms=3, max_pow=3):
         coeff = F(rng.randint(-6, 6), rng.randint(1, 3))
         terms.append((coeff, rng.randint(0, max_pow), rng.randint(0, max_pow)))
     return DiffOp(terms)
+
+
+def assert_canonical(op):
+    """Exact nonzero Fraction coefficients, sorted by (dorder, xpow), each key once."""
+    keys = [(t.dorder, t.xpow) for t in op.terms]
+    assert keys == sorted(set(keys)), op
+    assert all(type(t.coeff) is F and t.coeff != 0 for t in op.terms), op
+
+
+def assert_matches_init(a, b, factor):
+    """compose, +, -, unary - and scale give what the validating DiffOp(...)
+    makes of their raw, unmerged terms, in canonical form; a - a, a + (-a)
+    and a.scale(0) have no terms."""
+    negated_b = [(-c, p, k) for c, p, k in b.terms]
+    leibniz = [(s.coeff * t.coeff * math.comb(s.dorder, i) * math.perm(t.xpow, i),
+                s.xpow + t.xpow - i, s.dorder + t.dorder - i)
+               for s in a.terms for t in b.terms for i in range(min(s.dorder, t.xpow) + 1)]
+    cases = [(a.compose(b), leibniz), (a + b, a.terms + b.terms), (a - b, [*a.terms, *negated_b]),
+             (-b, negated_b), (a.scale(factor), [(F(factor) * c, p, k) for c, p, k in a.terms])]
+    for got, raw in cases:
+        assert got == DiffOp(raw), (a, b, factor, got)
+        assert_canonical(got)
+    assert (a - a).terms == (a + (-a)).terms == a.scale(0).terms == (), a
 
 
 def test_power_rule():
@@ -114,6 +138,7 @@ def test_commutator_with_self_is_zero():
     for _ in range(10):
         a = rand_op(rng)
         assert commutator(a, a).is_zero()
+        assert_matches_init(a, a, -1)
 
 
 def test_compose_associativity_randomized():
@@ -121,6 +146,8 @@ def test_compose_associativity_randomized():
     for _ in range(40):
         a, b, c = (rand_op(rng) for _ in range(3))
         assert a.compose(b.compose(c)) == a.compose(b).compose(c)
+        assert_matches_init(a, b.compose(c), F(-7, 3))
+        assert_matches_init(a.compose(b), c, "5/2")
 
 
 def test_action_composition_coherence():
@@ -128,6 +155,7 @@ def test_action_composition_coherence():
     for _ in range(40):
         a, b = rand_op(rng), rand_op(rng)
         ab = a.compose(b)
+        assert_matches_init(a, b, 0)
         for m in range(9):
             assert ab.apply_to_monomial(m) == a.apply(b.apply_to_monomial(m))
 
@@ -143,6 +171,7 @@ def test_canonical_form_soundness_both_directions():
             a.apply_to_monomial(m) == b.apply_to_monomial(m) for m in range(bound + 1)
         )
         assert actions_equal == (a == b)
+        assert_matches_init(b, a, 3)
     # the same operator assembled in shuffled term order is identical
     terms = [(F(3, 2), 2, 1), (F(-1), 0, 0), (F(5), 1, 3)]
     shuffled = terms[::-1]
@@ -152,6 +181,15 @@ def test_canonical_form_soundness_both_directions():
 def test_duplicate_terms_merge_and_cancel():
     assert DiffOp([(1, 1, 1), (2, 1, 1)]) == DiffOp([(3, 1, 1)])
     assert DiffOp([(1, 1, 1), (-1, 1, 1)]).is_zero()
+    a = DiffOp([(F(1, 2), 1, 1), (2, 0, 0), ("-3", 2, 0)])
+    b = DiffOp([(F(-1, 2), 1, 1), (1, 0, 1)])
+    assert (a + b).terms == ((F(2), 0, 0), (F(-3), 2, 0), (F(1), 0, 1))
+    assert all(type(t.coeff) is F for t in (a + b).terms)
+    # D o x = x D + 1 and x o D = x D: the x D terms cancel in the commutator
+    assert (D.compose(X) - X.compose(D)).terms == ((F(1), 0, 0),)
+    for left, right, factor in ((a, b, 2), (b, a, F(1, 3)), (a, DiffOp(), 0),
+                                (DiffOp(), b, -1), (D, X, "1/2"), (X, D, 1)):
+        assert_matches_init(left, right, factor)
 
 
 def test_series_add_and_scale():
