@@ -102,22 +102,26 @@ class OdeSpec:
         """(R, F, L) as polynomials in the exponent s, built once per spec."""
         return self._ladder
 
+    def _factor_at(self, k: int, n: int, d: int) -> tuple[int, int]:
+        """Factor k of (R, F, L) at s = n/d, d > 0, as an unreduced integer pair
+        (numerator, denominator), by Horner's rule on n and d over the factor's
+        common denominator; the denominator depends on d only."""
+        acc, rest, den = self._ladder_integer[k]
+        power = 1
+        for c in rest:  # acc / (den * power) is the Horner partial sum at s
+            power *= d
+            acc = acc * n + c * power
+        return acc, den * power
+
     def ladder_at(self, s: Fraction | int) -> tuple[Fraction, Fraction, Fraction]:
         """(R(s), F(s), L(s)), the three factors of the action on x^s.
 
-        Each factor is evaluated in integers, by Horner's rule on the numerator
-        and the denominator of s over the factor's common denominator, and
-        becomes one Fraction at the end.
+        Each factor is evaluated in integers (_factor_at) and becomes one
+        Fraction at the end.
         """
         n, d = s.numerator, s.denominator
-        out = []
-        for acc, rest, den in self._ladder_integer:
-            power = 1
-            for c in rest:  # acc / (den * power) is the Horner partial sum at s
-                power *= d
-                acc = acc * n + c * power
-            out.append(Fraction(acc, den * power))
-        return tuple(out)
+        at = self._factor_at
+        return Fraction(*at(0, n, d)), Fraction(*at(1, n, d)), Fraction(*at(2, n, d))
 
 
 @dataclass(frozen=True)
@@ -186,9 +190,10 @@ def build_generators(spec: OdeSpec) -> GeneratorSet:
     The diagonal part F is not a generator; cast_check builds it as F(P0).
     """
     require_castable(spec)
-    p_plus = DiffOp([(spec.a0, 3, 2), (spec.a4, 2, 1), (spec.a7, 1, 0)])
-    p_zero = DiffOp([(1, 1, 1), (-spec.j, 0, 0)])
-    p_minus = DiffOp([(spec.a2, 1, 2), (spec.a6, 0, 1)])
+    # the spec's coefficients are Fractions already, so skip DiffOp's validation
+    p_plus = DiffOp._canonical({(2, 3): spec.a0, (1, 2): spec.a4, (0, 1): spec.a7})
+    p_zero = DiffOp._canonical({(1, 1): Fraction(1), (0, 0): -spec.j})
+    p_minus = DiffOp._canonical({(2, 1): spec.a2, (1, 0): spec.a6})
     return GeneratorSet(p_plus, p_zero, p_minus)
 
 

@@ -192,7 +192,8 @@ def cmd_series(args: argparse.Namespace) -> int:
         raise SpecFileError(f"--terms must be at most {MAX_TERMS}")
     spec = read_spec_file(args.specfile)
     lam = _pick_lambda(spec, args.branch)
-    # the support after n sweeps stays inside |shift| <= n, so nothing is dropped
+    # n iterations (band-walk steps on one-sided specs, Neumann sweeps on two-sided
+    # ones) keep the support inside |shift| <= n, so nothing is dropped
     series, report = series_solution_with_report(spec, lam, args.terms, args.terms)
     rows = [
         {"shift": m, "exponent": str(lam + m), "coefficient": str(c)}

@@ -32,7 +32,8 @@ def poly_padded(p: Sequence[Fraction], n: int) -> tuple[Fraction, ...]:
 def poly_eval(p: Sequence[Fraction], x: Fraction | float) -> Fraction | float:
     """p(x) by Horner's rule in the type of x: exact at a Fraction, a float at a
     float.  The kink profile (kink.SigmaOde) evaluates here at a float sigma, so
-    this stays generic; OdeSpec.ladder_at has its own integer evaluator."""
+    this stays generic; OdeSpec._factor_at is the integer evaluator that
+    ladder_at and the one-sided series walk use."""
     acc = Fraction(0)
     for c in reversed(p):
         acc = acc * x + c

@@ -15,12 +15,18 @@ The ladder acts on monomials only through the three-term action
 
     x^s -> R(s) x^(s+1) + F_val(s) x^s + L(s) x^(s-1)
 
-(OdeSpec.ladder_at).  The truncated map is linear, so psi_k is the partial
-Neumann sum sum_{i<k} (-Finv (P+ + P-))^i x^lambda, and a sweep maps only the
-newest term psi_k - psi_(k-1) through the three-term action at the shifts
-next to its support, then adds the in-window part to psi.  On a one-sided
-branch that term is one monomial, so a sweep is O(1) exact operations and a
-whole call O(iterations) rather than O(iterations^2).
+(OdeSpec.ladder_at).  On a one-sided branch (R or L identically zero) each
+iteration adds one monomial, so the iteration is the two-term band recurrence
+
+    c_(m+-1) = -X(lambda+m) c_m / F_val(lambda+m+-1),
+
+X the one of R, L that is not zero: a walk of O(iterations) steps, each
+evaluating X and F_val once in integers and doing one small ratio and one
+multiply.  Only two-sided specs run the Neumann sweep.  The truncated map is
+linear, so psi_k is the partial Neumann sum sum_{i<k} (-Finv (P+ + P-))^i
+x^lambda, and a sweep maps only the newest term psi_k - psi_(k-1) through the
+three-term action at the shifts next to its support, then adds the in-window
+part to psi.
 
 The same action makes the operator on {x^0..x^degree} a banded matrix.  Its
 null space comes from a recurrence on the lowest nonzero band (R, else F,
@@ -179,35 +185,87 @@ def check_solvability(spec: OdeSpec) -> SolvabilityVerdict:
     )
 
 
+@dataclass(frozen=True)
+class SeriesReport:
+    """How the fixed-point iteration of series_solution_with_report ended.
+
+    dropped counts, over the iterations, the coefficients of psi at the window
+    edge |m| = horizon that the ladder pushes past it (at most one on a
+    one-sided branch).  stationary_at is the first iteration whose new term
+    is empty, because the ladder vanished on it or left the window; None when
+    the iterations ran out first.
+    """
+
+    dropped: int
+    stationary_at: int | None
+
+
 def series_solution_with_report(
     spec: OdeSpec,
     lam: RationalLike,
     iterations: int,
     horizon: int | None = None,
-) -> tuple[GeneralizedSeries, "SeriesReport"]:
+) -> tuple[GeneralizedSeries, SeriesReport]:
     """Fixed-point iteration from the seed x^lam; see the module docstring.
 
-    Requires F_val(lam) = 0, a3 = 0 and nonnegative sizes.  Each iteration
-    pushes the newest Neumann term through the three-term action, raises
-    ResonantExponentError at the lowest shift where the pushed value is
-    nonzero and F_val = 0, and adds the part inside |m| <= horizon to psi.
-    The report's dropped counts, over the iterations, the window-edge
-    coefficients of psi that the ladder pushes past the horizon; its
-    stationary_at is the first iteration whose new term is empty.  Costs
-    O(iterations) exact operations on the one-sided branches.
+    Requires F_val(lam) = 0, a3 = 0 and nonnegative sizes.  The iteration
+    raises ResonantExponentError at the lowest generated shift where
+    F_val = 0, checked before the window test, and keeps the part of psi
+    inside |m| <= horizon (DEFAULT_HORIZON when None); SeriesReport says how
+    it ended.  One-sided specs walk one band in O(iterations) steps evaluated
+    in integers; two-sided ones push the newest Neumann term through the
+    three-term action on every iteration.
     """
     if iterations < 0:
         raise ValueError("iterations must be nonnegative")
     if horizon is not None and horizon < 0:
         raise ValueError("horizon must be nonnegative")
     lam = as_fraction(lam)
-    factor = functools.cache(lambda m: spec.ladder_at(lam + m))  # (R, F, L) once per shift m
-    f_lam = factor(0)[1]
+    f_lam = spec.ladder_at(lam)[1]
     if f_lam != 0:
         raise ValueError(f"lambda = {lam} is not an indicial root: F({lam}) = {f_lam}")
     require_castable(spec)
     window = DEFAULT_HORIZON if horizon is None else horizon
+    raising, _, lowering = spec.ladder_polys()
+    if raising and lowering:
+        psi, report = _neumann_sweep(spec, lam, iterations, window)
+    else:
+        psi, report = _band_walk(spec, lam, 2 if lowering else 0, iterations, window)
+    return GeneralizedSeries(lam, psi), report
 
+
+def _band_walk(
+    spec: OdeSpec, lam: Fraction, band: int, iterations: int, window: int
+) -> tuple[dict[int, Fraction], SeriesReport]:
+    """The iteration on a spec whose only ladder factor that may be nonzero is
+    X, index band of (R, F, L): c_(m+-1) = -X(lam+m) c_m / F(lam+m+-1), with X
+    and F evaluated once per shift in integers at lam + m = (p + m q)/q."""
+    step = 1 if band == 0 else -1
+    p, q = lam.numerator, lam.denominator
+    psi = {0: Fraction(1)}
+    c, m = psi[0], 0
+    for k in range(iterations):
+        x_num, x_den = spec._factor_at(band, p + m * q, q)
+        if not x_num:
+            return psi, SeriesReport(dropped=0, stationary_at=k)
+        f_num, f_den = spec._factor_at(1, p + (m + step) * q, q)
+        if not f_num:
+            raise ResonantExponentError(
+                f"F vanishes at generated exponent {lam + m + step} (shift {m + step})"
+            )
+        if abs(m + step) > window:
+            return psi, SeriesReport(dropped=1, stationary_at=k)
+        m += step
+        c *= Fraction(-x_num * f_den, x_den * f_num)
+        psi[m] = c
+    return psi, SeriesReport(dropped=0, stationary_at=None)
+
+
+def _neumann_sweep(
+    spec: OdeSpec, lam: Fraction, iterations: int, window: int
+) -> tuple[dict[int, Fraction], SeriesReport]:
+    """The iteration on a two-sided spec, one pushed Neumann term at a time."""
+    factor = functools.cache(lambda m: spec.ladder_at(lam + m))  # (R, F, L) once per shift m
     psi = {0: Fraction(1)}
     term = dict(psi)  # psi_1 - psi_0: the seed itself
     dropped = 0
@@ -235,13 +293,7 @@ def series_solution_with_report(
             break
         for m, c in term.items():
             psi[m] = psi.get(m, 0) + c
-    return GeneralizedSeries(lam, psi), SeriesReport(dropped=dropped, stationary_at=stationary_at)
-
-
-@dataclass(frozen=True)
-class SeriesReport:
-    dropped: int
-    stationary_at: int | None
+    return psi, SeriesReport(dropped=dropped, stationary_at=stationary_at)
 
 
 def termination_condition(spec: OdeSpec) -> TerminationResult:

@@ -64,6 +64,25 @@ class TestSl2:
 
 
 class TestBuildGenerators:
+    def test_generators_equal_validating_constructor(self):
+        """Zero coefficients drop out and the rest stay exact Fractions in
+        (dorder, xpow) order, as DiffOp(raw_terms) makes them."""
+        rng = random.Random(1717)
+        names = ("a0", "a2", "a4", "a6", "a7", "j")
+        specs = [OdeSpec(), HEUN_INSTANCE]
+        for _ in range(40):
+            zeroed = rng.sample(names, rng.randint(0, len(names)))
+            specs.append(dataclasses.replace(random_spec(rng), **{n: F(0) for n in zeroed}))
+        for spec in specs:
+            gens = build_generators(spec)
+            for got, raw in (
+                (gens.p_plus, [(spec.a0, 3, 2), (spec.a4, 2, 1), (spec.a7, 1, 0)]),
+                (gens.p_zero, [(1, 1, 1), (-spec.j, 0, 0)]),
+                (gens.p_minus, [(spec.a2, 1, 2), (spec.a6, 0, 1)]),
+            ):
+                assert got == DiffOp(raw), spec
+                assert all(type(t.coeff) is F and t.coeff != 0 for t in got.terms), spec
+
     def test_heun_instance_p_plus(self):
         gens = build_generators(HEUN_INSTANCE)
         assert gens.p_plus == DiffOp([(1, 3, 2), (F(3, 2), 2, 1), (2, 1, 0)])

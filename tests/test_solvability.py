@@ -358,6 +358,88 @@ def test_exactly_solvable_series_matches_oracle_at_512_terms():
     assert report == SeriesReport(dropped=0, stationary_at=None)
 
 
+def _bits128(rng, integer=False):
+    """A nonzero rational whose numerator (and denominator, unless integer) has 128 bits."""
+    while True:
+        num = rng.getrandbits(128) - 2**127
+        if num:
+            return F(num) if integer else F(num, rng.getrandbits(128) | 2**127)
+
+
+class TestLongBandWalk:
+    """400-step walks with 128-bit coefficients and lam of denominator 3."""
+
+    def test_descending_exact_branch_matches_oracle(self):
+        rng = random.Random(4001)
+        lam, lam2 = F(rng.choice((-5, -4, -2, -1, 1, 2, 4, 5)), 3), _bits128(rng)
+        a1 = _bits128(rng)
+        spec = OdeSpec(a1=a1, a2=_bits128(rng), a5=a1 * (1 - lam - lam2), a6=_bits128(rng),
+                       a8=a1 * lam * lam2)
+        series, report = series_solution_with_report(spec, lam, 400, 400)
+        assert series.shifts() == tuple(range(-400, 1))
+        assert series == hypergeometric_oracle(spec, lam, 401)
+        assert report == SeriesReport(dropped=0, stationary_at=None)
+
+    def test_ascending_qes_branch_residual_at_truncation_edge_only(self):
+        # integer coefficients keep the DiffOp.apply certificate to seconds:
+        # its cost is the gcds of the series' denominators
+        rng = random.Random(4002)
+        lam = F(rng.choice((-5, -4, -2, -1, 1, 2, 4, 5)), 3)
+        a0, a1, a4, a5, a7 = (_bits128(rng, integer=True) for _ in range(5))
+        spec = OdeSpec(a0=a0, a1=a1, a4=a4, a5=a5, a7=a7, a8=-(a1 * lam * (lam - 1) + a5 * lam))
+        series, report = series_solution_with_report(spec, lam, 400, 400)
+        assert series.shifts() == tuple(range(0, 401))
+        assert report == SeriesReport(dropped=0, stationary_at=None)
+        residual = full_operator(spec).apply(series)
+        assert residual.shifts() == (401,)
+        raising = spec.ladder_at(lam + 400)[0]
+        assert residual.coefficient_at(lam + 401) == raising * series.coefficient_at(lam + 400)
+
+
+@pytest.mark.parametrize("direction", (-1, 1))
+class TestBandWalkEdges:
+    """Pinned ends of a walk down (L only) or up (R only) from lam = 1/3."""
+
+    WINDOW = 5
+
+    def spec(self, direction, lam2=F(1, 2), stop_at=None):
+        """F(s) = (s - 1/3)(s - lam2), and the walk's ladder factor vanishes on
+        the branch only at shift stop_at (nowhere when stop_at is None)."""
+        lam = F(1, 3)
+        zero = F(1, 2) if stop_at is None else lam + stop_at
+        if direction < 0:  # L(s) = a2 s(s-1) + a6 s = s (s - zero)
+            ladder = {"a2": 1, "a6": 1 - zero}
+        else:  # R(s) = a4 s + a7 = s - zero
+            ladder = {"a4": 1, "a7": -zero}
+        return OdeSpec(a1=1, a5=1 - lam - lam2, a8=lam * lam2, **ladder), lam
+
+    def test_resonance_just_outside_the_window_raises(self, direction):
+        shift = direction * (self.WINDOW + 1)
+        spec, lam = self.spec(direction, lam2=F(1, 3) + shift)
+        with pytest.raises(ResonantExponentError,
+                           match=rf"exponent {lam + shift} \(shift {shift}\)"):
+            series_solution_with_report(spec, lam, 20, self.WINDOW)
+
+    def test_stepping_past_the_window_drops_one(self, direction):
+        spec, lam = self.spec(direction)
+        series, report = series_solution_with_report(spec, lam, 20, self.WINDOW)
+        assert report == SeriesReport(dropped=1, stationary_at=self.WINDOW)
+        assert set(series.shifts()) == {direction * m for m in range(self.WINDOW + 1)}
+
+    def test_ladder_zero_inside_the_window_drops_none(self, direction):
+        spec, lam = self.spec(direction, stop_at=direction * 2)
+        series, report = series_solution_with_report(spec, lam, 20, self.WINDOW)
+        assert report == SeriesReport(dropped=0, stationary_at=2)
+        assert set(series.shifts()) == {0, direction, 2 * direction}
+        assert full_operator(spec).apply(series).is_zero()
+
+    def test_iterations_run_out_first(self, direction):
+        spec, lam = self.spec(direction)
+        series, report = series_solution_with_report(spec, lam, self.WINDOW, self.WINDOW)
+        assert report == SeriesReport(dropped=0, stationary_at=None)
+        assert len(series.shifts()) == self.WINDOW + 1
+
+
 class TestNegativeSizes:
     def test_negative_iterations_rejected(self):
         spec = exact_branch_spec(F(1, 2), F(-1, 3))
