@@ -175,13 +175,11 @@ def require_castable(spec: OdeSpec) -> None:
 
 def full_operator(spec: OdeSpec) -> DiffOp:
     """f1 D^2 + f2 D + f3 as a canonical DiffOp (a3 included when present)."""
-    return DiffOp(
-        [
-            (spec.a0, 3, 2), (spec.a1, 2, 2), (spec.a2, 1, 2), (spec.a3, 0, 2),
-            (spec.a4, 2, 1), (spec.a5, 1, 1), (spec.a6, 0, 1),
-            (spec.a7, 1, 0), (spec.a8, 0, 0),
-        ]
-    )
+    return DiffOp._canonical({
+        (2, 3): spec.a0, (2, 2): spec.a1, (2, 1): spec.a2, (2, 0): spec.a3,
+        (1, 2): spec.a4, (1, 1): spec.a5, (1, 0): spec.a6,
+        (0, 1): spec.a7, (0, 0): spec.a8,
+    })
 
 
 def build_generators(spec: OdeSpec) -> GeneratorSet:
@@ -226,9 +224,9 @@ def cast_check(spec: OdeSpec) -> bool:
 
 def poly_of_op(p: Sequence[Fraction], op: DiffOp) -> DiffOp:
     """Evaluate a polynomial at an operator by Horner composition."""
-    result = DiffOp()
+    result = DiffOp._canonical({})
     for c in reversed(poly(p)):
-        result = result.compose(op) + DiffOp.term(c, 0, 0)
+        result = result.compose(op) + DiffOp._canonical({(0, 0): c})
     return result
 
 
@@ -285,24 +283,25 @@ def fit_diagonal_polynomial(op: DiffOp, j: RationalLike, max_degree: int) -> Pol
     return poly_shift(in_m, jf)
 
 
-def classify_deformation(spec: OdeSpec) -> str:
-    """'cubic' iff alpha1 != 0, else 'quadratic' iff beta1 != 0, else 'linear'.
+def _deformation_class(coeffs: DeformationCoeffs) -> tuple[str, bool]:
+    """(class, abelian): 'cubic' iff alpha1 != 0, else 'quadratic' iff beta1 != 0,
+    else 'linear'; abelian iff [P+, P-] = 0, all four coefficients zero.
 
     alpha1 = -4 a0 a2 carries no j, and when it vanishes beta1 = -3(a2 a4 + a0 a6)
     is j-free too, so the class does not depend on the spin label.
     """
-    coeffs = deformation_coefficients(spec)
-    if coeffs.alpha1 != 0:
-        return "cubic"
-    if coeffs.beta1 != 0:
-        return "quadratic"
-    return "linear"
+    kind = "cubic" if coeffs.alpha1 else "quadratic" if coeffs.beta1 else "linear"
+    return kind, not coeffs.as_poly()
+
+
+def classify_deformation(spec: OdeSpec) -> str:
+    """The class of [P+, P-]: 'cubic', 'quadratic' or 'linear' (_deformation_class)."""
+    return _deformation_class(deformation_coefficients(spec))[0]
 
 
 def is_abelian(spec: OdeSpec) -> bool:
     """[P+, P-] = 0 identically (all four deformation coefficients vanish)."""
-    c = deformation_coefficients(spec)
-    return c.alpha1 == 0 and c.beta1 == 0 and c.gamma1 == 0 and c.delta1 == 0
+    return _deformation_class(deformation_coefficients(spec))[1]
 
 
 def _casimir_in_m(spec: OdeSpec) -> Poly:
@@ -326,7 +325,7 @@ def _diagonal_operator(p_in_m: Sequence[Fraction]) -> DiffOp:
         for k, s in enumerate(stirling):
             newton[k] += c * s
         stirling = [k * s + t for k, (s, t) in enumerate(zip(stirling + [0], [0] + stirling))]
-    return DiffOp([(c, k, k) for k, c in enumerate(newton)])
+    return DiffOp._canonical({(k, k): c for k, c in enumerate(newton)})
 
 
 def casimir(spec: OdeSpec, m_range: int = 10) -> CasimirResult:

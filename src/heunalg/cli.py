@@ -25,12 +25,11 @@ from typing import Sequence
 from .algebra import (
     DeformationCoeffs,
     OdeSpec,
+    _deformation_class,
     cast_check,
     casimir,
-    classify_deformation,
     deformation_coefficients,
     full_operator,
-    is_abelian,
 )
 from .errors import (
     DegenerateDiagonalError,
@@ -131,11 +130,11 @@ def _deformation(coeffs: DeformationCoeffs) -> dict[str, str]:
 
 def cmd_classify(args: argparse.Namespace) -> int:
     spec = read_spec_file(args.specfile)
-    kind = classify_deformation(spec)
-    deformation = _deformation(deformation_coefficients(spec))
+    coeffs = deformation_coefficients(spec)
+    kind, abelian = _deformation_class(coeffs)
+    deformation = _deformation(coeffs)
     cas = casimir(spec)
     ok = cast_check(spec)
-    abelian = is_abelian(spec)
     payload = {
         "file": str(args.specfile),
         "j": str(spec.j),

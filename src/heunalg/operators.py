@@ -170,7 +170,7 @@ class DiffOp:
                 for t in terms:
                     key = m + t.xpow - k
                     acc[key] = acc.get(key, 0) + t.coeff * weight
-        return GeneralizedSeries(series.base, acc)
+        return GeneralizedSeries._canonical(series.base, acc)
 
     def apply_to_monomial(self, exponent: RationalLike) -> "GeneralizedSeries":
         return self.apply(GeneralizedSeries.monomial(exponent))
@@ -228,11 +228,19 @@ class GeneralizedSeries:
         for m, c in (coeffs or {}).items():
             if type(m) is not int:
                 raise ValueError(f"series shifts must be integers, got {m!r}")
-            frac = as_fraction(c)
-            if frac != 0:
-                clean[m] = frac
-        object.__setattr__(self, "_base", as_fraction(base))
-        object.__setattr__(self, "_coeffs", dict(sorted(clean.items())))
+            clean[m] = as_fraction(c)
+        canonical = GeneralizedSeries._canonical(as_fraction(base), clean)
+        object.__setattr__(self, "_base", canonical._base)
+        object.__setattr__(self, "_coeffs", canonical._coeffs)
+
+    @staticmethod
+    def _canonical(base: Fraction, coeffs: Mapping[int, Fraction]) -> "GeneralizedSeries":
+        """The series sum coeffs[m] x^(base+m), from integer shifts and Fraction
+        coefficients; shifts are sorted and zeros dropped."""
+        series = object.__new__(GeneralizedSeries)
+        object.__setattr__(series, "_base", base)
+        object.__setattr__(series, "_coeffs", {m: coeffs[m] for m in sorted(coeffs) if coeffs[m]})
+        return series
 
     @staticmethod
     def monomial(exponent: RationalLike, coeff: RationalLike = 1) -> "GeneralizedSeries":
@@ -287,14 +295,14 @@ class GeneralizedSeries:
         for m, c in other._coeffs.items():
             key = m + shift
             merged[key] = merged.get(key, Fraction(0)) + c
-        return GeneralizedSeries(self._base, merged)
+        return GeneralizedSeries._canonical(self._base, merged)
 
     def __sub__(self, other: "GeneralizedSeries") -> "GeneralizedSeries":
         return self + other.scale(-1)
 
     def scale(self, factor: RationalLike) -> "GeneralizedSeries":
         f = as_fraction(factor)
-        return GeneralizedSeries(self._base, {m: f * c for m, c in self._coeffs.items()})
+        return GeneralizedSeries._canonical(self._base, {m: f * c for m, c in self._coeffs.items()})
 
     def __str__(self) -> str:
         if not self._coeffs:

@@ -231,7 +231,7 @@ def series_solution_with_report(
         psi, report = _neumann_sweep(spec, lam, iterations, window)
     else:
         psi, report = _band_walk(spec, lam, 2 if lowering else 0, iterations, window)
-    return GeneralizedSeries(lam, psi), report
+    return GeneralizedSeries._canonical(lam, psi), report
 
 
 def _band_walk(
@@ -396,8 +396,7 @@ def polynomial_solution(spec: OdeSpec, degree: int) -> PolynomialSolutionResult:
     verified = True
     op = full_operator(spec)
     for vec in basis:
-        series = GeneralizedSeries(0, {m: c for m, c in enumerate(vec)})
-        if not op.apply(series).is_zero():
+        if not op.apply(GeneralizedSeries._canonical(Fraction(0), dict(enumerate(vec)))).is_zero():
             verified = False
     spectral: tuple[Fraction, ...] = ()
     if not basis:

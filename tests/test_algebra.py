@@ -1,6 +1,7 @@
 """Generator construction, deformation coefficients, Casimir."""
 
 import dataclasses
+import math
 import random
 from fractions import Fraction as F
 
@@ -66,7 +67,8 @@ class TestSl2:
 class TestBuildGenerators:
     def test_generators_equal_validating_constructor(self):
         """Zero coefficients drop out and the rest stay exact Fractions in
-        (dorder, xpow) order, as DiffOp(raw_terms) makes them."""
+        (dorder, xpow) order, as DiffOp(raw_terms) makes them; the same holds
+        for full_operator and casimir_operator."""
         rng = random.Random(1717)
         names = ("a0", "a2", "a4", "a6", "a7", "j")
         specs = [OdeSpec(), HEUN_INSTANCE]
@@ -75,10 +77,21 @@ class TestBuildGenerators:
             specs.append(dataclasses.replace(random_spec(rng), **{n: F(0) for n in zeroed}))
         for spec in specs:
             gens = build_generators(spec)
+            # C's diagonal part acts on x^m by G(m) = a6 a7 - R(m) L(m+1), a quartic;
+            # its x^k D^k coefficient is the k-th forward difference of G at 0 over k!
+            g = [spec.a6 * spec.a7 - spec.ladder_at(m)[0] * spec.ladder_at(m + 1)[2] for m in range(5)]
+            diagonal = []
+            for k in range(5):
+                diagonal.append((g[0] / math.factorial(k), k, k))
+                g = [b - a for a, b in zip(g, g[1:])]
             for got, raw in (
                 (gens.p_plus, [(spec.a0, 3, 2), (spec.a4, 2, 1), (spec.a7, 1, 0)]),
                 (gens.p_zero, [(1, 1, 1), (-spec.j, 0, 0)]),
                 (gens.p_minus, [(spec.a2, 1, 2), (spec.a6, 0, 1)]),
+                (full_operator(spec), [(spec.a0, 3, 2), (spec.a1, 2, 2), (spec.a2, 1, 2), (spec.a3, 0, 2),
+                                       (spec.a4, 2, 1), (spec.a5, 1, 1), (spec.a6, 0, 1),
+                                       (spec.a7, 1, 0), (spec.a8, 0, 0)]),
+                (casimir_operator(spec), [*gens.p_minus.compose(gens.p_plus).terms, *diagonal]),
             ):
                 assert got == DiffOp(raw), spec
                 assert all(type(t.coeff) is F and t.coeff != 0 for t in got.terms), spec

@@ -1,6 +1,6 @@
 """Every module of the package, every test module and every demo uses each
-name it imports, every private function of the package has a caller in the
-package itself, no function is written out twice, and every package class a
+name it imports, every private function and method of the package has a
+caller in the package itself, no function is written out twice, and every package class a
 public function returns is exported by the package."""
 
 import ast
@@ -44,9 +44,11 @@ def _referenced_names(tree):
 
 @pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
 def test_every_private_function_is_used_by_the_package(path):
-    """A private helper that only tests call is dead code."""
+    """A private helper, module-level or a method of a package class, that
+    only tests call is dead code."""
     tree = ast.parse(path.read_text(encoding="utf-8"))
-    private = {node.name for node in tree.body
+    methods = [node for cls in tree.body if isinstance(cls, ast.ClassDef) for node in cls.body]
+    private = {node.name for node in tree.body + methods
                if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
                and node.name.startswith("_") and not node.name.startswith("__")}
     used = {name for module in PACKAGE.glob("*.py")

@@ -7,7 +7,16 @@ from fractions import Fraction as F
 
 import pytest
 
-from heunalg import DiffOp, GeneralizedSeries, IncompatibleBranchError, commutator, falling_factorial
+from heunalg import (
+    DiffOp,
+    GeneralizedSeries,
+    IncompatibleBranchError,
+    OdeSpec,
+    ResonantExponentError,
+    commutator,
+    falling_factorial,
+    series_solution_with_report,
+)
 
 D = DiffOp.term(1, 0, 1)
 X = DiffOp.term(1, 1, 0)
@@ -190,6 +199,58 @@ def test_duplicate_terms_merge_and_cancel():
     for left, right, factor in ((a, b, 2), (b, a, F(1, 3)), (a, DiffOp(), 0),
                                 (DiffOp(), b, -1), (D, X, "1/2"), (X, D, 1)):
         assert_matches_init(left, right, factor)
+
+
+def assert_canonical_series(series):
+    """What the validating GeneralizedSeries(...) makes of the same items:
+    strictly ascending shifts and exact nonzero Fraction coefficients."""
+    assert series == GeneralizedSeries(series.base, dict(series.items())), series
+    shifts = series.shifts()
+    assert all(a < b for a, b in zip(shifts, shifts[1:])), series
+    assert type(series.base) is F, series
+    assert all(type(c) is F and c != 0 for _, c in series.items()), series
+
+
+def test_every_series_producer_is_canonical():
+    """series_solution_with_report on ascending, descending and two-sided
+    specs, DiffOp.apply, + and scale, including results that cancel."""
+    rng = random.Random(2318)
+
+    def nonzero():
+        return F(rng.choice((-1, 1)) * rng.randint(1, 6), rng.randint(1, 3))
+
+    results, walked = [], {"ascending": 0, "descending": 0, "two-sided": 0}
+    for shape in list(walked) * 40:
+        lam, other, a1 = nonzero(), nonzero(), nonzero()
+        c = dict(a1=a1, a5=a1 * (1 - lam - other), a8=a1 * lam * other)
+        if shape != "descending":  # R = a0 s^2 + (a4 - a0) s + a7
+            c.update(a0=nonzero(), a4=nonzero(), a7=nonzero())
+        if shape != "ascending":  # L = a2 s^2 + (a6 - a2) s
+            c.update(a2=nonzero(), a6=nonzero())
+        try:
+            series, _ = series_solution_with_report(
+                OdeSpec(**c), lam, rng.randint(1, 30), rng.choice((None, 3, 10)))
+        except ResonantExponentError:
+            continue
+        walked[shape] += len(series.shifts()) > 2
+        results.append(series)
+    assert min(walked.values()) > 0, walked
+
+    xd_minus_2 = DiffOp([(1, 1, 1), (-2, 0, 0)])  # annihilates x^2
+    cancelled = xd_minus_2.apply(GeneralizedSeries(0, {3: 1, 2: 5, 4: F(1, 2)}))
+    assert cancelled.shifts() == (3, 4)
+    results.append(cancelled)
+    for _ in range(100):
+        op = rand_op(rng)
+        a = GeneralizedSeries(rng.choice((F(0), F(1, 2), F(-7, 3))),
+                              {rng.randint(-5, 5): _rational(rng, 4) for _ in range(rng.randint(0, 6))})
+        b = GeneralizedSeries(a.base + rng.randint(-2, 2),
+                              {rng.randint(-5, 5): rng.randint(-2, 2) for _ in range(rng.randint(0, 6))})
+        zero_sum, zero_scale = a + a.scale(-1), a.scale(0)
+        assert zero_sum.is_zero() and zero_scale.is_zero()
+        results += [op.apply(a), a + b, a - b, a.scale(_rational(rng, 4)), zero_sum, zero_scale]
+    for series in results:
+        assert_canonical_series(series)
 
 
 def test_series_add_and_scale():
