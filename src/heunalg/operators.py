@@ -14,15 +14,15 @@ Series are finite collections of terms ``c_m * x^(rho+m)`` with a rational
 base exponent ``rho`` and integer shifts ``m`` (possibly negative).  The
 action of an operator term on ``x^sigma`` is the falling factorial rule
 ``x^p D^k x^sigma = sigma(sigma-1)...(sigma-k+1) x^(sigma-k+p)``, which is
-total for any rational ``sigma``.
+total for any rational ``sigma``.  ``DiffOp.apply`` groups the terms by
+offset ``p - k`` and works each offset's weight out in integers, so a
+monomial costs one ``Fraction`` per offset, not one per term.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from itertools import groupby
-from operator import attrgetter
 from typing import Iterable, Iterator, Mapping, NamedTuple, Union
 
 from .errors import IncompatibleBranchError
@@ -39,16 +39,22 @@ def as_fraction(value: RationalLike) -> Fraction:
     raise TypeError(f"expected an exact rational (int, str or Fraction), got {type(value).__name__}")
 
 
+def _falling_products(n: int, d: int, k: int) -> list[int]:
+    """[P_0, ..., P_k] with P_i = (n)(n-d)...(n-(i-1)d): sigma = n/d has
+    sigma(sigma-1)...(sigma-i+1) = P_i / d^i."""
+    out = [1]
+    for i in range(k):
+        out.append(out[-1] * (n - i * d))
+    return out
+
+
 def falling_factorial(sigma: Fraction, k: int) -> Fraction:
     """sigma(sigma-1)...(sigma-k+1); the empty product (k=0) is 1.
 
     With sigma = n/d this is (n)(n-d)...(n-(k-1)d) / d^k, made in integers.
     """
-    n, d = sigma.numerator, sigma.denominator
-    out = 1
-    for i in range(k):
-        out *= n - i * d
-    return Fraction(out, d**k)
+    d = sigma.denominator
+    return Fraction(_falling_products(sigma.numerator, d, k)[k], d**k)
 
 
 class OpTerm(NamedTuple):
@@ -154,22 +160,35 @@ class DiffOp:
         return DiffOp._canonical(acc)
 
     def apply(self, series: "GeneralizedSeries") -> "GeneralizedSeries":
-        """Exact action on a generalized series, term by term.
+        """Exact action on a generalized series, one weight per monomial and offset.
 
-        c x^sigma is sent by every term of derivative order k through the same
-        weight c * sigma(sigma-1)...(sigma-k+1), worked out once per order.
+        A term x^p D^k sends c x^sigma to c sigma(sigma-1)...(sigma-k+1) at
+        offset p - k.  With sigma = n/d, the terms at one offset add up to the
+        weight W(sigma) = N(n) / (den d^K): den is the common denominator of
+        that offset's coefficients, K the top derivative order, and N an
+        integer sum of the falling products (n)(n-d)...(n-(k-1)d), which every
+        offset shares.  Each nonzero weight makes one Fraction, and W c goes
+        to the output.
         """
-        orders = [(k, tuple(terms)) for k, terms in groupby(self._terms, attrgetter("dorder"))]
+        d = series.base.denominator
+        top = max((t.dorder for t in self._terms), default=0)
+        by_offset: dict[int, list[OpTerm]] = {}
+        for t in self._terms:
+            by_offset.setdefault(t.xpow - t.dorder, []).append(t)
+        weights: list[tuple[int, int, list[tuple[int, int]]]] = []  # (offset, den d^K, [(num, k)])
+        for offset, terms in by_offset.items():
+            den = math.lcm(*(t.coeff.denominator for t in terms))
+            weights.append((offset, den * d**top, [
+                (t.coeff.numerator * (den // t.coeff.denominator) * d ** (top - t.dorder), t.dorder)
+                for t in terms]))
         acc: dict[int, Fraction] = {}
         for m, c in series.items():
-            sigma = series.base + m
-            for k, terms in orders:
-                weight = c * falling_factorial(sigma, k)
-                if not weight:
-                    continue
-                for t in terms:
-                    key = m + t.xpow - k
-                    acc[key] = acc.get(key, 0) + t.coeff * weight
+            falling = _falling_products(series.base.numerator + m * d, d, top)
+            for offset, weight_den, terms in weights:
+                weight_num = sum(num * falling[k] for num, k in terms)
+                if weight_num:
+                    key = m + offset
+                    acc[key] = acc.get(key, 0) + Fraction(weight_num, weight_den) * c
         return GeneralizedSeries._canonical(series.base, acc)
 
     def apply_to_monomial(self, exponent: RationalLike) -> "GeneralizedSeries":

@@ -314,21 +314,32 @@ def _polynomial_nullspace(spec: OdeSpec, table: list[tuple[Fraction, ...]]) -> l
     spec.ladder_polys(), not at the sampled s) is the pivot band: walking
     down from c_(degree+1) = 0, its row fixes each coefficient by one division.
     At the band's zeros in 0..degree (every column for the zero operator) the
-    coefficient is a free parameter and its row becomes a constraint.  Any
-    other column has its band entry below the reach of earlier columns, so it
-    is a pivot column and free columns sit only at parameters.  One downward
-    pass per parameter z gives a vector on x^0..x^z whose image vanishes off
-    the constraint rows; reducing the images in parameter order against the
-    parameters that are not free leaves the reduced-echelon basis.
+    coefficient is a free parameter.  Any other column c is a pivot column,
+    whose band row c + 1 - band holds its band entry below the reach of
+    earlier columns.  One downward pass per parameter z gives a vector on
+    x^0..x^z whose image vanishes on every pivot column's band row: the pass
+    zeroes those of the pivot columns below z, and those of the pivot columns
+    above z read only coefficients above z, which are zero, or entries of the
+    bands before the pivot band, which vanish identically.  So the image is
+    computed only on the other rows of 0..degree+1, the constraint rows.
+    They include rows that no free column owns: row 0 under R, rows degree
+    and degree+1 under L.  Reducing the images in parameter order against
+    the parameters that are not free leaves the reduced-echelon basis.
     """
     degree = len(table) - 1
     band = next((k for k, p in enumerate(spec.ladder_polys()) if p), 0)  # R, else F, else L
     pivot = [factors[band] for factors in table]
+    pivot_rows = {c + 1 - band for c in range(degree + 1) if pivot[c]}
+    constraint_rows = [r for r in range(degree + 2) if r not in pivot_rows]
 
     def row(vec: list[Fraction], r: int) -> Fraction:
         """Coefficient of x^r in the image of sum vec[s] x^s."""
-        return sum((table[r - 1 + k][k] * vec[r - 1 + k]
-                    for k in range(3) if 0 <= r - 1 + k <= degree), Fraction(0))
+        total = Fraction(0)
+        for s in range(max(r - 1, 0), min(r + 2, degree + 1)):
+            entry = table[s][s + 1 - r]
+            if entry and vec[s]:
+                total += entry * vec[s]
+        return total
 
     basis: list[list[Fraction]] = []
     reduced: list[tuple[list[Fraction], list[Fraction], int]] = []
@@ -339,12 +350,12 @@ def _polynomial_nullspace(spec: OdeSpec, table: list[tuple[Fraction, ...]]) -> l
             if pivot[c]:
                 # the band's row for c is c+1 under R, c under F and c-1 under L
                 vec[c] = -row(vec, c + 1 - band) / pivot[c]
-        image = [row(vec, r) for r in range(degree + 2)]
+        image = [row(vec, r) for r in constraint_rows]
         for p_vec, p_image, lead in reduced:
             scale = image[lead] / p_image[lead]
             vec = [a - scale * b for a, b in zip(vec, p_vec)]
             image = [a - scale * b for a, b in zip(image, p_image)]
-        lead = next((r for r, v in enumerate(image) if v), None)
+        lead = next((i for i, v in enumerate(image) if v), None)
         if lead is None:
             basis.append(vec)
         else:

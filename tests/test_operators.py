@@ -253,6 +253,38 @@ def test_every_series_producer_is_canonical():
         assert_canonical_series(series)
 
 
+def test_grouped_apply_edges_match_the_per_term_loop():
+    """Terms that share an offset and cancel at a node, derivative orders up
+    to 8 with several orders per offset, 256-bit coefficients, negative and
+    non-integer bases, the empty operator and the zero series."""
+    rng = random.Random(2319)
+    xd_minus_2 = DiffOp([(1, 1, 1), (-2, 0, 0)])  # x D - 2 annihilates x^2
+    x2d2_minus_xd = DiffOp([(1, 2, 2), (-1, 1, 1)])  # x^2 D^2 - x D annihilates x^2
+    for op in (xd_minus_2, x2d2_minus_xd):
+        assert op.apply(GeneralizedSeries.monomial(2)).is_zero()
+        assert op.apply(GeneralizedSeries(0, {1: 3, 2: 5, 3: F(1, 2)})).shifts() == (1, 3)
+    cases = [(xd_minus_2, GeneralizedSeries(F(-3), {5: 1, 4: F(2, 7)})),
+             (x2d2_minus_xd, GeneralizedSeries(F(-1, 2), {0: 1, 5: 2})),
+             (DiffOp(), GeneralizedSeries(F(-7, 3), {0: 1, 2: 3})),
+             (DiffOp.term(F(2**255 + 1, 3), 8, 8), GeneralizedSeries(F(5, 2), {})),
+             (DiffOp(), GeneralizedSeries(0, {}))]
+    for _ in range(150):
+        # terms x^(offset + k) D^k at a few offsets, so that orders share them
+        offsets = rng.sample(range(-3, 4), rng.randint(1, 3))
+        op = DiffOp([(_rational(rng, rng.choice((4, 256))), offset + k, k)
+                     for offset in offsets for k in rng.sample(range(9), rng.randint(1, 5))
+                     if offset + k >= 0])
+        base = rng.choice((F(rng.randint(-9, -1)), _rational(rng, 3), -abs(_rational(rng, 64))))
+        series = GeneralizedSeries(base, {rng.randint(-6, 9): _rational(rng, rng.choice((4, 256)))
+                                          for _ in range(rng.randint(0, 6))})
+        cases.append((op, series))
+    for op, series in cases:
+        got = op.apply(series)
+        assert got == reference_apply(op, series), (op, series)
+        assert got.base == series.base
+        assert_canonical_series(got)
+
+
 def test_series_add_and_scale():
     x2 = GeneralizedSeries.monomial(2)
     assert x2 + x2.scale(3) == GeneralizedSeries.monomial(2, 4)

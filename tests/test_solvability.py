@@ -381,11 +381,23 @@ class TestLongBandWalk:
         assert report == SeriesReport(dropped=0, stationary_at=None)
 
     def test_ascending_qes_branch_residual_at_truncation_edge_only(self):
-        # integer coefficients keep the DiffOp.apply certificate to seconds:
-        # its cost is the gcds of the series' denominators
+        # integer coefficients; the rational case is the test below
         rng = random.Random(4002)
         lam = F(rng.choice((-5, -4, -2, -1, 1, 2, 4, 5)), 3)
         a0, a1, a4, a5, a7 = (_bits128(rng, integer=True) for _ in range(5))
+        spec = OdeSpec(a0=a0, a1=a1, a4=a4, a5=a5, a7=a7, a8=-(a1 * lam * (lam - 1) + a5 * lam))
+        series, report = series_solution_with_report(spec, lam, 400, 400)
+        assert series.shifts() == tuple(range(0, 401))
+        assert report == SeriesReport(dropped=0, stationary_at=None)
+        residual = full_operator(spec).apply(series)
+        assert residual.shifts() == (401,)
+        raising = spec.ladder_at(lam + 400)[0]
+        assert residual.coefficient_at(lam + 401) == raising * series.coefficient_at(lam + 400)
+
+    def test_ascending_qes_branch_with_rational_coefficients_certifies(self):
+        rng = random.Random(4003)
+        lam = F(rng.choice((-5, -4, -2, -1, 1, 2, 4, 5)), 3)
+        a0, a1, a4, a5, a7 = (_bits128(rng) for _ in range(5))
         spec = OdeSpec(a0=a0, a1=a1, a4=a4, a5=a5, a7=a7, a8=-(a1 * lam * (lam - 1) + a5 * lam))
         series, report = series_solution_with_report(spec, lam, 400, 400)
         assert series.shifts() == tuple(range(0, 401))

@@ -260,6 +260,53 @@ def test_recurrence_nullspace_on_each_branch(base):
         assert {0, 1} <= dims <= {0, 1, 2}, dims
 
 
+def _band_edge_spec(rng, band, degree):
+    """A spec whose pivot band is R (0), F (1), L (2) or none (3, the zero
+    operator), with the band's zeros planted on integer columns of 0..degree."""
+    def small():
+        return F(rng.choice((-1, 1)) * rng.randint(1, 4), rng.choice((1, 2)))
+
+    if band == 3:
+        return OdeSpec()
+    z1, z2 = rng.randint(0, degree), rng.randint(0, degree)
+    if band == 2:  # L(s) = a2 s(s-1) + a6 s = a2 s (s - z1), or a6 s
+        a2 = small() if rng.random() < 0.7 else F(0)
+        return OdeSpec(a2=a2, a6=a2 * (1 - z1) if a2 else small())
+    c = {}
+    if rng.random() < 0.7:  # L(s) = a2 s(s-1) + a6 s
+        c.update(a2=small(), a6=small())
+    if band == 1:  # F(s) = a1 s(s-1) + a5 s + a8 = a1 (s - z1)(s - z2)
+        a1 = small()
+        return OdeSpec(a1=a1, a5=a1 * (1 - z1 - z2), a8=a1 * z1 * z2, **c)
+    # with no L and a8 = 0, row 0 of the image vanishes
+    c.update(a1=small(), a5=small(), a8=small() if rng.random() < 0.7 else F(0))
+    if rng.random() < 0.3:  # R(s) = a4 s + a7 = a4 (s - z1)
+        a4 = small()
+        return OdeSpec(a4=a4, a7=-a4 * z1, **c)
+    a0 = small()  # R(s) = a0 s(s-1) + a4 s + a7 = a0 (s - z1)(s - z2)
+    return OdeSpec(a0=a0, a4=a0 * (1 - z1 - z2), a7=a0 * z1 * z2, **c)
+
+
+def test_recurrence_nullspace_on_rows_no_free_column_owns():
+    """A free column z owns band row z + 1 under R and z - 1 under L, where its
+    own vector's image vanishes.  Row 0 under R, and rows degree and degree+1
+    under L, belong to no column: with one free column under R, row 0 is the
+    only constraint that can bite.  The fixed case has R(6) = 0, F(0) != 0."""
+    rng = random.Random(1910)
+    cases = [(OdeSpec(a0=-1, a1=F(-1, 2), a5=1, a7=30, a8=F(-3, 2)), 6)]
+    cases += [(_band_edge_spec(rng, band, degree), degree)
+              for band in range(4) for degree in range(17) for _ in range(6)]
+    one_free_column_under_r = {True: 0, False: 0}  # keyed by whether row 0 vanished
+    for spec, degree in cases:
+        want = reference_gauss_nullspace(reference_operator_matrix(spec, degree))
+        table = [spec.ladder_at(s) for s in range(degree + 1)]
+        assert _polynomial_nullspace(spec, table) == want, (spec, degree)
+        assert polynomial_solution(spec, degree).verified, (spec, degree)
+        if spec.ladder_polys()[0] and sum(1 for r, _, _ in table if r == 0) == 1:
+            one_free_column_under_r[bool(want)] += 1
+    assert min(one_free_column_under_r.values()) >= 5, one_free_column_under_r
+
+
 # -- rational_roots -------------------------------------------------------------------
 
 
