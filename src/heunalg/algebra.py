@@ -32,27 +32,22 @@ against the commutator polynomial, and C is built as P- o P+ plus the
 diagonal sum c_k x^k D^k over G's Newton coefficients c_k at m = 0, 1, 2, ...;
 fit_diagonal_polynomial reads such coefficients back off a diagonal
 operator.  One Taylor shift by j rewrites a result as a polynomial in P0.
+
+This polynomial work runs on integer numerators over one denominator per
+polynomial, with one Fraction per coefficient a call returns.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from itertools import zip_longest
 from typing import Sequence
 
 from .errors import DiagonalFitError, NotCastableError
 from .operators import DiffOp, RationalLike, as_fraction, commutator
-from .polynomials import (
-    Poly,
-    poly,
-    poly_add,
-    poly_mul,
-    poly_padded,
-    poly_scale,
-    poly_shift,
-)
+from .polynomials import Poly, _integer_shift, _over_lcm, _shift_over, poly, poly_padded, poly_shift
 
 
 @dataclass(frozen=True)
@@ -93,8 +88,7 @@ class OdeSpec:
     def _ladder_integer(self) -> tuple[tuple[int, tuple[int, ...], int], ...]:
         out = []
         for p in self._ladder:
-            den = math.lcm(*(c.denominator for c in p))
-            nums = [c.numerator * (den // c.denominator) for c in reversed(p)] or [0]
+            nums, den = _over_lcm(p[::-1] or (0,))
             out.append((nums[0], tuple(nums[1:]), den))
         return tuple(out)
 
@@ -230,21 +224,23 @@ def poly_of_op(p: Sequence[Fraction], op: DiffOp) -> DiffOp:
     return result
 
 
-def _base_commutator_poly(spec: OdeSpec) -> Poly:
-    """[P+, P-] acts on x^m by a cubic in m; these are its m-coefficients."""
-    a0, a2, a4, a6, a7 = spec.a0, spec.a2, spec.a4, spec.a6, spec.a7
+def _base_commutator_poly(spec: OdeSpec) -> tuple[list[int], int]:
+    """[P+, P-] acts on x^m by a cubic in m; its m-coefficients, ascending, as
+    integer numerators over the product of P+'s and P-'s common denominators."""
+    (a0, a4, a7), plus = _over_lcm((spec.a0, spec.a4, spec.a7))
+    (a2, a6), minus = _over_lcm((spec.a2, spec.a6))
     k3 = -4 * a0 * a2
     k2 = 6 * a0 * a2 - 3 * a2 * a4 - 3 * a0 * a6
     k1 = -2 * a0 * a2 + 3 * a0 * a6 - 2 * a4 * a6 - 2 * a2 * a7 + a2 * a4
     k0 = -a6 * a7
-    return poly((k0, k1, k2, k3))
+    return [k0, k1, k2, k3], plus * minus
 
 
 def deformation_coefficients(spec: OdeSpec) -> DeformationCoeffs:
     """Closed-form (alpha1, beta1, gamma1, delta1); the Taylor shift of the
     j-free commutator eigenvalue polynomial by j."""
     require_castable(spec)
-    return DeformationCoeffs.from_poly(poly_shift(_base_commutator_poly(spec), spec.j))
+    return DeformationCoeffs.from_poly(_shift_over(*_base_commutator_poly(spec), spec.j))
 
 
 def fit_diagonal_polynomial(op: DiffOp, j: RationalLike, max_degree: int) -> Poly:
@@ -274,13 +270,13 @@ def fit_diagonal_polynomial(op: DiffOp, j: RationalLike, max_degree: int) -> Pol
     degree = max(newton, default=-1)
     if degree > max_degree:
         raise DiagonalFitError(f"eigenvalues are not polynomial of degree <= {max_degree}")
-    in_m: list[Fraction] = []
+    newton_nums, den = _over_lcm([newton.get(k, 0) for k in range(degree + 1)])
+    in_m: list[int] = []  # numerators over den
     for k in range(degree, -1, -1):  # in_m = in_m * (m - k) + c_k
-        in_m = [Fraction(0)] + in_m
+        in_m = [newton_nums[k]] + in_m
         for i in range(len(in_m) - 1):
             in_m[i] -= k * in_m[i + 1]
-        in_m[0] += newton.get(k, 0)
-    return poly_shift(in_m, jf)
+    return _shift_over(in_m, den, jf)
 
 
 def _deformation_class(coeffs: DeformationCoeffs) -> tuple[str, bool]:
@@ -304,28 +300,37 @@ def is_abelian(spec: OdeSpec) -> bool:
     return _deformation_class(deformation_coefficients(spec))[1]
 
 
-def _casimir_in_m(spec: OdeSpec) -> Poly:
-    """G(m) = a6 a7 - R(m) L(m+1), the eigenvalue of g(P0) on x^m.
+def _casimir_in_m(spec: OdeSpec) -> tuple[list[int], int]:
+    """G(m) = a6 a7 - R(m) L(m+1), the eigenvalue of g(P0) on x^m, ascending,
+    as integer numerators over the product of R's and L's denominators.
 
     P- P+ acts on x^m by R(m) L(m+1), so C = P- P+ + g(P0) acts on every x^m
-    by a6*a7 when g(m - j) = G(m).
+    by a6*a7 when g(m - j) = G(m).  a6 a7 = R(0) L(1) is the product's
+    constant term, so G has none.
     """
     require_castable(spec)
-    raising, _, lowering = spec.ladder_polys()
-    ladder_product = poly_mul(raising, poly_shift(lowering, Fraction(1)))
-    return poly_add((spec.a6 * spec.a7,), poly_scale(ladder_product, Fraction(-1)))
+    (r_lead, r_rest, r_den), _, (l_lead, l_rest, l_den) = spec._ladder_integer
+    raising = (r_lead, *r_rest)[::-1]
+    lowering = _integer_shift((l_lead, *l_rest)[::-1], 1)
+    g_in_m = [0] * (len(raising) + len(lowering) - 1)
+    for i, a in enumerate(raising):
+        for k, b in enumerate(lowering):
+            g_in_m[i + k] -= a * b
+    g_in_m[0] = 0
+    return g_in_m, r_den * l_den
 
 
-def _diagonal_operator(p_in_m: Sequence[Fraction]) -> DiffOp:
-    """sum c_k x^k D^k, acting on every x^m by p(m), which fit_diagonal_polynomial
-    reads back; m^n = sum_k S(n, k) m(m-1)...(m-k+1), with S the Stirling
-    numbers of the second kind, gives the Newton coefficients c_k."""
-    newton, stirling = [Fraction(0)] * len(p_in_m), [1]  # S(n, 0..n)
-    for c in p_in_m:
+def _diagonal_operator(nums: Sequence[int], den: int) -> DiffOp:
+    """sum c_k x^k D^k, acting on every x^m by p(m) = sum nums_n m^n / den,
+    which fit_diagonal_polynomial reads back; m^n = sum_k S(n, k)
+    m(m-1)...(m-k+1), with S the Stirling numbers of the second kind, gives the
+    Newton coefficients c_k, one Fraction each."""
+    newton, stirling = [0] * len(nums), [1]  # S(n, 0..n)
+    for c in nums:
         for k, s in enumerate(stirling):
             newton[k] += c * s
         stirling = [k * s + t for k, (s, t) in enumerate(zip(stirling + [0], [0] + stirling))]
-    return DiffOp._canonical({(k, k): c for k, c in enumerate(newton)})
+    return DiffOp._canonical({(k, k): Fraction(c, den) for k, c in enumerate(newton) if c})
 
 
 def casimir(spec: OdeSpec, m_range: int = 10) -> CasimirResult:
@@ -342,17 +347,19 @@ def casimir(spec: OdeSpec, m_range: int = 10) -> CasimirResult:
     """
     if m_range < 0:
         raise ValueError("m_range must be nonnegative")
-    g_in_m = _casimir_in_m(spec)
-    difference = poly_add(g_in_m, poly_scale(poly_shift(g_in_m, Fraction(-1)), Fraction(-1)))
-    is_scalar = difference == _base_commutator_poly(spec)
-    return CasimirResult(poly_shift(g_in_m, spec.j), spec.a6 * spec.a7, is_scalar)
+    g_in_m, g_den = _casimir_in_m(spec)
+    commutator_in_m, c_den = _base_commutator_poly(spec)
+    difference = [g - h for g, h in zip(g_in_m, _integer_shift(g_in_m, -1))]
+    is_scalar = all(d * c_den == c * g_den  # difference / g_den == commutator / c_den
+                    for d, c in zip_longest(difference, commutator_in_m, fillvalue=0))
+    return CasimirResult(_shift_over(g_in_m, g_den, spec.j), spec.a6 * spec.a7, is_scalar)
 
 
 def casimir_operator(spec: OdeSpec) -> DiffOp:
     """C = P- o P+ + g(P0) as an exact DiffOp; g(P0) is diagonal with eigenvalue
     G(m) on x^m, so it is sum c_k x^k D^k over G's Newton coefficients."""
     gens = build_generators(spec)
-    return gens.p_minus.compose(gens.p_plus) + _diagonal_operator(_casimir_in_m(spec))
+    return gens.p_minus.compose(gens.p_plus) + _diagonal_operator(*_casimir_in_m(spec))
 
 
 def brute_force_deformation(spec: OdeSpec) -> DeformationCoeffs:

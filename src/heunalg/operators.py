@@ -9,6 +9,8 @@ Leibniz rule
     D^k x^q = sum_{i=0}^{min(k,q)} C(k,i) * q!/(q-i)! * x^{q-i} D^{k-i},
 
 so products, commutators and polynomial expressions in operators stay exact.
+``DiffOp.compose`` adds each output term's contributions in integers and
+makes one ``Fraction`` per term.
 
 Series are finite collections of terms ``c_m * x^(rho+m)`` with a rational
 base exponent ``rho`` and integer shifts ``m`` (possibly negative).  The
@@ -128,7 +130,8 @@ class DiffOp:
             return NotImplemented
         acc = {(t.dorder, t.xpow): t.coeff for t in self._terms}
         for t in other._terms:
-            acc[t.dorder, t.xpow] = acc.get((t.dorder, t.xpow), 0) + t.coeff
+            key = (t.dorder, t.xpow)
+            acc[key] = acc[key] + t.coeff if key in acc else t.coeff
         return DiffOp._canonical(acc)
 
     def __sub__(self, other: "DiffOp") -> "DiffOp":
@@ -146,18 +149,22 @@ class DiffOp:
     # -- composition and action --------------------------------------------
 
     def compose(self, other: "DiffOp") -> "DiffOp":
-        """Normal-ordered composition self o other (apply other first)."""
-        acc: dict[tuple[int, int], Fraction] = {}
+        """Normal-ordered composition self o other (apply other first); each output
+        term's contributions add up in integers, then make one Fraction."""
+        acc: dict[tuple[int, int], tuple[int, int]] = {}  # key -> (num, den)
         for a in self._terms:
+            a_num, a_den = a.coeff.numerator, a.coeff.denominator
             for b in other._terms:
+                num, den = a_num * b.coeff.numerator, a_den * b.coeff.denominator
                 # x^p1 D^k1 x^p2 D^k2 -> Leibniz expansion of D^k1 x^p2,
                 # with the integer factor C(k1, i) * p2!/(p2-i)!
-                ab = a.coeff * b.coeff
                 for i in range(min(a.dorder, b.xpow) + 1):
                     key = (a.dorder + b.dorder - i, a.xpow + b.xpow - i)
-                    c = ab * (math.comb(a.dorder, i) * math.perm(b.xpow, i))
-                    acc[key] = acc.get(key, 0) + c
-        return DiffOp._canonical(acc)
+                    c = num * (math.comb(a.dorder, i) * math.perm(b.xpow, i))
+                    n, d = acc.get(key, (0, den))
+                    g = math.gcd(d, den)  # n/d + c/den over the lcm of d and den
+                    acc[key] = (n * (den // g) + c * (d // g), d // g * den)
+        return DiffOp._canonical({key: Fraction(n, d) for key, (n, d) in acc.items() if n})
 
     def apply(self, series: "GeneralizedSeries") -> "GeneralizedSeries":
         """Exact action on a generalized series, one weight per monomial and offset.

@@ -62,12 +62,35 @@ def poly_mul(p: Sequence[Fraction], q: Sequence[Fraction]) -> Poly:
 
 
 def poly_shift(p: Sequence[Fraction], h: Fraction) -> Poly:
-    """Coefficients of p(t + h), by repeated synthetic division (Taylor shift)."""
-    out = list(poly(p))
+    """Coefficients of p(t + h), one Taylor shift in integers (_shift_over)."""
+    return _shift_over(*_over_lcm(p), h)
+
+
+def _over_lcm(coeffs: Sequence[Fraction]) -> tuple[list[int], int]:
+    """The coefficients as integer numerators over the lcm of their denominators."""
+    den = math.lcm(*(c.denominator for c in coeffs))
+    return [c.numerator * (den // c.denominator) for c in coeffs], den
+
+
+def _shift_over(nums: Sequence[int], den: int, h: Fraction) -> Poly:
+    """p(t + h) for p = sum nums_i t^i / den, den > 0, one Fraction per coefficient:
+    with h = u/v, P(y) = den v^n p(y/v) = sum nums_i v^(n-i) y^i is integer, and
+    P(y + u) = sum r_k y^k gives p(t + h) = sum r_k t^k / (den v^(n-k))."""
+    nums = list(nums)
+    while nums and nums[-1] == 0:
+        nums.pop()
+    powers = [h.denominator ** (len(nums) - 1 - i) for i in range(len(nums))]
+    shifted = _integer_shift([c * w for c, w in zip(nums, powers)], h.numerator)
+    return tuple(Fraction(r, den * w) for r, w in zip(shifted, powers))
+
+
+def _integer_shift(nums: Sequence[int], u: int) -> list[int]:
+    """P(y + u) for the integer polynomial P, by repeated synthetic division."""
+    out = list(nums)
     for i in range(len(out) - 1):
         for k in range(len(out) - 2, i - 1, -1):
-            out[k] += h * out[k + 1]
-    return poly(out)
+            out[k] += u * out[k + 1]
+    return out
 
 
 def is_rational_square(value: Fraction) -> tuple[bool, Fraction]:
@@ -97,8 +120,7 @@ def rational_roots(p: Sequence[Fraction]) -> list[Fraction]:
         raise ZeroDivisionError("the zero polynomial vanishes everywhere")
     if len(q) == 1:
         return []
-    denom_lcm = math.lcm(*(c.denominator for c in q))
-    ints = [c.numerator * (denom_lcm // c.denominator) for c in q]
+    ints, _ = _over_lcm(q)
     content = math.gcd(*ints)
     ints = [c // content for c in ints]
     n, lead = len(ints) - 1, ints[-1]

@@ -6,8 +6,9 @@ ladder factors in m and checks its backward difference there, casimir_operator
 turns G's Newton coefficients back into x^k D^k terms, and results move to
 P0 = m - j with one Taylor shift.  The Lagrange interpolation, the sampling fit
 at the nodes m - j, the Casimir built as the antidifference of the commutator
-polynomial in P0 and the Leibniz rule with Fraction falling factorials that
-they replaced are kept here as test-only references.
+polynomial in P0, the Leibniz rule with Fraction falling factorials and the
+Taylor shift by synthetic division in Fractions that they replaced are kept
+here as test-only references.
 """
 
 import math
@@ -17,6 +18,7 @@ from fractions import Fraction as F
 
 import pytest
 
+import heunalg.algebra
 from heunalg import (
     DiagonalFitError,
     DiffOp,
@@ -65,6 +67,15 @@ def reference_compose(a, b):
                 c = s.coeff * t.coeff * math.comb(s.dorder, i) * falling_factorial(F(t.xpow), i)
                 out.append((c, s.xpow + t.xpow - i, s.dorder + t.dorder - i))
     return DiffOp(out)
+
+
+def reference_poly_shift(p, h):
+    """p(t + h) by repeated synthetic division in Fractions."""
+    out = list(poly(p))
+    for i in range(len(out) - 1):
+        for k in range(len(out) - 2, i - 1, -1):
+            out[k] += h * out[k + 1]
+    return poly(out)
 
 
 def reference_poly_of_op(p, op):
@@ -274,6 +285,28 @@ def test_casimir_ignores_m_range():
         assert all(casimir(spec, m) == result for m in (0, 1, 25)), spec
 
 
+def test_casimir_certificate_is_not_a_tautology(monkeypatch):
+    """G(m) comes from the ladder factors and the commutator polynomial from
+    a0, a2, a4, a6, a7, so a fault in the closed form shows in is_scalar, and
+    brute_force_deformation does not share it."""
+    closed_form = heunalg.algebra._base_commutator_poly
+    specs = [spec for family, spec in seeded_specs(2262, 64) if family != "jacobi"]
+    for n, spec in enumerate(specs):
+        assert casimir(spec).is_scalar, spec
+        assert deformation_coefficients(spec) == brute_force_deformation(spec), spec
+
+        def perturbed(spec, index=n % 4):
+            nums, den = closed_form(spec)
+            nums = list(nums)
+            nums[index] += den  # one m-coefficient off by 1
+            return nums, den
+
+        with monkeypatch.context() as patch:
+            patch.setattr(heunalg.algebra, "_base_commutator_poly", perturbed)
+            assert casimir(spec).is_scalar is False, spec
+            assert deformation_coefficients(spec) != brute_force_deformation(spec), spec
+
+
 def _fit_targets(spec, rng):
     """Diagonal operators, non-diagonal ones and too-small degrees."""
     if spec.a3 != 0:  # no ladder split; the a3 D^2 term lowers x^m by two
@@ -315,10 +348,29 @@ def test_compose_matches_reference_leibniz():
         )
         got, want = a.compose(b), reference_compose(a, b)
         assert got == want and repr(got) == repr(want), (a, b)
+    for bits in (256, 1024):
+        for _ in range(40):
+            a, b = (
+                DiffOp([(_rational(rng, bits), rng.randint(0, 4), rng.randint(0, 4))
+                        for _ in range(rng.randint(1, 4))])
+                for _ in range(2)
+            )
+            got, want = a.compose(b), reference_compose(a, b)
+            assert got == want and repr(got) == repr(want), (a, b)
+    # (c D^k + e) o (u x^k + v) has the constant term k! c u + e v, which e cancels
+    for n in range(120):
+        bits, k = (4, 64, 256, 1024)[n % 4], rng.randint(1, 4)
+        c, u, v = (_rational(rng, bits) for _ in range(3))
+        e = -math.factorial(k) * c * u / v
+        a, b = DiffOp([(c, 0, k), (e, 0, 0)]), DiffOp([(u, k, 0), (v, 0, 0)])
+        got, want = a.compose(b), reference_compose(a, b)
+        assert got == want and repr(got) == repr(want), (a, b)
+        assert (0, 0) not in {(t.dorder, t.xpow) for t in got.terms}, (a, b)
+        assert len(got.terms) == k + 2, (a, b)  # x^i D^i for i = 1..k, e u x^k and c v D^k
 
 
 def test_ladder_calls_on_1024_bit_spec_finish_quickly():
-    """The five ladder calls take about 0.04 s at 1,024 bits on a 2-vCPU host."""
+    """The five ladder calls take about 0.01 s at 1,024 bits on a 2-vCPU host."""
     spec = random_ladder_spec(random.Random(2255), "generic", 1024)
     start = time.perf_counter()
     closed = deformation_coefficients(spec)
@@ -369,7 +421,8 @@ def test_fit_of_falling_factorial_sums_holds_off_the_nodes():
         # degree n % 8 - 1, from the zero polynomial () to degree 6, up to 256 bits
         bits = (4, 32, 256)[n % 3]
         p_in_m = poly(_rational(round_trip_rng, bits) for _ in range(n % 8))
-        diagonal = _diagonal_operator(p_in_m)
+        den = math.lcm(*(c.denominator for c in p_in_m))
+        diagonal = _diagonal_operator([c.numerator * (den // c.denominator) for c in p_in_m], den)
         assert all(t.xpow == t.dorder for t in diagonal.terms), p_in_m
         degree = max(len(p_in_m) - 1, 0)
         assert fit_diagonal_polynomial(diagonal, 0, degree) == p_in_m
@@ -417,6 +470,17 @@ def test_poly_shift_round_trip_is_identity():
     for _ in range(300):
         p, h = _random_poly(rng), _rational(rng, rng.randint(1, 64))
         assert poly_shift(poly_shift(p, h), -h) == p
+
+
+def test_poly_shift_matches_reference_synthetic_division():
+    rng = random.Random(2258)
+    for n in range(900):
+        degree, bits = n % 9, rng.randint(4, 512)
+        p = [_rational(rng, rng.randint(4, bits)) if rng.random() < 0.8 else F(0)
+             for _ in range(degree + 1)]
+        h = (F(0), F(-rng.randint(1, 2**rng.randint(1, 64))), _rational(rng, bits))[n % 3]
+        got, want = poly_shift(p, h), reference_poly_shift(p, h)
+        assert got == want and repr(got) == repr(want), (p, h)
 
 
 def test_poly_shift_edges():
