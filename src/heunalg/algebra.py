@@ -47,7 +47,8 @@ from typing import Sequence
 
 from .errors import DiagonalFitError, NotCastableError
 from .operators import DiffOp, RationalLike, as_fraction, commutator
-from .polynomials import Poly, _integer_shift, _over_lcm, _shift_over, poly, poly_padded, poly_shift
+from .polynomials import (Poly, _horner, _integer_shift, _over_lcm, _shift_over, poly, poly_padded,
+                          poly_shift)
 
 
 @dataclass(frozen=True)
@@ -82,40 +83,26 @@ class OdeSpec:
             poly((0, self.a6 - self.a2, self.a2)),
         )
 
-    # each factor as (leading numerator, the other numerators descending, common
-    # denominator): R, F and L over one integer denominator each
+    # R, F and L as (numerators ascending, common denominator), for _horner;
+    # the zero factor is the constant 0
     @cached_property
-    def _ladder_integer(self) -> tuple[tuple[int, tuple[int, ...], int], ...]:
-        out = []
-        for p in self._ladder:
-            nums, den = _over_lcm(p[::-1] or (0,))
-            out.append((nums[0], tuple(nums[1:]), den))
-        return tuple(out)
+    def _ladder_integer(self) -> tuple[tuple[list[int], int], ...]:
+        return tuple(_over_lcm(p or (0,)) for p in self._ladder)
 
     def ladder_polys(self) -> tuple[Poly, Poly, Poly]:
         """(R, F, L) as polynomials in the exponent s, built once per spec."""
         return self._ladder
 
-    def _factor_at(self, k: int, n: int, d: int) -> tuple[int, int]:
-        """Factor k of (R, F, L) at s = n/d, d > 0, as an unreduced integer pair
-        (numerator, denominator), by Horner's rule on n and d over the factor's
-        common denominator; the denominator depends on d only."""
-        acc, rest, den = self._ladder_integer[k]
-        power = 1
-        for c in rest:  # acc / (den * power) is the Horner partial sum at s
-            power *= d
-            acc = acc * n + c * power
-        return acc, den * power
-
     def ladder_at(self, s: Fraction | int) -> tuple[Fraction, Fraction, Fraction]:
         """(R(s), F(s), L(s)), the three factors of the action on x^s.
 
-        Each factor is evaluated in integers (_factor_at) and becomes one
-        Fraction at the end.
+        Each factor is evaluated in integers (polynomials._horner) and becomes
+        one Fraction at the end.
         """
         n, d = s.numerator, s.denominator
-        at = self._factor_at
-        return Fraction(*at(0, n, d)), Fraction(*at(1, n, d)), Fraction(*at(2, n, d))
+        (r_nums, r_den), (f_nums, f_den), (l_nums, l_den) = self._ladder_integer
+        return (Fraction(*_horner(r_nums, r_den, n, d)), Fraction(*_horner(f_nums, f_den, n, d)),
+                Fraction(*_horner(l_nums, l_den, n, d)))
 
 
 @dataclass(frozen=True)
@@ -309,9 +296,8 @@ def _casimir_in_m(spec: OdeSpec) -> tuple[list[int], int]:
     constant term, so G has none.
     """
     require_castable(spec)
-    (r_lead, r_rest, r_den), _, (l_lead, l_rest, l_den) = spec._ladder_integer
-    raising = (r_lead, *r_rest)[::-1]
-    lowering = _integer_shift((l_lead, *l_rest)[::-1], 1)
+    (raising, r_den), _, (l_nums, l_den) = spec._ladder_integer
+    lowering = _integer_shift(l_nums, 1)
     g_in_m = [0] * (len(raising) + len(lowering) - 1)
     for i, a in enumerate(raising):
         for k, b in enumerate(lowering):

@@ -205,7 +205,8 @@ def kink_wavefunction(state: KinkState, eps_sq: float, mu: float, x: float) -> f
     with zeta = sigma(x)^2.  Both vanish as |x| -> infinity and depend on
     (mu, x) only through the product mu*x.  See kink_zero_mode for the exact
     nu^2 = 0 eigenfunction of the sigma-equation, which differs from these
-    closed forms; the residual checks in numeric-verify quantify the gap.
+    closed forms; heunalg.verify.residual_sigma measures the gap (README,
+    "Known limitation").
     """
     sigma, one_minus_zeta, zeta = _profile(eps_sq, mu, x)
     if state == "n2":

@@ -282,13 +282,6 @@ class GeneralizedSeries:
     def shifts(self) -> tuple[int, ...]:
         return tuple(self._coeffs)
 
-    def coefficient_at(self, exponent: RationalLike) -> Fraction:
-        """Coefficient of x^exponent; zero when the exponent is off-branch."""
-        delta = as_fraction(exponent) - self._base
-        if delta.denominator != 1:
-            return Fraction(0)
-        return self._coeffs.get(delta.numerator, Fraction(0))
-
     def is_zero(self) -> bool:
         return not self._coeffs
 

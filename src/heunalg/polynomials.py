@@ -32,12 +32,25 @@ def poly_padded(p: Sequence[Fraction], n: int) -> tuple[Fraction, ...]:
 def poly_eval(p: Sequence[Fraction], x: Fraction | float) -> Fraction | float:
     """p(x) by Horner's rule in the type of x: exact at a Fraction, a float at a
     float.  The kink profile (kink.SigmaOde) evaluates here at a float sigma, so
-    this stays generic; OdeSpec._factor_at is the integer evaluator that
-    ladder_at and the one-sided series walk use."""
+    this stays generic; _horner is the integer evaluator that ladder_at, the
+    one-sided series walk and rational_roots use."""
     acc = Fraction(0)
     for c in reversed(p):
         acc = acc * x + c
     return acc
+
+
+def _horner(nums: Sequence[int], den: int, n: int, d: int) -> tuple[int, int]:
+    """sum nums_i t^i / den at t = n/d, d > 0, as the unreduced integer pair
+    (N, den d^deg), deg = len(nums) - 1 (0 for no numerators): Horner's rule
+    on n and d, so the denominator depends on d only and N has the sign of
+    the value."""
+    coeffs = reversed(nums)
+    acc, power = next(coeffs, 0), 1
+    for c in coeffs:  # acc / (den * power) is the Horner partial sum at t
+        power *= d
+        acc = acc * n + c * power
+    return acc, den * power
 
 
 def poly_add(p: Sequence[Fraction], q: Sequence[Fraction]) -> Poly:
@@ -126,14 +139,8 @@ def rational_roots(p: Sequence[Fraction]) -> list[Fraction]:
     n, lead = len(ints) - 1, ints[-1]
     # lead^(n-1) p(y / lead) is monic in y with integer coefficients
     monic = [c * lead ** (n - 1 - i) for i, c in enumerate(ints[:-1])] + [1]
-    roots = []
-    for y in _integer_root_candidates(monic):
-        acc = 0
-        for c in reversed(monic):
-            acc = acc * y + c
-        if acc == 0:
-            roots.append(Fraction(y, lead))
-    return sorted(roots)
+    return sorted(Fraction(y, lead) for y in _integer_root_candidates(monic)
+                  if not _horner(monic, 1, y, 1)[0])
 
 
 def _integer_root_candidates(monic: list[int]) -> list[int]:
@@ -161,14 +168,8 @@ def _integer_root_candidates(monic: list[int]) -> list[int]:
     def variations(twice: int) -> int:
         """Sign changes of the Sturm sequence at twice / 2."""
         if twice not in variations_at:
-            signs = []
-            for s in sturm:
-                acc, scale = 0, 1
-                for c in reversed(s):  # acc = 2^k s(twice / 2) after k steps of Horner
-                    acc = acc * twice + c * scale
-                    scale <<= 1
-                if acc:
-                    signs.append(acc > 0)
+            values = [_horner(s, 1, twice, 2)[0] for s in sturm]
+            signs = [v > 0 for v in values if v]
             variations_at[twice] = sum(a != b for a, b in zip(signs, signs[1:]))
         return variations_at[twice]
 

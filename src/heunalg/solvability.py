@@ -52,6 +52,7 @@ from .errors import (
 from .operators import GeneralizedSeries, RationalLike, as_fraction
 from .polynomials import (
     Poly,
+    _horner,
     is_rational_square,
     poly,
     poly_add,
@@ -104,7 +105,9 @@ class PolynomialSolutionResult:
 
     basis holds coefficient tuples (c_0..c_degree).  When the basis is empty,
     spectral_a8 lists the rational values of a8 at which the square subsystem
-    determinant vanishes (the quasi-exact eigenvalue condition).
+    determinant vanishes.  Each gives a polynomial solution at that a8 when
+    degree is a termination degree, R(degree) = 0; otherwise only where it
+    also makes a lower termination degree's block singular, and most give none.
     """
 
     degree: int
@@ -242,13 +245,14 @@ def _band_walk(
     and F evaluated once per shift in integers at lam + m = (p + m q)/q."""
     step = 1 if band == 0 else -1
     p, q = lam.numerator, lam.denominator
+    (x_nums, x_common), (f_nums, f_common) = spec._ladder_integer[band], spec._ladder_integer[1]
     psi = {0: Fraction(1)}
     c, m = psi[0], 0
     for k in range(iterations):
-        x_num, x_den = spec._factor_at(band, p + m * q, q)
+        x_num, x_den = _horner(x_nums, x_common, p + m * q, q)
         if not x_num:
             return psi, SeriesReport(dropped=0, stationary_at=k)
-        f_num, f_den = spec._factor_at(1, p + (m + step) * q, q)
+        f_num, f_den = _horner(f_nums, f_common, p + (m + step) * q, q)
         if not f_num:
             raise ResonantExponentError(
                 f"F vanishes at generated exponent {lam + m + step} (shift {m + step})"
@@ -394,7 +398,9 @@ def polynomial_solution(spec: OdeSpec, degree: int) -> PolynomialSolutionResult:
     certified by applying full_operator to it.
 
     When no polynomial solution exists, the rational a8 values that make the
-    (degree+1)-square subsystem singular are reported.  a8 enters that
+    (degree+1)-square subsystem singular are reported; only when R(degree) = 0
+    is each sure to give a polynomial solution at that a8 (see
+    PolynomialSolutionResult).  a8 enters that
     tridiagonal block only on the diagonal, so its determinant at a8 + t is
     the continuant characteristic polynomial in t, whose rational roots are
     found in polynomial time.  Requires a3 = 0 and a nonnegative degree.

@@ -183,8 +183,8 @@ def test_criterion_8_ground_state_checks():
         and report.annihilates_const
         and report.kernel_dimension == 2
         and report.constant_eliminated
-        and report.full_op_on_const.coefficient_at(0) == spec.a8
-        and report.full_op_on_const.coefficient_at(1) == spec.a7
+        and report.full_op_on_const.support().get(0, 0) == spec.a8
+        and report.full_op_on_const.support().get(1, 0) == spec.a7
     )
     assert _report(8, "lowering kernel {1, z^(1/2)} and constant elimination", ok)
 

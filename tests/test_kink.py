@@ -206,8 +206,8 @@ class TestGroundStateChecks:
         assert report.constant_eliminated
         spec = kink_spec(F(1), F(1))
         image = report.full_op_on_const
-        assert image.coefficient_at(0) == spec.a8
-        assert image.coefficient_at(1) == spec.a7
+        assert image.support().get(0, 0) == spec.a8
+        assert image.support().get(1, 0) == spec.a7
 
 
 class TestStateResiduals:

@@ -41,7 +41,7 @@ from heunalg import (
 from heunalg.algebra import CasimirResult, DeformationCoeffs, _diagonal_operator
 from heunalg.catalog import HeunParams
 from heunalg.operators import GeneralizedSeries, falling_factorial
-from heunalg.polynomials import poly, poly_add, poly_eval, poly_shift
+from heunalg.polynomials import _horner, poly, poly_add, poly_eval, poly_shift
 from support import f_of_p0, reference_interpolate
 
 
@@ -93,7 +93,7 @@ def reference_fit(op, j, max_degree):
         off_diag = {e: c for e, c in image.support().items() if e != m}
         if off_diag:
             raise DiagonalFitError(f"operator is not diagonal on x^{m}: {off_diag}")
-        eigenvalues.append(image.coefficient_at(m))
+        eigenvalues.append(image.support().get(m, 0))
     fitted = reference_interpolate([(F(m) - j, eigenvalues[m]) for m in range(max_degree + 1)])
     for m in (max_degree + 1, max_degree + 2):
         if poly_eval(fitted, F(m) - j) != eigenvalues[m]:
@@ -274,6 +274,24 @@ def test_ladder_at_is_integer_horner_of_the_ladder_polys():
             assert got == tuple(poly_eval(p, F(s)) for p in ladder), (spec, s)
             assert got == _closed_form_ladder(spec, F(s)), (spec, s)
     assert min(empty) >= 3, empty
+
+
+def test_horner_is_exact_integer_evaluation():
+    """_horner(nums, den, n, d) against poly_eval at n/d: the zero and constant
+    polynomials, d = 1 and d = 2, negative n and 0- to 1,024-bit numerators."""
+    rng = random.Random(2263)
+    polys = [([], 1), ([0], 3), ([5], 1), ([-7], 4)]
+    for bits in (0, 1, 4, 64, 256, 1024):
+        for length in range(1, 6):
+            nums = [rng.choice((1, -1)) * rng.getrandbits(bits) for _ in range(length)]
+            polys.append((nums, rng.randint(1, 2 ** rng.choice((1, 8, 64)))))
+    for nums, den in polys:
+        p = tuple(F(c, den) for c in nums)
+        for d in (1, 2, 3, rng.randint(1, 2**64)):
+            for n in (0, 1, -1, -2 * d - 1, rng.randint(-2**70, 2**70)):
+                num, over = _horner(nums, den, n, d)
+                assert type(num) is int and over == den * d ** max(len(nums) - 1, 0)
+                assert F(num, over) == poly_eval(p, F(n, d)), (nums, den, n, d)
 
 
 def test_casimir_ignores_m_range():
