@@ -3,13 +3,14 @@
 Polynomials are tuples of Fractions in ascending degree order with no trailing
 zeros; () is the zero polynomial.  Just enough machinery for Taylor shifts
 and rational roots; nothing here rounds, except poly_eval when handed a float.
-Rational roots, 0 among them, are isolated by Sturm bisection over the
-integers, so their cost is polynomial in the degree and the coefficient
-bit-length rather than in the size of the constant term.
+Rational roots come from p-adic lifting of the roots modulo one small prime,
+with no bisection, so their cost is polynomial in the degree and the
+coefficient bit-length rather than in the size of the constant term.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from fractions import Fraction
 from typing import Iterable, Sequence
@@ -120,74 +121,69 @@ def is_rational_square(value: Fraction) -> tuple[bool, Fraction]:
 def rational_roots(p: Sequence[Fraction]) -> list[Fraction]:
     """All distinct rational roots of p, ascending, each verified exactly.
 
-    After clearing denominators (by their lcm) and dividing out the content,
-    p has integer coefficients c_0..c_n.  The substitution y = c_n x turns it
-    into a monic integer polynomial, whose rational roots are integers, the
-    root 0 among them; those are isolated by Sturm bisection (see
-    _integer_root_candidates) and every candidate is checked by exact integer
-    evaluation.  The cost is polynomial in the degree and the coefficient
-    bit-length.
+    Denominators are cleared, the root 0 is split off, and f is the primitive
+    square-free part of the rest, with c_0 != 0 and c_n > 0 (the denominator
+    _horner evaluates at).  A root a/b in lowest terms has b | c_n and a | c_0,
+    so y = c_n a/b is an integer with |y| <= |c_n c_0|.  Modulo the least
+    prime that does not divide c_n and at which every root of f mod p (found
+    by evaluation at every residue) is simple, a/b is one of those roots.  Newton's step lifts each uniquely, squaring
+    the modulus until M > 2 |c_n c_0|; y is then the symmetric residue of
+    c_n r mod M, kept only where f(y / c_n) is exactly 0 (Loos, SIAM J.
+    Comput. 12, 1983).  The cost is the square-free remainder sequence, then,
+    per root of f mod p, O(log log M) Newton steps and one exact evaluation.
     """
     q = poly(p)
     if not q:
         raise ZeroDivisionError("the zero polynomial vanishes everywhere")
-    if len(q) == 1:
-        return []
     ints, _ = _over_lcm(q)
+    low = next(i for i, c in enumerate(ints) if c)
+    roots = [Fraction(0)] if low else []
+    f = _square_free(ints[low:])
+    derivative = [i * c for i, c in enumerate(f)][1:]
+    lead, bound = f[-1], 2 * abs(f[-1] * f[0])
+    for prime in itertools.count(2):
+        if lead % prime and all(prime % k for k in range(2, math.isqrt(prime) + 1)):
+            residues = [r for r in range(prime) if not _horner_mod(f, r, prime)]
+            if all(_horner_mod(derivative, r, prime) for r in residues):
+                break
+    for r in residues:
+        # inverse is 1 / f'(r) modulo the unsquared modulus, all Newton's step needs
+        modulus, inverse = prime, pow(_horner_mod(derivative, r, prime), -1, prime)
+        while modulus <= bound:
+            modulus *= modulus
+            r = (r - _horner_mod(f, r, modulus) * inverse) % modulus
+            inverse = inverse * (2 - _horner_mod(derivative, r, modulus) * inverse) % modulus
+        y = lead * r % modulus
+        y -= modulus if 2 * y > modulus else 0
+        if not _horner(f, 1, y, lead)[0]:
+            roots.append(Fraction(y, lead))
+    return sorted(roots)
+
+
+def _horner_mod(nums: Sequence[int], x: int, m: int) -> int:
+    """sum nums_i x^i mod m, Horner's rule reduced at every step."""
+    acc = 0
+    for c in reversed(nums):
+        acc = (acc * x + c) % m
+    return acc
+
+
+def _square_free(ints: list[int]) -> list[int]:
+    """The primitive square-free part p / gcd(p, p') of the nonzero integer
+    polynomial p, leading coefficient positive.  The gcd is the last nonzero
+    primitive remainder (_negated_remainder), and the quotient is exact."""
     content = math.gcd(*ints)
-    ints = [c // content for c in ints]
-    n, lead = len(ints) - 1, ints[-1]
-    # lead^(n-1) p(y / lead) is monic in y with integer coefficients
-    monic = [c * lead ** (n - 1 - i) for i, c in enumerate(ints[:-1])] + [1]
-    return sorted(Fraction(y, lead) for y in _integer_root_candidates(monic)
-                  if not _horner(monic, 1, y, 1)[0])
-
-
-def _integer_root_candidates(monic: list[int]) -> list[int]:
-    """Integers m whose interval (m - 1/2, m + 1/2) holds a real root of the
-    monic integer polynomial; every integer root is among them.
-
-    Real roots lie within a Fujiwara bound, rounded up to a power of two.
-    Sturm's theorem counts the distinct real roots between two points that
-    are not roots, and the intervals are bisected only at half-integers,
-    which a monic integer polynomial never vanishes at; signs there are
-    evaluated in integers, scaled by a power of two.
-    """
-    n = len(monic) - 1
-    bound_bits = 1 + max(-(-abs(c).bit_length() // (n - i)) for i, c in enumerate(monic[:-1]))
-    derivative = [i * c for i, c in enumerate(monic)][1:]
-    sturm = [monic, derivative]
-    while len(sturm[-1]) > 1:
-        rem = _negated_remainder(sturm[-2], sturm[-1])
-        if not rem:
-            break
-        sturm.append(rem)
-
-    variations_at: dict[int, int] = {}
-
-    def variations(twice: int) -> int:
-        """Sign changes of the Sturm sequence at twice / 2."""
-        if twice not in variations_at:
-            values = [_horner(s, 1, twice, 2)[0] for s in sturm]
-            signs = [v > 0 for v in values if v]
-            variations_at[twice] = sum(a != b for a, b in zip(signs, signs[1:]))
-        return variations_at[twice]
-
-    # each interval (lo/2, hi/2) has odd lo, hi; the root count is a difference
-    edge = (1 << (bound_bits + 1)) + 1
-    candidates = []
-    stack = [(-edge, edge)]
-    while stack:
-        lo, hi = stack.pop()
-        if variations(lo) == variations(hi):
-            continue
-        if hi - lo == 2:
-            candidates.append((lo + 1) // 2)
-            continue
-        mid = (lo + hi) // 2
-        mid += 1 - mid % 2
-        stack += [(lo, mid), (mid, hi)]
-    return candidates
+    f = [c // content for c in ints]
+    a, b = f, [i * c for i, c in enumerate(f)][1:]
+    while b:
+        a, b = b, _negated_remainder(a, b)
+    gcd = [c // math.gcd(*a) for c in a]
+    rem, quotient = list(f), [0] * (len(f) - len(gcd) + 1)
+    for shift in reversed(range(len(quotient))):
+        quotient[shift] = rem[shift + len(gcd) - 1] // gcd[-1]
+        for i, c in enumerate(gcd):
+            rem[shift + i] -= quotient[shift] * c
+    return quotient if quotient[-1] > 0 else [-c for c in quotient]
 
 
 def _negated_remainder(a: list[int], b: list[int]) -> list[int]:

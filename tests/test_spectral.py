@@ -1,10 +1,11 @@
 """The spectral step of polynomial_solution and the root finder behind it.
 
 The Bareiss-plus-interpolation characteristic polynomial, the dense
-Gauss-Jordan null space and the trial-division rational_roots that
-polynomial_solution once used are kept here as test-only references.  They
-read the operator matrix from full_operator's action on each monomial, not
-from the R, F, L formulas the solver uses.
+Gauss-Jordan null space, the trial-division rational_roots and the Sturm
+bisection rational_roots that polynomial_solution once used are kept here as
+test-only references.  The first two read the operator matrix from
+full_operator's action on each monomial, not from the R, F, L formulas the
+solver uses; the two root finders check the p-adic lifting that replaced them.
 """
 
 import dataclasses
@@ -18,7 +19,15 @@ import pytest
 
 from heunalg import OdeSpec, full_operator, kink_spec, polynomial_solution
 from heunalg.operators import GeneralizedSeries
-from heunalg.polynomials import poly, poly_eval, poly_mul, rational_roots
+from heunalg.polynomials import (
+    _horner,
+    _negated_remainder,
+    _over_lcm,
+    poly,
+    poly_eval,
+    poly_mul,
+    rational_roots,
+)
 from heunalg.solvability import (
     PolynomialSolutionResult,
     _characteristic_polynomial,
@@ -58,6 +67,73 @@ def reference_rational_roots(p):
                 if poly_eval(q, cand) == 0:
                     roots.add(cand)
     return sorted(roots)
+
+
+def reference_sturm_roots(p):
+    """Rational roots by Sturm bisection: after clearing denominators and the
+    content, p has integer coefficients c_0..c_n, and y = c_n x turns it into
+    a monic integer polynomial, whose rational roots are integers; those are
+    isolated by sturm_root_candidates and checked by exact evaluation."""
+    q = poly(p)
+    if not q:
+        raise ZeroDivisionError("the zero polynomial vanishes everywhere")
+    if len(q) == 1:
+        return []
+    ints, _ = _over_lcm(q)
+    content = math.gcd(*ints)
+    ints = [c // content for c in ints]
+    n, lead = len(ints) - 1, ints[-1]
+    # lead^(n-1) p(y / lead) is monic in y with integer coefficients
+    monic = [c * lead ** (n - 1 - i) for i, c in enumerate(ints[:-1])] + [1]
+    return sorted(F(y, lead) for y in sturm_root_candidates(monic)
+                  if not _horner(monic, 1, y, 1)[0])
+
+
+def sturm_root_candidates(monic):
+    """Integers m whose interval (m - 1/2, m + 1/2) holds a real root of the
+    monic integer polynomial; every integer root is among them.
+
+    Real roots lie within a Fujiwara bound, rounded up to a power of two.
+    Sturm's theorem counts the distinct real roots between two points that
+    are not roots, and the intervals are bisected only at half-integers,
+    which a monic integer polynomial never vanishes at; signs there are
+    evaluated in integers, scaled by a power of two.
+    """
+    n = len(monic) - 1
+    bound_bits = 1 + max(-(-abs(c).bit_length() // (n - i)) for i, c in enumerate(monic[:-1]))
+    derivative = [i * c for i, c in enumerate(monic)][1:]
+    sturm = [monic, derivative]
+    while len(sturm[-1]) > 1:
+        rem = _negated_remainder(sturm[-2], sturm[-1])
+        if not rem:
+            break
+        sturm.append(rem)
+
+    variations_at = {}
+
+    def variations(twice):
+        """Sign changes of the Sturm sequence at twice / 2."""
+        if twice not in variations_at:
+            values = [_horner(s, 1, twice, 2)[0] for s in sturm]
+            signs = [v > 0 for v in values if v]
+            variations_at[twice] = sum(a != b for a, b in zip(signs, signs[1:]))
+        return variations_at[twice]
+
+    # each interval (lo/2, hi/2) has odd lo, hi; the root count is a difference
+    edge = (1 << (bound_bits + 1)) + 1
+    candidates = []
+    stack = [(-edge, edge)]
+    while stack:
+        lo, hi = stack.pop()
+        if variations(lo) == variations(hi):
+            continue
+        if hi - lo == 2:
+            candidates.append((lo + 1) // 2)
+            continue
+        mid = (lo + hi) // 2
+        mid += 1 - mid % 2
+        stack += [(lo, mid), (mid, hi)]
+    return candidates
 
 
 def _divisors(n):
@@ -359,6 +435,7 @@ def test_rational_roots_matches_trial_division():
         if not poly(p):
             continue
         assert rational_roots(p) == reference_rational_roots(p), p
+        assert rational_roots(p) == reference_sturm_roots(p), p
 
 
 class TestRationalRootsEdges:
@@ -397,6 +474,20 @@ class TestRationalRootsEdges:
         p, roots = self.large_roots_near_the_bound()
         assert rational_roots(p) == roots
 
+    def test_many_planted_wide_roots(self):
+        """Twenty 64-bit rational roots, with multiplicities 1 to 3, times
+        x^4 - 7x^2 + 5 and x^2: degree 45.  The square-free part divides out
+        a gcd of degree 19, and its leading and constant terms of about 1,200
+        bits make the lift square its modulus about ten times."""
+        rng = random.Random(1983)
+        planted = [F(rng.randrange(-2 ** 64, 2 ** 64), rng.randrange(1, 2 ** 64)) for _ in range(20)]
+        p = (F(0), F(0)) + IRRATIONAL_FACTORS[-1]
+        for k, root in enumerate(planted):
+            for _ in range(1 + k % 3):
+                p = poly_mul(p, (-root, F(1)))
+        assert len(p) - 1 >= 40
+        assert rational_roots(p) == sorted(set(planted) | {F(0)})
+
 
 # -- former hang probes ------------------------------------------------------------------
 
@@ -425,12 +516,23 @@ def test_former_hang_probes_match_reference(eps_sq, s, degree):
 
 
 def test_degree_40_finishes_in_polynomial_time():
-    spec = kink_spec(F(1, 3), F(1, 2))
-    start = time.perf_counter()
-    result = polynomial_solution(spec, 40)
-    elapsed = time.perf_counter() - start
-    assert elapsed < 20.0, elapsed
-    assert result.degree == 40 and result.verified
-    char = _characteristic_polynomial([spec.ladder_at(F(s)) for s in range(41)])
-    assert len(char) == 42 and char[-1] == 1
-    assert all(poly_eval(char, a8 - spec.a8) == 0 for a8 in result.spectral_a8)
+    """The kink equation at degree 40; a spec built to terminate at t = 60,
+    R(60) = 0, whose continuant has nearly all of its roots real; and a
+    generic spec with 1,024-bit rational coefficients at degree 3.  With
+    Sturm bisection for its roots, polynomial_solution took 0.4 s, 19-45 s
+    and 47-72 s on them on a 2-vCPU x86-64 host."""
+    t = 60
+    real_rooted = OdeSpec(a0=1, a1=F(-3, 2), a2=F(1, 2), a4=-2, a5=F(7, 4), a6=F(-1, 3),
+                          a7=-(t * (t - 1) - 2 * t))
+    rng = random.Random(77)
+    generic = OdeSpec(**{f"a{i}": F(rng.randrange(-2 ** 1024, 2 ** 1024), rng.randrange(1, 2 ** 1024))
+                         for i in (0, 1, 2, 4, 5, 6, 7, 8)})
+    for spec, degree in ((kink_spec(F(1, 3), F(1, 2)), 40), (real_rooted, t), (generic, 3)):
+        start = time.perf_counter()
+        result = polynomial_solution(spec, degree)
+        elapsed = time.perf_counter() - start
+        assert elapsed < 5.0, (degree, elapsed)
+        assert result.degree == degree and result.verified
+        char = _characteristic_polynomial([spec.ladder_at(F(s)) for s in range(degree + 1)])
+        assert len(char) == degree + 2 and char[-1] == 1
+        assert all(poly_eval(char, a8 - spec.a8) == 0 for a8 in result.spectral_a8)
