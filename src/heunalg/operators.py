@@ -175,7 +175,8 @@ class DiffOp:
         that offset's coefficients, K the top derivative order, and N an
         integer sum of the falling products (n)(n-d)...(n-(k-1)d), which every
         offset shares.  Each nonzero weight makes one Fraction, and W c goes
-        to the output.
+        to the output: stored as it is for an exponent's first contribution,
+        added with Fraction's own arithmetic after that.
         """
         d = series.base.denominator
         top = max((t.dorder for t in self._terms), default=0)
@@ -194,8 +195,8 @@ class DiffOp:
             for offset, weight_den, terms in weights:
                 weight_num = sum(num * falling[k] for num, k in terms)
                 if weight_num:
-                    key = m + offset
-                    acc[key] = acc.get(key, 0) + Fraction(weight_num, weight_den) * c
+                    key, value = m + offset, Fraction(weight_num, weight_den) * c
+                    acc[key] = acc[key] + value if key in acc else value
         return GeneralizedSeries._canonical(series.base, acc)
 
     def apply_to_monomial(self, exponent: RationalLike) -> "GeneralizedSeries":

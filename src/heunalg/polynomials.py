@@ -54,27 +54,6 @@ def _horner(nums: Sequence[int], den: int, n: int, d: int) -> tuple[int, int]:
     return acc, den * power
 
 
-def poly_add(p: Sequence[Fraction], q: Sequence[Fraction]) -> Poly:
-    n = max(len(p), len(q))
-    return poly(
-        (p[i] if i < len(p) else 0) + (q[i] if i < len(q) else 0) for i in range(n)
-    )
-
-
-def poly_scale(p: Sequence[Fraction], factor: Fraction) -> Poly:
-    return poly(factor * c for c in p)
-
-
-def poly_mul(p: Sequence[Fraction], q: Sequence[Fraction]) -> Poly:
-    if not p or not q:
-        return ()
-    out = [Fraction(0)] * (len(p) + len(q) - 1)
-    for i, a in enumerate(p):
-        for j, b in enumerate(q):
-            out[i + j] += a * b
-    return poly(out)
-
-
 def poly_shift(p: Sequence[Fraction], h: Fraction) -> Poly:
     """Coefficients of p(t + h), one Taylor shift in integers (_shift_over)."""
     return _shift_over(*_over_lcm(p), h)

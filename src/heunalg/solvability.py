@@ -28,18 +28,24 @@ x^lambda, and a sweep maps only the newest term psi_k - psi_(k-1) through the
 three-term action at the shifts next to its support, then adds the in-window
 part to psi.
 
-The same action makes the operator on {x^0..x^degree} a banded matrix.  Its
-null space comes from a recurrence on the lowest nonzero band (R, else F,
-else L): each row fixes one coefficient by a division, except at the band's
-zeros, which a nonzero quadratic has at most two of; so there are at most
-two free parameters and O(degree) exact operations.  The spectral condition
-on a8 is a continuant: a characteristic polynomial built by a three-term
-recurrence in O(degree^2) exact operations.
+The same action makes the operator on {x^0..x^degree} a banded matrix B.
+polynomial_solution evaluates R, F and L at s = 0..degree once, in integers,
+over D, the lcm of their denominators: one integer table, the block D B,
+which has B's null space.  That null space comes from a recurrence on the
+lowest nonzero band (R, else F, else L): each row fixes one coefficient by a
+division, except at the band's zeros, which a nonzero quadratic has at most
+two of; so there are at most two free parameters and O(degree) exact
+operations.  The vector stays Fraction, since Fraction arithmetic keeps its
+gcds small against large where one common denominator would not.  The
+spectral condition on a8 is a continuant: the integer characteristic
+polynomial det(D B + u I) in u = D t, built by a three-term recurrence in
+O(degree^2) integer operations, whose rational roots u give a8 + u / D.
 """
 
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -51,14 +57,9 @@ from .errors import (
 )
 from .operators import GeneralizedSeries, RationalLike, as_fraction
 from .polynomials import (
-    Poly,
     _horner,
     is_rational_square,
-    poly,
-    poly_add,
-    poly_mul,
     poly_padded,
-    poly_scale,
     rational_roots,
 )
 
@@ -309,14 +310,31 @@ def termination_condition(spec: OdeSpec) -> TerminationResult:
     return TerminationResult(values=values, all_n=False)
 
 
-def _polynomial_nullspace(spec: OdeSpec, table: list[tuple[Fraction, ...]]) -> list[list[Fraction]]:
-    """Reduced-echelon null-space basis of the operator on {x^0..x^degree},
-    given table[s] = spec.ladder_at(s) for s = 0..degree.
+def _ladder_table(spec: OdeSpec, degree: int) -> tuple[list[tuple[int, int, int]], int]:
+    """(table, D): table[s] = (D R(s), D F_val(s), D L(s)) for s = 0..degree, all
+    integers, with D the lcm of the three factors' denominators.
 
-    Row r of the image reads R(r-1) c_(r-1) + F(r) c_r + L(r+1) c_(r+1).  The
-    lowest of R, F, L that is not identically zero (as a polynomial, from
-    spec.ladder_polys(), not at the sampled s) is the pivot band: walking
-    down from c_(degree+1) = 0, its row fixes each coefficient by one division.
+    Each factor is one integer Horner evaluation (polynomials._horner) of its
+    numerators from spec._ladder_integer at the integer s, scaled by D over its
+    own denominator.  The table is the block D B of the operator on
+    {x^0..x^degree}, which has the null space of B.
+    """
+    ladder = spec._ladder_integer
+    common = math.lcm(*(den for _, den in ladder))
+    scales = [(nums, common // den) for nums, den in ladder]
+    return [tuple(_horner(nums, 1, s, 1)[0] * scale for nums, scale in scales)
+            for s in range(degree + 1)], common
+
+
+def _polynomial_nullspace(spec: OdeSpec, table: list[tuple[int, int, int]]) -> list[list[Fraction]]:
+    """Reduced-echelon null-space basis of the operator on {x^0..x^degree},
+    given the integer table of _ladder_table, table[s] = D (R(s), F(s), L(s)).
+
+    Row r of the image reads R(r-1) c_(r-1) + F(r) c_r + L(r+1) c_(r+1), up to
+    the factor D, which leaves the null space alone.  The lowest of R, F, L
+    that is not identically zero (as a polynomial, from spec.ladder_polys(),
+    not at the sampled s) is the pivot band: walking down from
+    c_(degree+1) = 0, its row fixes each coefficient by one division.
     At the band's zeros in 0..degree (every column for the zero operator) the
     coefficient is a free parameter.  Any other column c is a pivot column,
     whose band row c + 1 - band holds its band entry below the reach of
@@ -329,6 +347,12 @@ def _polynomial_nullspace(spec: OdeSpec, table: list[tuple[Fraction, ...]]) -> l
     They include rows that no free column owns: row 0 under R, rows degree
     and degree+1 under L.  Reducing the images in parameter order against
     the parameters that are not free leaves the reduced-echelon basis.
+
+    The entries are integers but the vector stays Fraction: Fraction's
+    multiply and add reduce by gcds of a small factor against a large one,
+    while carrying integer numerators over a running denominator would end in
+    one gcd of two huge coprime integers per coefficient, which is quadratic
+    in their size and dominates once coefficients reach thousands of bits.
     """
     degree = len(table) - 1
     band = next((k for k, p in enumerate(spec.ladder_polys()) if p), 0)  # R, else F, else L
@@ -336,24 +360,28 @@ def _polynomial_nullspace(spec: OdeSpec, table: list[tuple[Fraction, ...]]) -> l
     pivot_rows = {c + 1 - band for c in range(degree + 1) if pivot[c]}
     constraint_rows = [r for r in range(degree + 2) if r not in pivot_rows]
 
-    def row(vec: list[Fraction], r: int) -> Fraction:
-        """Coefficient of x^r in the image of sum vec[s] x^s."""
-        total = Fraction(0)
+    def row(vec: list[Fraction], r: int) -> Fraction | int:
+        """Coefficient of x^r in the image of sum vec[s] x^s, D times; the int 0
+        when no product is nonzero, else a sum that starts at the first one."""
+        total: Fraction | int = 0
         for s in range(max(r - 1, 0), min(r + 2, degree + 1)):
             entry = table[s][s + 1 - r]
             if entry and vec[s]:
-                total += entry * vec[s]
+                product = vec[s] * entry
+                total = total + product if total else product
         return total
 
     basis: list[list[Fraction]] = []
-    reduced: list[tuple[list[Fraction], list[Fraction], int]] = []
+    reduced: list[tuple[list[Fraction], list[Fraction | int], int]] = []
     for z in (c for c in range(degree + 1) if pivot[c] == 0):
         vec = [Fraction(0)] * (degree + 1)
         vec[z] = Fraction(1)
         for c in range(z - 1, -1, -1):
             if pivot[c]:
                 # the band's row for c is c+1 under R, c under F and c-1 under L
-                vec[c] = -row(vec, c + 1 - band) / pivot[c]
+                total = row(vec, c + 1 - band)
+                if total:
+                    vec[c] = total / -pivot[c]
         image = [row(vec, r) for r in constraint_rows]
         for p_vec, p_image, lead in reduced:
             scale = image[lead] / p_image[lead]
@@ -367,48 +395,58 @@ def _polynomial_nullspace(spec: OdeSpec, table: list[tuple[Fraction, ...]]) -> l
     return basis
 
 
-def _characteristic_polynomial(table: list[tuple[Fraction, ...]]) -> Poly:
-    """det(B + t I) as a polynomial in t, for the square block B on {x^0..x^degree}
-    with table[s] = (R(s), F_val(s), L(s)) for s = 0..degree.
+def _characteristic_polynomial(table: list[tuple[int, int, int]]) -> list[int]:
+    """det(D B + u I) as integer coefficients in u, ascending, for the square
+    block B on {x^0..x^degree}, given the integer table of _ladder_table,
+    table[s] = D (R(s), F_val(s), L(s)).
 
-    B is tridiagonal (F_val(k) on the diagonal, R(k-1) below it, L(k) above
-    it), so its leading principal minors obey the continuant recurrence
+    D B is tridiagonal (D F_val(k) on the diagonal, D R(k-1) below it, D L(k)
+    above it), so its leading principal minors obey the continuant recurrence
 
-        D_k(t) = (F_val(k) + t) D_{k-1}(t) - R(k-1) L(k) D_{k-2}(t),
+        P_k(u) = (D F_val(k) + u) P_{k-1}(u) - D^2 R(k-1) L(k) P_{k-2}(u),
 
-    which costs O(degree^2) exact operations.
+    which costs O(degree^2) integer operations.  With u = D t,
+    det(D B + u I) = D^(degree+1) det(B + t I), so the roots in u are D times
+    those in t, and coefficient c_k of u^k is D^(degree+1-k) times that of t^k.
     """
-    prev: Poly = (Fraction(1),)
-    cur = poly((table[0][1], 1))
+    prev, cur = [1], [table[0][1], 1]
     for k in range(1, len(table)):
-        couple = table[k - 1][0] * table[k][2]
-        prev, cur = cur, poly_add(
-            poly_mul((table[k][1], Fraction(1)), cur), poly_scale(prev, -couple)
-        )
+        diagonal, couple = table[k][1], table[k - 1][0] * table[k][2]
+        nxt = [0, *cur]  # u P_{k-1}
+        for i, c in enumerate(cur):
+            nxt[i] += diagonal * c
+        for i, c in enumerate(prev):
+            nxt[i] -= couple * c
+        prev, cur = cur, nxt
     return cur
 
 
 def polynomial_solution(spec: OdeSpec, degree: int) -> PolynomialSolutionResult:
     """Exact null space of the operator on the monomial basis {x^0..x^degree}.
 
-    The basis is in reduced-echelon form and comes from the pivot-band
-    recurrence (see _polynomial_nullspace): the lowest nonzero of R, F, L
-    fixes one coefficient per row, and only its zeros in 0..degree, at most
-    two for a nonzero operator, leave a free parameter.  Each basis vector is
-    certified by applying full_operator to it.
+    R, F and L are evaluated once, at s = 0..degree, as one integer table
+    over their common denominator D (_ladder_table), which both the null
+    space and the continuant read.  The basis is in reduced-echelon form and
+    comes from the pivot-band recurrence (see _polynomial_nullspace): the
+    lowest nonzero of R, F, L fixes one coefficient per row, and only its
+    zeros in 0..degree, at most two for a nonzero operator, leave a free
+    parameter.  Its vectors are Fraction, not integers over one denominator,
+    whose final reduction would be quadratic in their size.  Each basis
+    vector is certified by applying full_operator to it.
 
     When no polynomial solution exists, the rational a8 values that make the
     (degree+1)-square subsystem singular are reported; only when R(degree) = 0
     is each sure to give a polynomial solution at that a8 (see
     PolynomialSolutionResult).  a8 enters that
-    tridiagonal block only on the diagonal, so its determinant at a8 + t is
-    the continuant characteristic polynomial in t, whose rational roots are
-    found in polynomial time.  Requires a3 = 0 and a nonnegative degree.
+    tridiagonal block only on the diagonal, so its determinant at a8 + t is,
+    up to the factor D^(degree+1), the integer continuant in u = D t, whose
+    rational roots u are found in polynomial time and reported as
+    a8 + u / D.  Requires a3 = 0 and a nonnegative degree.
     """
     if degree < 0:
         raise ValueError("degree must be nonnegative")
     require_castable(spec)
-    table = [spec.ladder_at(s) for s in range(degree + 1)]
+    table, common = _ladder_table(spec, degree)
     basis = _polynomial_nullspace(spec, table)
     verified = True
     op = full_operator(spec)
@@ -418,8 +456,8 @@ def polynomial_solution(spec: OdeSpec, degree: int) -> PolynomialSolutionResult:
     spectral: tuple[Fraction, ...] = ()
     if not basis:
         char = _characteristic_polynomial(table)
-        # det vanishes at a8 = spec.a8 + t, so report the shifted roots
-        spectral = tuple(spec.a8 + t for t in rational_roots(char))
+        # det vanishes at a8 = spec.a8 + t with t = u / D, so report the shifted roots
+        spectral = tuple(spec.a8 + u / common for u in rational_roots(char))
     return PolynomialSolutionResult(
         degree=degree,
         basis=tuple(tuple(v) for v in basis),

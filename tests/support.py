@@ -1,10 +1,12 @@
 """Helpers that more than one test module uses; pytest collects no tests here."""
 
+from fractions import Fraction
 from fractions import Fraction as F
+from typing import Sequence
 
 from heunalg import OdeSpec, build_generators, poly_of_op
 from heunalg.algebra import diagonal_coefficients
-from heunalg.polynomials import poly_add, poly_mul, poly_scale
+from heunalg.polynomials import Poly, poly
 
 
 def exact_branch_spec(lam1, lam2, a1=F(1), a2=F(1), a6=F(3)):
@@ -35,3 +37,28 @@ def reference_interpolate(points):
             denom *= xi - xk
         result = poly_add(result, poly_scale(basis, yi / denom))
     return result
+
+
+# Fraction polynomial arithmetic, which only the test references use; the
+# package builds its polynomials in integers.
+
+
+def poly_add(p: Sequence[Fraction], q: Sequence[Fraction]) -> Poly:
+    n = max(len(p), len(q))
+    return poly(
+        (p[i] if i < len(p) else 0) + (q[i] if i < len(q) else 0) for i in range(n)
+    )
+
+
+def poly_scale(p: Sequence[Fraction], factor: Fraction) -> Poly:
+    return poly(factor * c for c in p)
+
+
+def poly_mul(p: Sequence[Fraction], q: Sequence[Fraction]) -> Poly:
+    if not p or not q:
+        return ()
+    out = [Fraction(0)] * (len(p) + len(q) - 1)
+    for i, a in enumerate(p):
+        for j, b in enumerate(q):
+            out[i + j] += a * b
+    return poly(out)

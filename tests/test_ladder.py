@@ -41,8 +41,8 @@ from heunalg import (
 from heunalg.algebra import CasimirResult, DeformationCoeffs, _diagonal_operator
 from heunalg.catalog import HeunParams
 from heunalg.operators import GeneralizedSeries, falling_factorial
-from heunalg.polynomials import _horner, poly, poly_add, poly_eval, poly_shift
-from support import f_of_p0, reference_interpolate
+from heunalg.polynomials import _horner, poly, poly_eval, poly_shift
+from support import f_of_p0, poly_add, reference_interpolate
 
 
 # -- test-only references ---------------------------------------------------------
