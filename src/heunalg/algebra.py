@@ -39,6 +39,7 @@ polynomial, with one Fraction per coefficient a call returns.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -47,7 +48,7 @@ from typing import Sequence
 
 from .errors import DiagonalFitError, NotCastableError
 from .operators import DiffOp, RationalLike, as_fraction, commutator
-from .polynomials import (Poly, _horner, _integer_shift, _over_lcm, _shift_over, poly, poly_padded,
+from .polynomials import (Poly, _integer_shift, _over_lcm, _shift_over, poly, poly_padded,
                           poly_shift)
 
 
@@ -83,26 +84,42 @@ class OdeSpec:
             poly((0, self.a6 - self.a2, self.a2)),
         )
 
-    # R, F and L as (numerators ascending, common denominator), for _horner;
-    # the zero factor is the constant 0
+    # R, F and L as (numerators ascending, own denominator); the zero factor
+    # is the constant 0.  _casimir_in_m reads them, each over its own denominator
     @cached_property
     def _ladder_integer(self) -> tuple[tuple[list[int], int], ...]:
         return tuple(_over_lcm(p or (0,)) for p in self._ladder)
+
+    @cached_property
+    def _ladder_scale(self) -> int:
+        """D, the lcm of the denominators of R, F and L."""
+        return math.lcm(*(den for _, den in self._ladder_integer))
+
+    # the s^0, s^1, s^2 coefficients of D R, D F and D L, all integers
+    @cached_property
+    def _ladder_form(self) -> tuple[tuple[int, int, int], ...]:
+        return tuple(tuple(c * (self._ladder_scale // den) for c in nums) + (0,) * (3 - len(nums))
+                     for nums, den in self._ladder_integer)
+
+    def _ladder_row(self, n: int, d: int) -> tuple[int, int, int]:
+        """D d^2 (R, F, L)(n/d), d > 0, three integers: one quadratic form per
+        factor over n^2, n d, d^2.  Every solver reads the action through it."""
+        nn, nd, dd = n * n, n * d, d * d
+        (r0, r1, r2), (f0, f1, f2), (l0, l1, l2) = self._ladder_form
+        return r0 * dd + r1 * nd + r2 * nn, f0 * dd + f1 * nd + f2 * nn, l0 * dd + l1 * nd + l2 * nn
 
     def ladder_polys(self) -> tuple[Poly, Poly, Poly]:
         """(R, F, L) as polynomials in the exponent s, built once per spec."""
         return self._ladder
 
     def ladder_at(self, s: Fraction | int) -> tuple[Fraction, Fraction, Fraction]:
-        """(R(s), F(s), L(s)), the three factors of the action on x^s.
-
-        Each factor is evaluated in integers (polynomials._horner) and becomes
-        one Fraction at the end.
-        """
+        """(R(s), F(s), L(s)), the three factors of the action on x^s: the
+        integer row _ladder_row at s's numerator and denominator, over its
+        scale D d^2, as one Fraction per factor."""
         n, d = s.numerator, s.denominator
-        (r_nums, r_den), (f_nums, f_den), (l_nums, l_den) = self._ladder_integer
-        return (Fraction(*_horner(r_nums, r_den, n, d)), Fraction(*_horner(f_nums, f_den, n, d)),
-                Fraction(*_horner(l_nums, l_den, n, d)))
+        r, f, l = self._ladder_row(n, d)
+        scale = self._ladder_scale * d * d
+        return Fraction(r, scale), Fraction(f, scale), Fraction(l, scale)
 
 
 @dataclass(frozen=True)

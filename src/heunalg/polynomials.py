@@ -33,8 +33,7 @@ def poly_padded(p: Sequence[Fraction], n: int) -> tuple[Fraction, ...]:
 def poly_eval(p: Sequence[Fraction], x: Fraction | float) -> Fraction | float:
     """p(x) by Horner's rule in the type of x: exact at a Fraction, a float at a
     float.  The kink profile (kink.SigmaOde) evaluates here at a float sigma, so
-    this stays generic; _horner is the integer evaluator that ladder_at, the
-    one-sided series walk and rational_roots use."""
+    this stays generic; _horner is the integer evaluator of rational_roots."""
     acc = Fraction(0)
     for c in reversed(p):
         acc = acc * x + c

@@ -15,37 +15,38 @@ The ladder acts on monomials only through the three-term action
 
     x^s -> R(s) x^(s+1) + F_val(s) x^s + L(s) x^(s-1)
 
-(OdeSpec.ladder_at).  On a one-sided branch (R or L identically zero) each
-iteration adds one monomial, so the iteration is the two-term band recurrence
+and every solver reads it as integer rows OdeSpec._ladder_row(n, d) =
+D d^2 (R, F_val, L)(n/d), D the lcm of the factors' denominators (ladder_at is
+their Fraction view); at lambda + m = (p + m q)/q all share the scale D q^2.
+On a one-sided branch (R or L identically zero) each iteration adds one
+monomial, so the iteration is the two-term band recurrence
 
     c_(m+-1) = -X(lambda+m) c_m / F_val(lambda+m+-1),
 
 X the one of R, L that is not zero: a walk of O(iterations) steps, each
-evaluating X and F_val once in integers and doing one small ratio and one
-multiply.  Only two-sided specs run the Neumann sweep.  The truncated map is
-linear, so psi_k is the partial Neumann sum sum_{i<k} (-Finv (P+ + P-))^i
-x^lambda, and a sweep maps only the newest term psi_k - psi_(k-1) through the
-three-term action at the shifts next to its support, then adds the in-window
-part to psi.
+evaluating one row and doing one small ratio and one multiply.  Only
+two-sided specs run the Neumann sweep.  The truncated map is linear, so psi_k
+is the partial Neumann sum sum_{i<k} (-Finv (P+ + P-))^i x^lambda, and a
+sweep maps only the newest term psi_k - psi_(k-1) through the cached rows at
+the shifts next to its support, then adds the in-window part to psi.
 
 The same action makes the operator on {x^0..x^degree} a banded matrix B.
-polynomial_solution evaluates R, F and L at s = 0..degree once, in integers,
-over D, the lcm of their denominators: one integer table, the block D B,
-which has B's null space.  That null space comes from a recurrence on the
-lowest nonzero band (R, else F, else L): each row fixes one coefficient by a
-division, except at the band's zeros, which a nonzero quadratic has at most
-two of; so there are at most two free parameters and O(degree) exact
-operations.  The vector stays Fraction, since Fraction arithmetic keeps its
-gcds small against large where one common denominator would not.  The
-spectral condition on a8 is a continuant: the integer characteristic
-polynomial det(D B + u I) in u = D t, built by a three-term recurrence in
-O(degree^2) integer operations, whose rational roots u give a8 + u / D.
+polynomial_solution reads the rows at s = 0..degree, d = 1, once: one
+integer table, the block D B, which has B's null space.  That null space
+comes from a recurrence on the lowest nonzero band (R, else F, else L): each
+row fixes one coefficient by a division, except at the band's zeros, which a
+nonzero quadratic has at most two of; so there are at most two free
+parameters and O(degree) exact operations.  The vector stays Fraction, since
+Fraction arithmetic keeps its gcds small against large where one common
+denominator would not.  The spectral condition on a8 is a continuant: the
+integer characteristic polynomial det(D B + u I) in u = D t, built by a
+three-term recurrence in O(degree^2) integer operations, whose rational roots
+u give a8 + u / D.
 """
 
 from __future__ import annotations
 
 import functools
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -56,12 +57,7 @@ from .errors import (
     ResonantExponentError,
 )
 from .operators import GeneralizedSeries, RationalLike, as_fraction
-from .polynomials import (
-    _horner,
-    is_rational_square,
-    poly_padded,
-    rational_roots,
-)
+from .polynomials import is_rational_square, poly_padded, rational_roots
 
 DEFAULT_HORIZON = 32
 
@@ -242,26 +238,26 @@ def _band_walk(
     spec: OdeSpec, lam: Fraction, band: int, iterations: int, window: int
 ) -> tuple[dict[int, Fraction], SeriesReport]:
     """The iteration on a spec whose only ladder factor that may be nonzero is
-    X, index band of (R, F, L): c_(m+-1) = -X(lam+m) c_m / F(lam+m+-1), with X
-    and F evaluated once per shift in integers at lam + m = (p + m q)/q."""
+    X, index band of (R, F, L): c_(m+-1) = -X(lam+m) c_m / F(lam+m+-1), X read
+    off the integer row at shift m and F off the next, one row per shift."""
     step = 1 if band == 0 else -1
     p, q = lam.numerator, lam.denominator
-    (x_nums, x_common), (f_nums, f_common) = spec._ladder_integer[band], spec._ladder_integer[1]
     psi = {0: Fraction(1)}
     c, m = psi[0], 0
+    row = spec._ladder_row(p, q)  # at shift m
     for k in range(iterations):
-        x_num, x_den = _horner(x_nums, x_common, p + m * q, q)
-        if not x_num:
+        x = row[band]
+        if not x:
             return psi, SeriesReport(dropped=0, stationary_at=k)
-        f_num, f_den = _horner(f_nums, f_common, p + (m + step) * q, q)
-        if not f_num:
+        row = spec._ladder_row(p + (m + step) * q, q)
+        if not row[1]:
             raise ResonantExponentError(
                 f"F vanishes at generated exponent {lam + m + step} (shift {m + step})"
             )
         if abs(m + step) > window:
             return psi, SeriesReport(dropped=1, stationary_at=k)
         m += step
-        c *= Fraction(-x_num * f_den, x_den * f_num)
+        c *= Fraction(-x, row[1])
         psi[m] = c
     return psi, SeriesReport(dropped=0, stationary_at=None)
 
@@ -269,8 +265,10 @@ def _band_walk(
 def _neumann_sweep(
     spec: OdeSpec, lam: Fraction, iterations: int, window: int
 ) -> tuple[dict[int, Fraction], SeriesReport]:
-    """The iteration on a two-sided spec, one pushed Neumann term at a time."""
-    factor = functools.cache(lambda m: spec.ladder_at(lam + m))  # (R, F, L) once per shift m
+    """The iteration on a two-sided spec, one pushed Neumann term at a time, on
+    integer rows over one scale D q^2 (lam = p/q) that the division by F cancels."""
+    p, q = lam.numerator, lam.denominator
+    factor = functools.cache(lambda m: spec._ladder_row(p + m * q, q))  # once per shift m
     psi = {0: Fraction(1)}
     term = dict(psi)  # psi_1 - psi_0: the seed itself
     dropped = 0
@@ -285,7 +283,7 @@ def _neumann_sweep(
             pushed[n + 1] = pushed.get(n + 1, 0) + up * c
             pushed[n - 1] = pushed.get(n - 1, 0) + down * c
         term = {}
-        for m in sorted(m for m, p in pushed.items() if p):
+        for m in sorted(m for m, v in pushed.items() if v):
             f_val = factor(m)[1]
             if f_val == 0:
                 raise ResonantExponentError(
@@ -310,25 +308,9 @@ def termination_condition(spec: OdeSpec) -> TerminationResult:
     return TerminationResult(values=values, all_n=False)
 
 
-def _ladder_table(spec: OdeSpec, degree: int) -> tuple[list[tuple[int, int, int]], int]:
-    """(table, D): table[s] = (D R(s), D F_val(s), D L(s)) for s = 0..degree, all
-    integers, with D the lcm of the three factors' denominators.
-
-    Each factor is one integer Horner evaluation (polynomials._horner) of its
-    numerators from spec._ladder_integer at the integer s, scaled by D over its
-    own denominator.  The table is the block D B of the operator on
-    {x^0..x^degree}, which has the null space of B.
-    """
-    ladder = spec._ladder_integer
-    common = math.lcm(*(den for _, den in ladder))
-    scales = [(nums, common // den) for nums, den in ladder]
-    return [tuple(_horner(nums, 1, s, 1)[0] * scale for nums, scale in scales)
-            for s in range(degree + 1)], common
-
-
 def _polynomial_nullspace(spec: OdeSpec, table: list[tuple[int, int, int]]) -> list[list[Fraction]]:
     """Reduced-echelon null-space basis of the operator on {x^0..x^degree},
-    given the integer table of _ladder_table, table[s] = D (R(s), F(s), L(s)).
+    given the integer table of OdeSpec._ladder_row, table[s] = D (R, F, L)(s).
 
     Row r of the image reads R(r-1) c_(r-1) + F(r) c_r + L(r+1) c_(r+1), up to
     the factor D, which leaves the null space alone.  The lowest of R, F, L
@@ -397,8 +379,8 @@ def _polynomial_nullspace(spec: OdeSpec, table: list[tuple[int, int, int]]) -> l
 
 def _characteristic_polynomial(table: list[tuple[int, int, int]]) -> list[int]:
     """det(D B + u I) as integer coefficients in u, ascending, for the square
-    block B on {x^0..x^degree}, given the integer table of _ladder_table,
-    table[s] = D (R(s), F_val(s), L(s)).
+    block B on {x^0..x^degree}, given the integer table of OdeSpec._ladder_row,
+    table[s] = D (R, F_val, L)(s).
 
     D B is tridiagonal (D F_val(k) on the diagonal, D R(k-1) below it, D L(k)
     above it), so its leading principal minors obey the continuant recurrence
@@ -424,15 +406,15 @@ def _characteristic_polynomial(table: list[tuple[int, int, int]]) -> list[int]:
 def polynomial_solution(spec: OdeSpec, degree: int) -> PolynomialSolutionResult:
     """Exact null space of the operator on the monomial basis {x^0..x^degree}.
 
-    R, F and L are evaluated once, at s = 0..degree, as one integer table
-    over their common denominator D (_ladder_table), which both the null
-    space and the continuant read.  The basis is in reduced-echelon form and
-    comes from the pivot-band recurrence (see _polynomial_nullspace): the
-    lowest nonzero of R, F, L fixes one coefficient per row, and only its
-    zeros in 0..degree, at most two for a nonzero operator, leave a free
-    parameter.  Its vectors are Fraction, not integers over one denominator,
-    whose final reduction would be quadratic in their size.  Each basis
-    vector is certified by applying full_operator to it.
+    R, F and L are read once, as the integer rows D (R, F, L)(s) at
+    s = 0..degree (OdeSpec._ladder_row), one table that both the null space
+    and the continuant read.  The basis is in reduced-echelon form and comes
+    from the pivot-band recurrence (see _polynomial_nullspace): the lowest
+    nonzero of R, F, L fixes one coefficient per row, and only its zeros in
+    0..degree, at most two for a nonzero operator, leave a free parameter.
+    Its vectors are Fraction, not integers over one denominator, whose final
+    reduction would be quadratic in their size.  Each basis vector is
+    certified by applying full_operator to it.
 
     When no polynomial solution exists, the rational a8 values that make the
     (degree+1)-square subsystem singular are reported; only when R(degree) = 0
@@ -446,7 +428,7 @@ def polynomial_solution(spec: OdeSpec, degree: int) -> PolynomialSolutionResult:
     if degree < 0:
         raise ValueError("degree must be nonnegative")
     require_castable(spec)
-    table, common = _ladder_table(spec, degree)
+    table = [spec._ladder_row(s, 1) for s in range(degree + 1)]  # D (R, F, L)(s)
     basis = _polynomial_nullspace(spec, table)
     verified = True
     op = full_operator(spec)
@@ -457,7 +439,7 @@ def polynomial_solution(spec: OdeSpec, degree: int) -> PolynomialSolutionResult:
     if not basis:
         char = _characteristic_polynomial(table)
         # det vanishes at a8 = spec.a8 + t with t = u / D, so report the shifted roots
-        spectral = tuple(spec.a8 + u / common for u in rational_roots(char))
+        spectral = tuple(spec.a8 + u / spec._ladder_scale for u in rational_roots(char))
     return PolynomialSolutionResult(
         degree=degree,
         basis=tuple(tuple(v) for v in basis),

@@ -1,7 +1,8 @@
 """Every module of the package, every test module and every demo uses each
 name it imports, every private function and method of the package has a
-caller in the package itself, no function is written out twice, and every package class a
-public function returns is exported by the package."""
+caller in the package itself, no function is written out twice, every package class a
+public function returns is exported by the package, and the private names that belong
+to one module are referenced only there."""
 
 import ast
 from pathlib import Path
@@ -96,3 +97,20 @@ def test_classes_returned_by_public_functions_are_exported():
                 for name in _annotation_names(node.returns)}
     exported = set(_imported_names(ast.parse((PACKAGE / "__init__.py").read_text(encoding="utf-8"))))
     assert sorted((returned & classes) - exported) == []
+
+
+# private names that belong to one module: the ladder's integer layout to
+# OdeSpec, the unreduced Horner pair to the rational-root finder
+OWNED_NAMES = {"_ladder_integer": "algebra.py", "_ladder_form": "algebra.py",
+               "_horner": "polynomials.py"}
+
+
+def test_owned_private_names_stay_in_their_module():
+    """The solvers read the three-term action through OdeSpec's row evaluator,
+    not through the layout under it or the evaluator rational_roots uses."""
+    leaks = set()
+    for path in PACKAGE.glob("*.py"):
+        for name in _referenced_names(ast.parse(path.read_text(encoding="utf-8"))):
+            if OWNED_NAMES.get(name, path.name) != path.name:
+                leaks.add((path.name, name))
+    assert sorted(leaks) == []

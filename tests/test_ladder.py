@@ -256,7 +256,9 @@ def _ladder_at_arguments(rng):
 
 
 def test_ladder_at_is_integer_horner_of_the_ladder_polys():
-    """ladder_at against poly_eval on ladder_polys() and the closed form."""
+    """ladder_at against poly_eval on ladder_polys() and the closed form, and
+    the integer row under it, D d^2 (R, F, L)(n/d) with D the lcm of the
+    factors' denominators, against poly_eval."""
     rng = random.Random(2261)
     specs = [OdeSpec(), OdeSpec(a1=3, a5=F(-1, 2), a8=7), OdeSpec(a0=F(2, 3), a4=F(2, 3), a7=5),
              OdeSpec(a2=F(5, 7), a6=F(5, 7)), OdeSpec(a6=-4, a8=F(1, 9))]
@@ -268,11 +270,17 @@ def test_ladder_at_is_integer_horner_of_the_ladder_polys():
         ladder = spec.ladder_polys()
         for k, p in enumerate(ladder):
             empty[k] += not p
+        common = math.lcm(*(c.denominator for p in ladder for c in p))
+        assert spec._ladder_scale == common, spec
         for s in _ladder_at_arguments(rng):
             got = spec.ladder_at(s)
             assert all(type(v) is F for v in got), (spec, s, got)
             assert got == tuple(poly_eval(p, F(s)) for p in ladder), (spec, s)
             assert got == _closed_form_ladder(spec, F(s)), (spec, s)
+            n, d = F(s).numerator, F(s).denominator
+            row = spec._ladder_row(n, d)
+            assert all(type(v) is int for v in row), (spec, s, row)
+            assert row == tuple(common * d * d * poly_eval(p, F(s)) for p in ladder), (spec, s)
     assert min(empty) >= 3, empty
 
 

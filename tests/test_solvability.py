@@ -350,6 +350,61 @@ def test_sweep_matches_reference_loop():
     assert min(kinds.values()) >= 50, kinds
 
 
+def wide_denominator_series_case(rng, kind):
+    """(spec, lam, iterations, horizon) of one of CASE_KINDS with R, F and L
+    each over its own 64- to 128-bit denominator and lam over 1 to 7, so the
+    rows' common scale D q^2 spans three unrelated denominators.  The mixed
+    kinds that do not resonate at the seed are the ones the sweep walks far."""
+    dens = [rng.getrandbits(rng.randint(64, 128)) | 1 for _ in range(3)]  # R, F, L
+
+    def wide(factor):
+        return F(rng.randint(-2**64, 2**64) or 1, dens[factor])
+
+    def small():
+        return F(rng.randint(-6, 6), rng.randint(1, 7))
+
+    lam1 = F(rng.choice((0, -1))) if kind == "mixed-ascending" else small()
+    lam2 = lam1 + rng.choice((-1, 1)) * rng.randint(1, 6) if rng.random() < 0.4 else small()
+    a1 = wide(1)
+    c = dict(a1=a1, a5=a1 * (1 - lam1 - lam2), a8=a1 * lam1 * lam2)
+    lam = lam1 if kind == "mixed-ascending" or rng.random() < 0.5 else lam2
+    if kind in ("exact", "mixed", "mixed-descending"):
+        c.update(a2=wide(2), a6=wide(2))
+    if kind in ("qes", "mixed", "mixed-ascending"):
+        c.update(a0=wide(0), a4=wide(0), a7=wide(0))
+    if kind == "exact-terminating":
+        a2 = wide(2)
+        c.update(a2=a2, a6=a2 * (1 - (lam - rng.randint(1, 8))))
+    elif kind == "qes-terminating":
+        s, a0, a4 = lam + rng.randint(0, 8), wide(0), wide(0)
+        c.update(a0=a0, a4=a4, a7=-(a0 * s * (s - 1) + a4 * s))
+    elif kind == "mixed-descending":
+        a0 = wide(0)
+        c.update(a0=a0, a4=a0 * (2 - 2 * lam), a7=a0 * lam * (lam - 1))
+    elif kind == "mixed-ascending":
+        a2 = wide(2)
+        c.update(a2=a2, a6=F(0) if lam1 == 0 else 2 * a2)
+    return OdeSpec(**c), lam, rng.randint(2, 16), rng.choice((None, 3, 10))
+
+
+def test_sweep_matches_reference_loop_with_unrelated_wide_denominators():
+    rng = random.Random(2241)
+    long_series, resonant = Counter(), Counter()
+    for kind in CASE_KINDS:
+        for _ in range(12):
+            case = wide_denominator_series_case(rng, kind)
+            got = _outcome(series_solution_with_report, *case)
+            assert got == _outcome(reference_series_with_report, *case), (kind, case)
+            if isinstance(got[1], SeriesReport):
+                long_series[kind] += len(got[0]) >= 4
+            else:
+                resonant[kind] += got[0] is ResonantExponentError
+    # a generic two-sided spec returns to its seed; the other two mixed
+    # constructions carry the sweep through several terms
+    assert resonant["mixed"] == 12, resonant
+    assert min(long_series[k] for k in ("mixed-descending", "mixed-ascending")) >= 4, long_series
+
+
 def test_exactly_solvable_series_matches_oracle_at_512_terms():
     lam1, lam2 = F(1, 3), F(-3, 2)
     spec = OdeSpec(a1=6, a2=2, a5=6 * (1 - lam1 - lam2), a6=1, a8=6 * lam1 * lam2)

@@ -30,7 +30,6 @@ from heunalg.polynomials import (
 from heunalg.solvability import (
     PolynomialSolutionResult,
     _characteristic_polynomial,
-    _ladder_table,
     _polynomial_nullspace,
 )
 from support import poly_mul, reference_interpolate
@@ -248,10 +247,15 @@ def reference_polynomial_solution(spec, degree, roots=reference_rational_roots):
     )
 
 
+def ladder_table(spec, degree):
+    """The solver's integer table: the rows D (R, F, L)(s) at s = 0..degree."""
+    return [spec._ladder_row(s, 1) for s in range(degree + 1)]
+
+
 def characteristic_polynomial_in_t(spec, degree):
     """det(B + t I) from the solver's integer continuant det(D B + u I), u = D t:
     coefficient c_k of u^k becomes c_k D^(k-n) of t^k, n = degree + 1."""
-    table, common = _ladder_table(spec, degree)
+    table, common = ladder_table(spec, degree), spec._ladder_scale
     char = _characteristic_polynomial(table)
     n = len(char) - 1
     return tuple(F(c, common ** (n - k)) for k, c in enumerate(char))
@@ -314,7 +318,7 @@ def test_recurrence_nullspace_matches_dense_elimination():
         spec, degree = random_spectral_case(rng)
         degree += rng.randint(0, 6)
         want = reference_gauss_nullspace(reference_operator_matrix(spec, degree))
-        table, _ = _ladder_table(spec, degree)
+        table = ladder_table(spec, degree)
         assert _polynomial_nullspace(spec, table) == want, (spec, degree)
 
 
@@ -335,7 +339,7 @@ def test_recurrence_nullspace_on_each_branch(base):
         spec = dataclasses.replace(base, a1=F(a1), a5=F(a5), a8=F(a8))
         for degree in range(7):
             want = reference_gauss_nullspace(reference_operator_matrix(spec, degree))
-            table, _ = _ladder_table(spec, degree)
+            table = ladder_table(spec, degree)
             assert _polynomial_nullspace(spec, table) == want, (spec, degree)
             dims.add(len(want))
     if base == OdeSpec():
@@ -384,7 +388,7 @@ def test_recurrence_nullspace_on_rows_no_free_column_owns():
     one_free_column_under_r = {True: 0, False: 0}  # keyed by whether row 0 vanished
     for spec, degree in cases:
         want = reference_gauss_nullspace(reference_operator_matrix(spec, degree))
-        table, _ = _ladder_table(spec, degree)
+        table = ladder_table(spec, degree)
         assert _polynomial_nullspace(spec, table) == want, (spec, degree)
         assert polynomial_solution(spec, degree).verified, (spec, degree)
         if spec.ladder_polys()[0] and sum(1 for r, _, _ in table if r == 0) == 1:
@@ -586,7 +590,7 @@ def test_wide_unrelated_denominators_match_references():
         spec, degree = wide_denominator_case(rng)
         matrix = reference_operator_matrix(spec, degree)
         want_basis = reference_gauss_nullspace(matrix)
-        table, _ = _ladder_table(spec, degree)
+        table = ladder_table(spec, degree)
         assert _polynomial_nullspace(spec, table) == want_basis, (spec, degree)
         want_char = reference_characteristic_polynomial(spec, degree)
         assert characteristic_polynomial_in_t(spec, degree) == want_char, (spec, degree)
