@@ -207,7 +207,7 @@ def cmd_series(args: argparse.Namespace) -> int:
         else:
             notes.append(f"terminated: series stationary after {report.stationary_at} iterations")
     shifts = series.shifts()
-    inside = [m for m in full_operator(spec).apply(series).shifts() if shifts[0] <= m <= shifts[-1]]
+    inside = [m for m in full_operator(spec).image_support(series) if shifts[0] <= m <= shifts[-1]]
     if inside:
         notes.append(f"residual nonzero at shift {inside[0]} inside the rows: they are not a solution")
     payload = {

@@ -166,6 +166,22 @@ class DiffOp:
                     acc[key] = (n * (den // g) + c * (d // g), d // g * den)
         return DiffOp._canonical({key: Fraction(n, d) for key, (n, d) in acc.items() if n})
 
+    def _offset_weights(self, d: int) -> tuple[int, list[tuple[int, int, list[tuple[int, int]]]]]:
+        """(K, [(offset, den d^K, [(num, k)])]) for a base with denominator d: the
+        terms grouped by offset p - k, each offset's coefficients over their lcm
+        den, K the top derivative order (see apply)."""
+        top = max((t.dorder for t in self._terms), default=0)
+        by_offset: dict[int, list[OpTerm]] = {}
+        for t in self._terms:
+            by_offset.setdefault(t.xpow - t.dorder, []).append(t)
+        weights = []
+        for offset, terms in by_offset.items():
+            den = math.lcm(*(t.coeff.denominator for t in terms))
+            weights.append((offset, den * d**top, [
+                (t.coeff.numerator * (den // t.coeff.denominator) * d ** (top - t.dorder), t.dorder)
+                for t in terms]))
+        return top, weights
+
     def apply(self, series: "GeneralizedSeries") -> "GeneralizedSeries":
         """Exact action on a generalized series, one weight per monomial and offset.
 
@@ -179,16 +195,7 @@ class DiffOp:
         added with Fraction's own arithmetic after that.
         """
         d = series.base.denominator
-        top = max((t.dorder for t in self._terms), default=0)
-        by_offset: dict[int, list[OpTerm]] = {}
-        for t in self._terms:
-            by_offset.setdefault(t.xpow - t.dorder, []).append(t)
-        weights: list[tuple[int, int, list[tuple[int, int]]]] = []  # (offset, den d^K, [(num, k)])
-        for offset, terms in by_offset.items():
-            den = math.lcm(*(t.coeff.denominator for t in terms))
-            weights.append((offset, den * d**top, [
-                (t.coeff.numerator * (den // t.coeff.denominator) * d ** (top - t.dorder), t.dorder)
-                for t in terms]))
+        top, weights = self._offset_weights(d)
         acc: dict[int, Fraction] = {}
         for m, c in series.items():
             falling = _falling_products(series.base.numerator + m * d, d, top)
@@ -198,6 +205,33 @@ class DiffOp:
                     key, value = m + offset, Fraction(weight_num, weight_den) * c
                     acc[key] = acc[key] + value if key in acc else value
         return GeneralizedSeries._canonical(series.base, acc)
+
+    def image_support(self, series: "GeneralizedSeries") -> tuple[int, ...]:
+        """The ascending shifts at which self.apply(series) is nonzero, made
+        with no Fraction: the zero test of an exact residual.
+
+        It reads apply's integer weights and adds each exponent's contributions
+        W c as one integer pair (num, den), over the lcm of the two
+        denominators, as compose does.  A pair is zero iff its numerator is,
+        so no pair is ever reduced.
+        """
+        d = series.base.denominator
+        top, weights = self._offset_weights(d)
+        acc: dict[int, tuple[int, int]] = {}  # shift -> (num, den)
+        for m, c in series.items():
+            falling = _falling_products(series.base.numerator + m * d, d, top)
+            c_num, c_den = c.numerator, c.denominator
+            for offset, weight_den, terms in weights:
+                weight_num = sum(num * falling[k] for num, k in terms)
+                if weight_num:
+                    key, num, den = m + offset, weight_num * c_num, weight_den * c_den
+                    if key in acc:
+                        n, e = acc[key]
+                        g = math.gcd(e, den)  # n/e + num/den over the lcm of e and den
+                        acc[key] = (n * (den // g) + num * (e // g), e // g * den)
+                    else:
+                        acc[key] = (num, den)
+        return tuple(sorted(key for key, (n, _) in acc.items() if n))
 
     def apply_to_monomial(self, exponent: RationalLike) -> "GeneralizedSeries":
         return self.apply(GeneralizedSeries.monomial(exponent))

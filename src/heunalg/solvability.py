@@ -100,11 +100,14 @@ class TerminationResult:
 class PolynomialSolutionResult:
     """Null space of the operator on {x^0..x^degree}, plus the spectral report.
 
-    basis holds coefficient tuples (c_0..c_degree).  When the basis is empty,
-    spectral_a8 lists the rational values of a8 at which the square subsystem
-    determinant vanishes.  Each gives a polynomial solution at that a8 when
-    degree is a termination degree, R(degree) = 0; otherwise only where it
-    also makes a lower termination degree's block singular, and most give none.
+    basis holds coefficient tuples (c_0..c_degree).  verified is True when
+    full_operator(spec) sends every basis vector exactly to zero, by the
+    integer zero test DiffOp.image_support (so also for an empty basis).
+    When the basis is empty, spectral_a8 lists the rational values of a8 at
+    which the square subsystem determinant vanishes.  Each gives a polynomial
+    solution at that a8 when degree is a termination degree, R(degree) = 0;
+    otherwise only where it also makes a lower termination degree's block
+    singular, and most give none.
     """
 
     degree: int
@@ -414,7 +417,8 @@ def polynomial_solution(spec: OdeSpec, degree: int) -> PolynomialSolutionResult:
     0..degree, at most two for a nonzero operator, leave a free parameter.
     Its vectors are Fraction, not integers over one denominator, whose final
     reduction would be quadratic in their size.  Each basis vector is
-    certified by applying full_operator to it.
+    certified by an integer zero test of its exact residual,
+    full_operator(spec).image_support, which builds no Fraction.
 
     When no polynomial solution exists, the rational a8 values that make the
     (degree+1)-square subsystem singular are reported; only when R(degree) = 0
@@ -430,11 +434,9 @@ def polynomial_solution(spec: OdeSpec, degree: int) -> PolynomialSolutionResult:
     require_castable(spec)
     table = [spec._ladder_row(s, 1) for s in range(degree + 1)]  # D (R, F, L)(s)
     basis = _polynomial_nullspace(spec, table)
-    verified = True
     op = full_operator(spec)
-    for vec in basis:
-        if not op.apply(GeneralizedSeries._canonical(Fraction(0), dict(enumerate(vec)))).is_zero():
-            verified = False
+    verified = not any(op.image_support(GeneralizedSeries._canonical(Fraction(0), dict(enumerate(vec))))
+                       for vec in basis)
     spectral: tuple[Fraction, ...] = ()
     if not basis:
         char = _characteristic_polynomial(table)

@@ -10,7 +10,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from heunalg import OdeSpec, full_operator, series_solution_with_report
+from heunalg import (
+    DiffOp,
+    OdeSpec,
+    full_operator,
+    kink_spec,
+    polynomial_solution,
+    series_solution_with_report,
+)
 from heunalg.cli import main
 from heunalg.solvability import DEFAULT_HORIZON
 
@@ -166,6 +173,21 @@ class TestSeries:
         series = series_solution_with_report(spec, 0, 6, 6)[0]
         assert shifts == list(series.shifts()) == list(range(7))
         assert full_operator(spec).apply(series).shifts()[:3] == (1, 3, 5)
+        assert notes == ["residual nonzero at shift 1 inside the rows: they are not a solution"]
+
+    def test_certificates_build_no_fraction_image(self, tmp_path, capsys, monkeypatch):
+        """polynomial_solution's verified and the series residual note read the
+        integer zero test DiffOp.image_support; DiffOp.apply is never called."""
+        def refuse(op, series):
+            raise AssertionError("a certificate built the Fraction image")
+
+        monkeypatch.setattr(DiffOp, "apply", refuse)
+        result = polynomial_solution(kink_spec(F(1, 2), F(1, 2)), 1)
+        assert len(result.basis) == 1 and result.verified
+        p = tmp_path / "two.spec"
+        p.write_text("a0 = 2\na1 = -2\na2 = 3/2\na4 = 3\na5 = -2\na7 = -2\n")
+        assert main(["series", str(p), "--lambda", "0", "--terms", "6", "--format", "json"]) == 0
+        notes = json.loads(capsys.readouterr().out)["notes"]
         assert notes == ["residual nonzero at shift 1 inside the rows: they are not a solution"]
 
     def test_resonance_exit_4(self, tmp_path):

@@ -100,14 +100,16 @@ def test_classes_returned_by_public_functions_are_exported():
 
 
 # private names that belong to one module: the ladder's integer layout to
-# OdeSpec, the unreduced Horner pair to the rational-root finder
+# OdeSpec, the unreduced Horner pair to the rational-root finder, the per-offset
+# integer weights to DiffOp's action and its zero test
 OWNED_NAMES = {"_ladder_integer": "algebra.py", "_ladder_form": "algebra.py",
-               "_horner": "polynomials.py"}
+               "_horner": "polynomials.py", "_offset_weights": "operators.py"}
 
 
 def test_owned_private_names_stay_in_their_module():
     """The solvers read the three-term action through OdeSpec's row evaluator,
-    not through the layout under it or the evaluator rational_roots uses."""
+    not through the layout under it or the evaluator rational_roots uses, and
+    the certificates read DiffOp's weights through apply or image_support."""
     leaks = set()
     for path in PACKAGE.glob("*.py"):
         for name in _referenced_names(ast.parse(path.read_text(encoding="utf-8"))):

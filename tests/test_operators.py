@@ -15,6 +15,8 @@ from heunalg import (
     ResonantExponentError,
     commutator,
     falling_factorial,
+    full_operator,
+    polynomial_solution,
     series_solution_with_report,
 )
 
@@ -283,6 +285,62 @@ def test_grouped_apply_edges_match_the_per_term_loop():
         assert got == reference_apply(op, series), (op, series)
         assert got.base == series.base
         assert_canonical_series(got)
+
+
+def test_image_support_is_the_support_of_apply():
+    """image_support, the certificate's integer zero test, against
+    apply(...).shifts(): random operators (0-9 terms, orders and powers 0-3,
+    2- to 64-bit coefficients) on rational bases and negative shifts, the zero
+    operator and the zero series, 9-term operators with 1,024-bit coefficients,
+    and solver outputs whose residual cancels inside the rows: a shift whose
+    contributions are nonzero one by one and sum to zero."""
+    rng = random.Random(2325)
+    cases = [(DiffOp(), GeneralizedSeries(F(-2, 3), {-4: 1, 3: F(5, 7)})),
+             (DiffOp.term(F(3, 4), 2, 1), GeneralizedSeries(F(1, 2), {})),
+             (DiffOp(), GeneralizedSeries(0, {}))]
+    for _ in range(600):
+        op = DiffOp([(_rational(rng, rng.choice((2, 8, 16, 64))), rng.randint(0, 3), rng.randint(0, 3))
+                     for _ in range(rng.randint(0, 9))])
+        base = rng.choice((F(0), F(rng.randint(-6, 6)), _rational(rng, 3)))
+        series = GeneralizedSeries(base, {rng.randint(-6, 8): _rational(rng, rng.choice((2, 16, 64)))
+                                          for _ in range(rng.randint(0, 8))})
+        cases.append((op, series))
+    for _ in range(6):
+        op = DiffOp([(_rational(rng, 1024), rng.randint(0, 3), rng.randint(0, 3)) for _ in range(9)])
+        series = GeneralizedSeries(_rational(rng, 3), {m: _rational(rng, 1024) for m in range(-5, 15)})
+        cases.append((op, series))
+
+    def nonzero():
+        return F(rng.choice((-1, 1)) * rng.randint(1, 6), rng.randint(1, 3))
+
+    solved = []
+    for shape in ("ascending", "descending", "two-sided") * 60:
+        lam, other, a1 = nonzero(), nonzero(), nonzero()
+        c = dict(a1=a1, a5=a1 * (1 - lam - other), a8=a1 * lam * other)
+        if shape != "descending":
+            c.update(a0=nonzero(), a4=nonzero(), a7=nonzero())
+        if shape != "ascending":
+            c.update(a2=nonzero(), a6=nonzero())
+        spec = OdeSpec(**c)
+        try:
+            series, _ = series_solution_with_report(spec, lam, rng.randint(2, 20), None)
+        except ResonantExponentError:
+            continue
+        solved.append((full_operator(spec), series))
+    for _ in range(100):
+        # R = 0 and F = a1 (s - z1)(s - z2): a polynomial solution with free columns z1, z2
+        z1, z2, a1 = rng.randint(0, 6), rng.randint(0, 6), nonzero()
+        spec = OdeSpec(a1=a1, a5=a1 * (1 - z1 - z2), a8=a1 * z1 * z2, a2=nonzero(), a6=nonzero())
+        for vec in polynomial_solution(spec, 6).basis:
+            solved.append((full_operator(spec), GeneralizedSeries(0, dict(enumerate(vec)))))
+    cancelled = 0
+    for op, series in solved:
+        image = op.apply(series).shifts()
+        cancelled += any(m not in image and m in op.apply(GeneralizedSeries(series.base, {m: c})).shifts()
+                         for m, c in series.items())
+    assert cancelled >= 150, cancelled
+    for op, series in cases + solved:
+        assert op.image_support(series) == op.apply(series).shifts(), (op, series)
 
 
 def test_series_add_and_scale():

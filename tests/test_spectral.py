@@ -641,3 +641,63 @@ def test_coefficient_growth_stays_in_fraction_arithmetic():
     assert elapsed < 0.5, elapsed
     want = reference_apply(op, series)
     assert got.base == want.base and list(got.items()) == list(want.items())
+
+
+def test_image_support_stays_fast_on_the_growth_inputs():
+    """The certificate's integer zero test on the two inputs of the test
+    above, drawn the same way: the t = 160 basis vector, whose image rows
+    each add three contributions over denominators of about 160k bits, and
+    the one-term operator on 20 coefficients of 200k bits.  image_support
+    adds over the lcm of two denominators and never reduces: 0.15 s and
+    0.002 s on a 2-vCPU x86-64 host.  Over the product of the denominators
+    the vector took 0.98 s, and a reduced pair per output exponent costs one
+    gcd of two huge integers each."""
+    rng = random.Random(160)
+
+    def wide(bits):
+        return F(rng.randrange(-2 ** bits, 2 ** bits), rng.randrange(1, 2 ** bits))
+
+    t = 160
+    c = {name: wide(256) for name in ("a0", "a1", "a4", "a5")}
+    spec = OdeSpec(a7=-(c["a0"] * t * (t - 1) + c["a4"] * t), **c)
+    (vec,) = polynomial_solution(spec, t).basis
+    solution = GeneralizedSeries(0, dict(enumerate(vec)))
+    start = time.perf_counter()
+    support = full_operator(spec).image_support(solution)
+    elapsed = time.perf_counter() - start
+    assert elapsed < 1.5, elapsed
+    assert support == ()
+
+    op = DiffOp.term(wide(64), 1, 1)
+    series = GeneralizedSeries(F(1, 3), {m: wide(2_000) ** 100 for m in range(20)})
+    start = time.perf_counter()
+    support = op.image_support(series)
+    elapsed = time.perf_counter() - start
+    assert elapsed < 0.5, elapsed
+    assert support == op.apply(series).shifts() == tuple(range(20))
+
+
+def test_a_perturbed_basis_vector_is_not_verified(monkeypatch):
+    """verified is the residual's zero test, not a constant: with the null
+    space made to return perturbed vectors, it is False exactly when one of
+    their images, built by apply, is nonzero."""
+    rng = random.Random(2326)
+    nullspace = _polynomial_nullspace
+
+    def perturbed(spec, table):
+        basis = nullspace(spec, table)
+        for vec in basis:
+            vec[rng.randrange(len(vec))] += F(rng.randint(1, 5), rng.randint(1, 3))
+        return basis
+
+    monkeypatch.setattr("heunalg.solvability._polynomial_nullspace", perturbed)
+    assert polynomial_solution(kink_spec(F(1, 2), F(1, 2)), 1).verified is False
+    refused = 0
+    for _ in range(600):
+        spec, degree = random_spectral_case(rng)
+        result = polynomial_solution(spec, degree)
+        op = full_operator(spec)
+        want = all(op.apply(GeneralizedSeries(0, dict(enumerate(v)))).is_zero() for v in result.basis)
+        assert result.verified is want, (spec, degree)
+        refused += not want
+    assert refused >= 50, refused
