@@ -70,7 +70,6 @@ from .operators import (
     GeneralizedSeries,
     OpTerm,
     commutator,
-    falling_factorial,
 )
 from .solvability import (
     IndicialRoots,

@@ -30,6 +30,7 @@ from .algebra import (
     casimir,
     deformation_coefficients,
     full_operator,
+    require_castable,
 )
 from .errors import (
     DegenerateDiagonalError,
@@ -190,6 +191,7 @@ def cmd_series(args: argparse.Namespace) -> int:
     if args.terms > MAX_TERMS:
         raise SpecFileError(f"--terms must be at most {MAX_TERMS}")
     spec = read_spec_file(args.specfile)
+    require_castable(spec)  # exit 3 before any branch is chosen, whatever --lambda says
     lam = _pick_lambda(spec, args.branch)
     # n iterations (band-walk steps on one-sided specs, Neumann sweeps on two-sided
     # ones) keep the support inside |shift| <= n, so nothing is dropped

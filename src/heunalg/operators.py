@@ -50,15 +50,6 @@ def _falling_products(n: int, d: int, k: int) -> list[int]:
     return out
 
 
-def falling_factorial(sigma: Fraction, k: int) -> Fraction:
-    """sigma(sigma-1)...(sigma-k+1); the empty product (k=0) is 1.
-
-    With sigma = n/d this is (n)(n-d)...(n-(k-1)d) / d^k, made in integers.
-    """
-    d = sigma.denominator
-    return Fraction(_falling_products(sigma.numerator, d, k)[k], d**k)
-
-
 class OpTerm(NamedTuple):
     """One normal-ordered term coeff * x^xpow * D^dorder."""
 
@@ -99,10 +90,6 @@ class DiffOp:
         object.__setattr__(op, "_terms", terms)
         return op
 
-    @staticmethod
-    def term(coeff: RationalLike, xpow: int, dorder: int) -> "DiffOp":
-        return DiffOp([(coeff, xpow, dorder)])
-
     # -- inspection --------------------------------------------------------
 
     @property
@@ -141,10 +128,6 @@ class DiffOp:
 
     def __neg__(self) -> "DiffOp":
         return DiffOp._canonical({(t.dorder, t.xpow): -t.coeff for t in self._terms})
-
-    def scale(self, factor: RationalLike) -> "DiffOp":
-        f = as_fraction(factor)
-        return DiffOp._canonical({(t.dorder, t.xpow): f * t.coeff for t in self._terms})
 
     # -- composition and action --------------------------------------------
 
@@ -350,13 +333,6 @@ class GeneralizedSeries:
             key = m + shift
             merged[key] = merged.get(key, Fraction(0)) + c
         return GeneralizedSeries._canonical(self._base, merged)
-
-    def __sub__(self, other: "GeneralizedSeries") -> "GeneralizedSeries":
-        return self + other.scale(-1)
-
-    def scale(self, factor: RationalLike) -> "GeneralizedSeries":
-        f = as_fraction(factor)
-        return GeneralizedSeries._canonical(self._base, {m: f * c for m, c in self._coeffs.items()})
 
     def __str__(self) -> str:
         if not self._coeffs:

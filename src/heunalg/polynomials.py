@@ -40,17 +40,16 @@ def poly_eval(p: Sequence[Fraction], x: Fraction | float) -> Fraction | float:
     return acc
 
 
-def _horner(nums: Sequence[int], den: int, n: int, d: int) -> tuple[int, int]:
-    """sum nums_i t^i / den at t = n/d, d > 0, as the unreduced integer pair
-    (N, den d^deg), deg = len(nums) - 1 (0 for no numerators): Horner's rule
-    on n and d, so the denominator depends on d only and N has the sign of
-    the value."""
+def _horner(nums: Sequence[int], n: int, d: int) -> int:
+    """d^deg sum nums_i t^i at t = n/d, d > 0, deg = len(nums) - 1 (0 for no
+    numerators): Horner's rule on n and d, an integer with the sign of the
+    value."""
     coeffs = reversed(nums)
     acc, power = next(coeffs, 0), 1
-    for c in coeffs:  # acc / (den * power) is the Horner partial sum at t
+    for c in coeffs:  # acc / power is the Horner partial sum at t
         power *= d
         acc = acc * n + c * power
-    return acc, den * power
+    return acc
 
 
 def poly_shift(p: Sequence[Fraction], h: Fraction) -> Poly:
@@ -133,7 +132,7 @@ def rational_roots(p: Sequence[Fraction]) -> list[Fraction]:
             inverse = inverse * (2 - _horner_mod(derivative, r, modulus) * inverse) % modulus
         y = lead * r % modulus
         y -= modulus if 2 * y > modulus else 0
-        if not _horner(f, 1, y, lead)[0]:
+        if not _horner(f, y, lead):
             roots.append(Fraction(y, lead))
     return sorted(roots)
 

@@ -148,8 +148,10 @@ def check_solvability(spec: OdeSpec) -> SolvabilityVerdict:
 
     The all-diagonal case sets both flags degenerately.  Systems outside both
     gates that still admit a termination level are noted: polynomial solutions
-    can exist beyond these conditions.
+    can exist beyond these conditions.  Requires a3 = 0: a3 D^2 lowers every
+    monomial by two, which no ladder split carries.
     """
+    require_castable(spec)
     raising, _, lowering = spec.ladder_polys()
     exact = raising == ()
     quasi = lowering == ()

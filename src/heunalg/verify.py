@@ -107,7 +107,7 @@ def residual_sigma(
 def hypergeometric_oracle(spec: OdeSpec, lam: RationalLike, terms: int) -> GeneralizedSeries:
     """Series solution of the no-raising-part branch by direct substitution.
 
-    With a0 = a4 = a7 = 0 the equation is a1 x^2 psi'' + a2 x psi'' + a5 x psi'
+    With a0 = a3 = a4 = a7 = 0 the equation is a1 x^2 psi'' + a2 x psi'' + a5 x psi'
     + a6 psi' + a8 psi = 0.  Substituting sum_k c_k x^(lam+k) and collecting
     x^(lam+k) gives the two-term relation
 
@@ -120,8 +120,8 @@ def hypergeometric_oracle(spec: OdeSpec, lam: RationalLike, terms: int) -> Gener
     which must stay nonzero (resonance otherwise).  Completely independent of
     the normal-ordered operator machinery.
     """
-    if not (spec.a0 == 0 and spec.a4 == 0 and spec.a7 == 0):
-        raise ValueError("oracle requires the exactly-solvable branch a0 = a4 = a7 = 0")
+    if not (spec.a0 == 0 and spec.a3 == 0 and spec.a4 == 0 and spec.a7 == 0):
+        raise ValueError("oracle requires the exactly-solvable branch a0 = a3 = a4 = a7 = 0")
     lam = as_fraction(lam)
 
     def f_bracket(sigma: Fraction) -> Fraction:

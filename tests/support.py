@@ -24,6 +24,14 @@ def f_of_p0(spec):
     return poly_of_op(diagonal_coefficients(spec), build_generators(spec).p_zero)
 
 
+def reference_falling_factorial(sigma, k):
+    """sigma(sigma-1)...(sigma-k+1) as a product of Fractions; 1 at k = 0."""
+    out = F(1)
+    for i in range(k):
+        out *= sigma - i
+    return out
+
+
 def reference_interpolate(points):
     """Lagrange interpolation: a chain of poly_mul per node, O(n^3)."""
     result = ()

@@ -206,6 +206,13 @@ class TestSeries:
         assert main(["series", str(p), "--lambda", "minus", "--terms", "3"]) == 5
         assert main(["series", str(p), "--lambda", "plus", "--terms", "3"]) == 0
 
+    @pytest.mark.parametrize("branch", ["plus", "minus", "1/2"])
+    def test_uncastable_exit_3_on_every_branch(self, tmp_path, capsys, branch):
+        p = tmp_path / "a3.spec"
+        p.write_text("a1 = 1\na3 = 1\na8 = -1\n")  # F's roots are irrational, and 1/2 is none
+        assert main(["series", str(p), "--lambda", branch, "--terms", "5", "--format", "json"]) == 3
+        assert json.loads(capsys.readouterr().err)["error"]["kind"] == "not-castable"
+
     def test_explicit_lambda_value(self, exact_path, capsys):
         assert main(["series", exact_path, "--lambda", "-3", "--terms", "3",
                      "--format", "csv"]) == 0

@@ -1,6 +1,7 @@
 """Every module of the package, every test module and every demo uses each
 name it imports, every private function and method of the package has a
-caller in the package itself, no function is written out twice, every package class a
+caller in the package itself, every public one has a caller outside the
+tests, no function is written out twice, every package class a
 public function returns is exported by the package, and the private names that belong
 to one module are referenced only there."""
 
@@ -33,14 +34,20 @@ def test_every_import_is_used(path):
     assert sorted(set(_imported_names(tree)) - used) == []
 
 
+def _names_of(node):
+    """The names one AST node references: a name, an attribute, or a from-import."""
+    if isinstance(node, ast.Name):
+        return [node.id]
+    if isinstance(node, ast.Attribute):
+        return [node.attr]
+    if isinstance(node, ast.ImportFrom):
+        return [alias.name for alias in node.names]
+    return []
+
+
 def _referenced_names(tree):
     for node in ast.walk(tree):
-        if isinstance(node, ast.Name):
-            yield node.id
-        elif isinstance(node, ast.Attribute):
-            yield node.attr
-        elif isinstance(node, ast.ImportFrom):
-            yield from (alias.name for alias in node.names)
+        yield from _names_of(node)
 
 
 @pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
@@ -55,6 +62,42 @@ def test_every_private_function_is_used_by_the_package(path):
     used = {name for module in PACKAGE.glob("*.py")
             for name in _referenced_names(ast.parse(module.read_text(encoding="utf-8")))}
     assert sorted(private - used) == []
+
+
+def _references_outside_own_definition(node, enclosing=frozenset()):
+    """Names referenced under node, except inside a function or method of the same name."""
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+        enclosing |= {node.name}
+    yield from (name for name in _names_of(node) if name not in enclosing)
+    for child in ast.iter_child_nodes(node):
+        yield from _references_outside_own_definition(child, enclosing)
+
+
+# kink_ground_state_check holds acceptance criterion 7's exact operator facts
+# for the n = 3/2 level; only the tests read them until the program reports
+# why the closed-form kink states fail (ROADMAP item 7)
+NO_CALLER_BY_DESIGN = {"kink_ground_state_check"}
+
+
+def test_every_public_name_has_a_caller_outside_the_tests():
+    """Every public module-level function, and every public non-dunder method
+    of a package class, is referenced in src/, demos/ or bench/: one public way
+    in per result, and none that only tests call.  __init__.py's exports and a
+    reference inside the definition itself do not count.  A method is matched
+    by its attribute name alone, so this cannot tell DiffOp.scale from
+    DeformationCoeffs.scale: a name one class still uses keeps another
+    class's method of that name alive."""
+    public = set()
+    for path in MODULES:
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        methods = [node for cls in tree.body if isinstance(cls, ast.ClassDef) for node in cls.body]
+        public |= {node.name for node in tree.body + methods
+                   if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+                   and not node.name.startswith("_")}
+    callers = [*MODULES, *(ROOT / "demos").glob("*.py"), *(ROOT / "bench").glob("*.py")]
+    used = {name for path in callers
+            for name in _references_outside_own_definition(ast.parse(path.read_text(encoding="utf-8")))}
+    assert sorted(public - used) == sorted(NO_CALLER_BY_DESIGN)
 
 
 def _function_bodies(path):
@@ -100,8 +143,8 @@ def test_classes_returned_by_public_functions_are_exported():
 
 
 # private names that belong to one module: the ladder's integer layout to
-# OdeSpec, the unreduced Horner pair to the rational-root finder, the per-offset
-# integer weights to DiffOp's action and its zero test
+# OdeSpec, the integer Horner evaluation to the rational-root finder's exact
+# check, the per-offset integer weights to DiffOp's action and its zero test
 OWNED_NAMES = {"_ladder_integer": "algebra.py", "_ladder_form": "algebra.py",
                "_horner": "polynomials.py", "_offset_weights": "operators.py"}
 

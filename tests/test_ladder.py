@@ -40,9 +40,9 @@ from heunalg import (
 )
 from heunalg.algebra import CasimirResult, DeformationCoeffs, _diagonal_operator
 from heunalg.catalog import HeunParams
-from heunalg.operators import GeneralizedSeries, falling_factorial
+from heunalg.operators import GeneralizedSeries
 from heunalg.polynomials import _horner, poly, poly_eval, poly_shift
-from support import f_of_p0, poly_add, reference_interpolate
+from support import f_of_p0, poly_add, reference_falling_factorial, reference_interpolate
 
 
 # -- test-only references ---------------------------------------------------------
@@ -64,7 +64,7 @@ def reference_compose(a, b):
     for s in a.terms:
         for t in b.terms:
             for i in range(min(s.dorder, t.xpow) + 1):
-                c = s.coeff * t.coeff * math.comb(s.dorder, i) * falling_factorial(F(t.xpow), i)
+                c = s.coeff * t.coeff * math.comb(s.dorder, i) * reference_falling_factorial(F(t.xpow), i)
                 out.append((c, s.xpow + t.xpow - i, s.dorder + t.dorder - i))
     return DiffOp(out)
 
@@ -81,7 +81,7 @@ def reference_poly_shift(p, h):
 def reference_poly_of_op(p, op):
     result = DiffOp()
     for c in reversed(poly(p)):
-        result = reference_compose(result, op) + DiffOp.term(c, 0, 0)
+        result = reference_compose(result, op) + DiffOp([(c, 0, 0)])
     return result
 
 
@@ -285,8 +285,9 @@ def test_ladder_at_is_integer_horner_of_the_ladder_polys():
 
 
 def test_horner_is_exact_integer_evaluation():
-    """_horner(nums, den, n, d) against poly_eval at n/d: the zero and constant
-    polynomials, d = 1 and d = 2, negative n and 0- to 1,024-bit numerators."""
+    """_horner(nums, n, d) over den d^deg against poly_eval of nums / den at
+    n/d: the zero and constant polynomials, d = 1 and d = 2, negative n and
+    0- to 1,024-bit numerators."""
     rng = random.Random(2263)
     polys = [([], 1), ([0], 3), ([5], 1), ([-7], 4)]
     for bits in (0, 1, 4, 64, 256, 1024):
@@ -297,9 +298,9 @@ def test_horner_is_exact_integer_evaluation():
         p = tuple(F(c, den) for c in nums)
         for d in (1, 2, 3, rng.randint(1, 2**64)):
             for n in (0, 1, -1, -2 * d - 1, rng.randint(-2**70, 2**70)):
-                num, over = _horner(nums, den, n, d)
-                assert type(num) is int and over == den * d ** max(len(nums) - 1, 0)
-                assert F(num, over) == poly_eval(p, F(n, d)), (nums, den, n, d)
+                num = _horner(nums, n, d)
+                assert type(num) is int
+                assert F(num, den * d ** max(len(nums) - 1, 0)) == poly_eval(p, F(n, d)), (nums, den, n, d)
 
 
 def test_casimir_ignores_m_range():
@@ -411,8 +412,8 @@ def test_ladder_calls_on_1024_bit_spec_finish_quickly():
 
 
 @pytest.mark.parametrize("op, max_degree, message", [
-    (DiffOp.term(1, 6, 6), 3, "eigenvalues are not polynomial of degree <= 3"),
-    (DiffOp.term(1, 0, 6), 3, "operator is not diagonal on x^6: {Fraction(0, 1): Fraction(720, 1)}"),
+    (DiffOp([(1, 6, 6)]), 3, "eigenvalues are not polynomial of degree <= 3"),
+    (DiffOp([(1, 0, 6)]), 3, "operator is not diagonal on x^6: {Fraction(0, 1): Fraction(720, 1)}"),
     # 2 x D is diagonal; x^9 D^5 first moves x^5, past the nodes 0..3 a sampling fit probes
     (DiffOp([(2, 1, 1), (5, 9, 5)]), 1,
      "operator is not diagonal on x^5: {Fraction(9, 1): Fraction(600, 1)}"),
@@ -470,7 +471,7 @@ def test_casimir_rejects_negative_m_range(m_range):
 @pytest.mark.parametrize("max_degree", [-1, -2, -3])
 def test_fit_rejects_negative_degree(max_degree):
     with pytest.raises(ValueError, match="max_degree must be nonnegative"):
-        fit_diagonal_polynomial(DiffOp.term(1, 0, 0), 0, max_degree)
+        fit_diagonal_polynomial(DiffOp([(1, 0, 0)]), 0, max_degree)
 
 
 # -- kernels ----------------------------------------------------------------------

@@ -19,6 +19,7 @@ from heunalg import (
     full_operator,
     hypergeometric_oracle,
     indicial_roots,
+    jacobi_spec,
     kink_spec,
     polynomial_solution,
     series_solution_with_report,
@@ -167,6 +168,12 @@ class TestSolvabilityVerdict:
         assert v.trivial_diagonal
 
 
+    def test_uncastable_rejected(self):
+        """a3 D^2 lowers every monomial by two, outside both gates: the verdict
+        would read 'no raising or lowering part at all'."""
+        with pytest.raises(NotCastableError):
+            check_solvability(jacobi_spec(2, 0, 0))
+
 class TestSeriesSolution:
     def test_zero_iterations_is_seed(self):
         spec = exact_branch_spec(F(1, 2), F(-1, 3))
@@ -247,7 +254,7 @@ def reference_series_with_report(spec, lam, iterations, horizon=None):
                     f"F vanishes at generated exponent {lam + m} (shift {m})"
                 )
             inverted[m] = c / f_val
-        nxt = seed - GeneralizedSeries(lam, inverted)
+        nxt = seed + GeneralizedSeries(lam, {m: -c for m, c in inverted.items()})
         kept = {m: c for m, c in nxt.items() if abs(m) <= window}
         dropped += len(nxt.shifts()) - len(kept)
         nxt = GeneralizedSeries(lam, kept)

@@ -64,6 +64,11 @@ class TestHypergeometricOracle:
     def test_requires_exact_branch(self):
         with pytest.raises(ValueError):
             hypergeometric_oracle(kink_spec(F(1), F(1, 2)), 1, 5)
+        # the two-term relation has no a3 x^(lam+k-2) term: on this spec the series
+        # it would return leaves a residual at shifts -7..-2, four inside its rows -5..0
+        spec = OdeSpec(a1=1, a2=1, a3=1, a5=1 - F(1, 3) - F(7, 5), a6=3, a8=F(7, 15))
+        with pytest.raises(ValueError, match="a3 = "):
+            hypergeometric_oracle(spec, F(1, 3), 6)
 
     def test_non_indicial_seed_rejected(self):
         spec = exact_branch_spec(F(1, 2), F(-1, 3))
