@@ -262,15 +262,16 @@ def fit_diagonal_polynomial(op: DiffOp, j: RationalLike, max_degree: int) -> Pol
     if max_degree < 0:
         raise ValueError("max_degree must be nonnegative")
     jf = as_fraction(j)
-    if any(t.xpow != t.dorder for t in op.terms):
+    terms = op.terms
+    if any(t.xpow != t.dorder for t in terms):
         # Off the diagonal, op moves x^m by polynomials in m of degree <= K (the
         # highest derivative order), not all zero, so it moves one of x^0..x^K.
-        for m in range(op.terms[-1].dorder + 1):
+        for m in range(terms[-1].dorder + 1):
             image = op.apply_to_monomial(m)
             off_diag = {e: c for e, c in image.support().items() if e != m}
             if off_diag:
                 raise DiagonalFitError(f"operator is not diagonal on x^{m}: {off_diag}")
-    newton = {t.dorder: t.coeff for t in op.terms}
+    newton = {t.dorder: t.coeff for t in terms}
     degree = max(newton, default=-1)
     if degree > max_degree:
         raise DiagonalFitError(f"eigenvalues are not polynomial of degree <= {max_degree}")

@@ -2,9 +2,10 @@
 
 Operators are finite sums of terms ``coeff * x^p * D^k`` (``D = d/dx``) with
 rational coefficients, kept in a unique normal-ordered canonical form: every
-x-power stands to the left of every derivative, terms are sorted by
-``(dorder, xpow)``, and zero coefficients are dropped.  Composition uses the
-Leibniz rule
+x-power stands to the left of every derivative, and an operator is its map
+``{(dorder, xpow): coeff}`` with zero coefficients dropped.  Order is made only
+where it is read: ``DiffOp.terms`` sorts the map by ``(dorder, xpow)``, and
+printing reads it.  Composition uses the Leibniz rule
 
     D^k x^q = sum_{i=0}^{min(k,q)} C(k,i) * q!/(q-i)! * x^{q-i} D^{k-i},
 
@@ -61,11 +62,11 @@ class OpTerm(NamedTuple):
 class DiffOp:
     """A linear differential operator in canonical normal-ordered form.
 
-    Instances are immutable; two operators are equal iff their canonical term
-    lists are identical.  The empty operator is the zero operator.
+    Instances are immutable; two operators are equal iff their coefficient
+    maps are equal.  The empty operator is the zero operator.
     """
 
-    __slots__ = ("_terms",)
+    __slots__ = ("_coeffs",)
 
     def __init__(self, terms: Iterable[tuple[RationalLike, int, int]] = ()):
         acc: dict[tuple[int, int], Fraction] = {}
@@ -77,35 +78,35 @@ class DiffOp:
                 raise ValueError("x-power and derivative order must be nonnegative integers")
             key = (dorder, xpow)
             acc[key] = acc.get(key, 0) + c
-        object.__setattr__(self, "_terms", DiffOp._canonical(acc)._terms)
+        object.__setattr__(self, "_coeffs", DiffOp._canonical(acc)._coeffs)
 
     # -- constructors ------------------------------------------------------
 
     @staticmethod
     def _canonical(acc: dict[tuple[int, int], Fraction]) -> "DiffOp":
         """The operator sum acc[(k, p)] x^p D^k, from validated keys and Fraction
-        coefficients; terms are sorted by (dorder, xpow) and zeros dropped."""
+        coefficients; zeros are dropped."""
         op = object.__new__(DiffOp)
-        terms = tuple(OpTerm(acc[key], key[1], key[0]) for key in sorted(acc) if acc[key])
-        object.__setattr__(op, "_terms", terms)
+        object.__setattr__(op, "_coeffs", {key: c for key, c in acc.items() if c})
         return op
 
     # -- inspection --------------------------------------------------------
 
     @property
     def terms(self) -> tuple[OpTerm, ...]:
-        return self._terms
+        """The terms sorted by (dorder, xpow), built on each read."""
+        return tuple(OpTerm(c, p, k) for (k, p), c in sorted(self._coeffs.items()))
 
     def is_zero(self) -> bool:
-        return not self._terms
+        return not self._coeffs
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, DiffOp):
             return NotImplemented
-        return self._terms == other._terms
+        return self._coeffs == other._coeffs
 
     def __hash__(self) -> int:
-        return hash(self._terms)
+        return hash(frozenset(self._coeffs.items()))
 
     def __setattr__(self, name: str, value) -> None:
         raise AttributeError("DiffOp is immutable")
@@ -115,10 +116,9 @@ class DiffOp:
     def __add__(self, other: "DiffOp") -> "DiffOp":
         if not isinstance(other, DiffOp):
             return NotImplemented
-        acc = {(t.dorder, t.xpow): t.coeff for t in self._terms}
-        for t in other._terms:
-            key = (t.dorder, t.xpow)
-            acc[key] = acc[key] + t.coeff if key in acc else t.coeff
+        acc = dict(self._coeffs)
+        for key, c in other._coeffs.items():
+            acc[key] = acc[key] + c if key in acc else c
         return DiffOp._canonical(acc)
 
     def __sub__(self, other: "DiffOp") -> "DiffOp":
@@ -127,7 +127,7 @@ class DiffOp:
         return self + (-other)
 
     def __neg__(self) -> "DiffOp":
-        return DiffOp._canonical({(t.dorder, t.xpow): -t.coeff for t in self._terms})
+        return DiffOp._canonical({key: -c for key, c in self._coeffs.items()})
 
     # -- composition and action --------------------------------------------
 
@@ -135,15 +135,15 @@ class DiffOp:
         """Normal-ordered composition self o other (apply other first); each output
         term's contributions add up in integers, then make one Fraction."""
         acc: dict[tuple[int, int], tuple[int, int]] = {}  # key -> (num, den)
-        for a in self._terms:
-            a_num, a_den = a.coeff.numerator, a.coeff.denominator
-            for b in other._terms:
-                num, den = a_num * b.coeff.numerator, a_den * b.coeff.denominator
+        for (k1, p1), a in self._coeffs.items():
+            a_num, a_den = a.numerator, a.denominator
+            for (k2, p2), b in other._coeffs.items():
+                num, den = a_num * b.numerator, a_den * b.denominator
                 # x^p1 D^k1 x^p2 D^k2 -> Leibniz expansion of D^k1 x^p2,
                 # with the integer factor C(k1, i) * p2!/(p2-i)!
-                for i in range(min(a.dorder, b.xpow) + 1):
-                    key = (a.dorder + b.dorder - i, a.xpow + b.xpow - i)
-                    c = num * (math.comb(a.dorder, i) * math.perm(b.xpow, i))
+                for i in range(min(k1, p2) + 1):
+                    key = (k1 + k2 - i, p1 + p2 - i)
+                    c = num * (math.comb(k1, i) * math.perm(p2, i))
                     n, d = acc.get(key, (0, den))
                     g = math.gcd(d, den)  # n/d + c/den over the lcm of d and den
                     acc[key] = (n * (den // g) + c * (d // g), d // g * den)
@@ -153,16 +153,15 @@ class DiffOp:
         """(K, [(offset, den d^K, [(num, k)])]) for a base with denominator d: the
         terms grouped by offset p - k, each offset's coefficients over their lcm
         den, K the top derivative order (see apply)."""
-        top = max((t.dorder for t in self._terms), default=0)
-        by_offset: dict[int, list[OpTerm]] = {}
-        for t in self._terms:
-            by_offset.setdefault(t.xpow - t.dorder, []).append(t)
+        top = max((k for k, _ in self._coeffs), default=0)
+        by_offset: dict[int, list[tuple[int, Fraction]]] = {}
+        for (k, p), c in self._coeffs.items():
+            by_offset.setdefault(p - k, []).append((k, c))
         weights = []
         for offset, terms in by_offset.items():
-            den = math.lcm(*(t.coeff.denominator for t in terms))
+            den = math.lcm(*(c.denominator for _, c in terms))
             weights.append((offset, den * d**top, [
-                (t.coeff.numerator * (den // t.coeff.denominator) * d ** (top - t.dorder), t.dorder)
-                for t in terms]))
+                (c.numerator * (den // c.denominator) * d ** (top - k), k) for k, c in terms]))
         return top, weights
 
     def apply(self, series: "GeneralizedSeries") -> "GeneralizedSeries":
@@ -222,10 +221,10 @@ class DiffOp:
     # -- printing ----------------------------------------------------------
 
     def __str__(self) -> str:
-        if not self._terms:
+        if not self._coeffs:
             return "0"
         parts = []
-        for t in self._terms:
+        for t in self.terms:
             body = []
             if t.xpow == 1:
                 body.append("x")

@@ -42,8 +42,8 @@ def assert_canonical(op):
 
 def assert_matches_init(a, b):
     """compose, +, - and unary - give what the validating DiffOp(...) makes of
-    their raw, unmerged terms, in canonical form; a - a and a + (-a) have no
-    terms."""
+    their raw, unmerged terms, in canonical form and with the same hash; a - a
+    and a + (-a) have no terms."""
     negated_b = [(-c, p, k) for c, p, k in b.terms]
     leibniz = [(s.coeff * t.coeff * math.comb(s.dorder, i) * math.perm(t.xpow, i),
                 s.xpow + t.xpow - i, s.dorder + t.dorder - i)
@@ -52,6 +52,7 @@ def assert_matches_init(a, b):
              (-b, negated_b)]
     for got, raw in cases:
         assert got == DiffOp(raw), (a, b, got)
+        assert hash(got) == hash(DiffOp(raw)), (a, b, got)
         assert_canonical(got)
     assert (a - a).terms == (a + (-a)).terms == (), a
 
@@ -195,6 +196,11 @@ def test_duplicate_terms_merge_and_cancel():
     assert all(type(t.coeff) is F for t in (a + b).terms)
     # D o x = x D + 1 and x o D = x D: the x D terms cancel in the commutator
     assert (D.compose(X) - X.compose(D)).terms == ((F(1), 0, 0),)
+    # the private constructor keeps the map as given, minus its zeros; terms sorts it
+    unsorted = DiffOp._canonical({(2, 0): F(5), (0, 3): F(0), (0, 1): F(-1, 2), (1, 4): F(3)})
+    assert unsorted.terms == ((F(-1, 2), 1, 0), (F(3), 4, 1), (F(5), 0, 2))
+    assert unsorted == DiffOp([(5, 0, 2), (3, 4, 1), (F(-1, 2), 1, 0)])
+    assert hash(unsorted) == hash(DiffOp([(F(-1, 2), 1, 0), (3, 4, 1), (5, 0, 2)]))
     for left, right in ((a, b), (b, a), (a, DiffOp()), (DiffOp(), b), (D, X), (X, D)):
         assert_matches_init(left, right)
 
