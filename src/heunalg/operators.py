@@ -10,16 +10,18 @@ printing reads it.  Composition uses the Leibniz rule
     D^k x^q = sum_{i=0}^{min(k,q)} C(k,i) * q!/(q-i)! * x^{q-i} D^{k-i},
 
 so products, commutators and polynomial expressions in operators stay exact.
-``DiffOp.compose`` adds each output term's contributions in integers and
-makes one ``Fraction`` per term.
+``DiffOp.compose`` adds each output term's contributions as one integer pair
+over the lcm of their denominators (``_add_pair``) and makes one ``Fraction``
+per term.
 
 Series are finite collections of terms ``c_m * x^(rho+m)`` with a rational
 base exponent ``rho`` and integer shifts ``m`` (possibly negative).  The
 action of an operator term on ``x^sigma`` is the falling factorial rule
 ``x^p D^k x^sigma = sigma(sigma-1)...(sigma-k+1) x^(sigma-k+p)``, which is
-total for any rational ``sigma``.  ``DiffOp.apply`` groups the terms by
-offset ``p - k`` and works each offset's weight out in integers, so a
-monomial costs one ``Fraction`` per offset, not one per term.
+total for any rational ``sigma``.  One kernel, ``DiffOp._contributions``,
+works out each offset ``p - k``'s weight on a monomial in integers; ``apply``
+adds its contributions as ``Fraction``s, which stay reduced at a small gcd
+each, and ``image_support`` as ``_add_pair``'s unreduced pairs.
 """
 
 from __future__ import annotations
@@ -49,6 +51,17 @@ def _falling_products(n: int, d: int, k: int) -> list[int]:
     for i in range(k):
         out.append(out[-1] * (n - i * d))
     return out
+
+
+def _add_pair(acc: dict, key, num: int, den: int) -> None:
+    """acc[key] += num/den, with the sum kept as the unreduced integer pair
+    (numerator, denominator) over the lcm of the two denominators."""
+    if key in acc:
+        n, d = acc[key]
+        g = math.gcd(d, den)
+        acc[key] = (n * (den // g) + num * (d // g), d // g * den)
+    else:
+        acc[key] = (num, den)
 
 
 class OpTerm(NamedTuple):
@@ -133,7 +146,7 @@ class DiffOp:
 
     def compose(self, other: "DiffOp") -> "DiffOp":
         """Normal-ordered composition self o other (apply other first); each output
-        term's contributions add up in integers, then make one Fraction."""
+        term's contributions add up as one integer pair, then make one Fraction."""
         acc: dict[tuple[int, int], tuple[int, int]] = {}  # key -> (num, den)
         for (k1, p1), a in self._coeffs.items():
             a_num, a_den = a.numerator, a.denominator
@@ -142,17 +155,19 @@ class DiffOp:
                 # x^p1 D^k1 x^p2 D^k2 -> Leibniz expansion of D^k1 x^p2,
                 # with the integer factor C(k1, i) * p2!/(p2-i)!
                 for i in range(min(k1, p2) + 1):
-                    key = (k1 + k2 - i, p1 + p2 - i)
                     c = num * (math.comb(k1, i) * math.perm(p2, i))
-                    n, d = acc.get(key, (0, den))
-                    g = math.gcd(d, den)  # n/d + c/den over the lcm of d and den
-                    acc[key] = (n * (den // g) + c * (d // g), d // g * den)
+                    _add_pair(acc, (k1 + k2 - i, p1 + p2 - i), c, den)
         return DiffOp._canonical({key: Fraction(n, d) for key, (n, d) in acc.items() if n})
 
-    def _offset_weights(self, d: int) -> tuple[int, list[tuple[int, int, list[tuple[int, int]]]]]:
-        """(K, [(offset, den d^K, [(num, k)])]) for a base with denominator d: the
-        terms grouped by offset p - k, each offset's coefficients over their lcm
-        den, K the top derivative order (see apply)."""
+    def _contributions(self, series: "GeneralizedSeries") -> list[tuple[int, int, int, Fraction]]:
+        """[(shift, weight numerator, weight denominator, coefficient)] per monomial
+        c x^sigma of series and offset p - k with a nonzero weight W: the action
+        is the sum of W c at each shift.  A term x^p D^k sends x^sigma to
+        sigma(sigma-1)...(sigma-k+1) x^(sigma+p-k); with sigma = n/d, one offset's
+        terms add up to W = N(n) / (den d^K), den the lcm of their coefficients'
+        denominators, K the top derivative order and N an integer sum of the
+        falling products (n)(n-d)...(n-(k-1)d), which every offset shares."""
+        d = series.base.denominator
         top = max((k for k, _ in self._coeffs), default=0)
         by_offset: dict[int, list[tuple[int, Fraction]]] = {}
         for (k, p), c in self._coeffs.items():
@@ -162,57 +177,34 @@ class DiffOp:
             den = math.lcm(*(c.denominator for _, c in terms))
             weights.append((offset, den * d**top, [
                 (c.numerator * (den // c.denominator) * d ** (top - k), k) for k, c in terms]))
-        return top, weights
-
-    def apply(self, series: "GeneralizedSeries") -> "GeneralizedSeries":
-        """Exact action on a generalized series, one weight per monomial and offset.
-
-        A term x^p D^k sends c x^sigma to c sigma(sigma-1)...(sigma-k+1) at
-        offset p - k.  With sigma = n/d, the terms at one offset add up to the
-        weight W(sigma) = N(n) / (den d^K): den is the common denominator of
-        that offset's coefficients, K the top derivative order, and N an
-        integer sum of the falling products (n)(n-d)...(n-(k-1)d), which every
-        offset shares.  Each nonzero weight makes one Fraction, and W c goes
-        to the output: stored as it is for an exponent's first contribution,
-        added with Fraction's own arithmetic after that.
-        """
-        d = series.base.denominator
-        top, weights = self._offset_weights(d)
-        acc: dict[int, Fraction] = {}
+        out = []
         for m, c in series.items():
             falling = _falling_products(series.base.numerator + m * d, d, top)
             for offset, weight_den, terms in weights:
                 weight_num = sum(num * falling[k] for num, k in terms)
                 if weight_num:
-                    key, value = m + offset, Fraction(weight_num, weight_den) * c
-                    acc[key] = acc[key] + value if key in acc else value
+                    out.append((m + offset, weight_num, weight_den, c))
+        return out
+
+    def apply(self, series: "GeneralizedSeries") -> "GeneralizedSeries":
+        """Exact action on a generalized series: each of _contributions' W c makes
+        one Fraction, added with Fraction's own arithmetic, whose gcds of a small
+        factor against a large one keep long series' coefficients reduced."""
+        acc: dict[int, Fraction] = {}
+        for key, weight_num, weight_den, c in self._contributions(series):
+            value = Fraction(weight_num, weight_den) * c
+            acc[key] = acc[key] + value if key in acc else value
         return GeneralizedSeries._canonical(series.base, acc)
 
     def image_support(self, series: "GeneralizedSeries") -> tuple[int, ...]:
-        """The ascending shifts at which self.apply(series) is nonzero, made
-        with no Fraction: the zero test of an exact residual.
-
-        It reads apply's integer weights and adds each exponent's contributions
-        W c as one integer pair (num, den), over the lcm of the two
-        denominators, as compose does.  A pair is zero iff its numerator is,
-        so no pair is ever reduced.
-        """
-        d = series.base.denominator
-        top, weights = self._offset_weights(d)
+        """The ascending shifts at which self.apply(series) is nonzero, made with
+        no Fraction: the zero test of an exact residual.  It adds _contributions'
+        W c per exponent with _add_pair, as compose does; a pair is zero iff its
+        numerator is, so none is ever reduced."""
         acc: dict[int, tuple[int, int]] = {}  # shift -> (num, den)
-        for m, c in series.items():
-            falling = _falling_products(series.base.numerator + m * d, d, top)
-            c_num, c_den = c.numerator, c.denominator
-            for offset, weight_den, terms in weights:
-                weight_num = sum(num * falling[k] for num, k in terms)
-                if weight_num:
-                    key, num, den = m + offset, weight_num * c_num, weight_den * c_den
-                    if key in acc:
-                        n, e = acc[key]
-                        g = math.gcd(e, den)  # n/e + num/den over the lcm of e and den
-                        acc[key] = (n * (den // g) + num * (e // g), e // g * den)
-                    else:
-                        acc[key] = (num, den)
+        for key, weight_num, weight_den, c in self._contributions(series):
+            c_num, c_den = c.as_integer_ratio()
+            _add_pair(acc, key, weight_num * c_num, weight_den * c_den)
         return tuple(sorted(key for key, (n, _) in acc.items() if n))
 
     def apply_to_monomial(self, exponent: RationalLike) -> "GeneralizedSeries":

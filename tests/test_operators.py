@@ -299,8 +299,10 @@ def test_image_support_is_the_support_of_apply():
     apply(...).shifts(): random operators (0-9 terms, orders and powers 0-3,
     2- to 64-bit coefficients) on rational bases and negative shifts, the zero
     operator and the zero series, 9-term operators with 1,024-bit coefficients,
-    and solver outputs whose residual cancels inside the rows: a shift whose
-    contributions are nonzero one by one and sum to zero."""
+    operators with orders up to 8, several per offset, on bases with 64-bit
+    denominators and negative numerators (the action kernel's widest den d^K
+    weights), and series and solver outputs whose image cancels at a shift
+    whose contributions are nonzero one by one and sum to zero."""
     rng = random.Random(2325)
     cases = [(DiffOp(), GeneralizedSeries(F(-2, 3), {-4: 1, 3: F(5, 7)})),
              (DiffOp([(F(3, 4), 2, 1)]), GeneralizedSeries(F(1, 2), {})),
@@ -316,6 +318,27 @@ def test_image_support_is_the_support_of_apply():
         op = DiffOp([(_rational(rng, 1024), rng.randint(0, 3), rng.randint(0, 3)) for _ in range(9)])
         series = GeneralizedSeries(_rational(rng, 3), {m: _rational(rng, 1024) for m in range(-5, 15)})
         cases.append((op, series))
+    wide, cancelling = random.Random(2828), 0
+    for _ in range(150):
+        offsets = wide.sample(range(-3, 4), wide.randint(1, 3))
+        op = DiffOp([(_rational(wide, wide.choice((4, 64, 256))), offset + k, k)
+                     for offset in offsets for k in wide.sample(range(9), wide.randint(1, 5))
+                     if offset + k >= 0])
+        base = F(-wide.randint(1, 2**64), wide.randint(2**63, 2**64))
+        coeffs = {wide.randint(-6, 9): _rational(wide, wide.choice((4, 64, 256)))
+                  for _ in range(wide.randint(0, 6))}
+        if len(offsets) > 1 and coeffs:
+            # the coefficient at shift - o2 that cancels the image at shift
+            o1, o2 = wide.sample(offsets, 2)
+            shift = wide.choice(list(coeffs)) + o1
+            coeffs.pop(shift - o2, None)
+            have = dict(op.apply(GeneralizedSeries(base, coeffs)).items()).get(shift, 0)
+            unit = dict(op.apply(GeneralizedSeries(base, {shift - o2: 1})).items()).get(shift, 0)
+            if have and unit:
+                coeffs[shift - o2] = -have / unit
+                cancelling += 1
+        cases.append((op, GeneralizedSeries(base, coeffs)))
+    assert cancelling >= 50, cancelling
 
     def nonzero():
         return F(rng.choice((-1, 1)) * rng.randint(1, 6), rng.randint(1, 3))
