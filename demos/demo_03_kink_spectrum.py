@@ -9,8 +9,6 @@
 
 from fractions import Fraction as F
 
-import numpy as np
-
 from heunalg import (
     kink_algebra,
     kink_heun_reduction,
@@ -28,6 +26,13 @@ from heunalg import (
 )
 
 EPS_SQ = F(1)
+
+
+def linspace(lo, hi, n):
+    """n evenly spaced points from lo to hi, built as `heunalg kink` builds its grid."""
+    step = (hi - lo) / (n - 1)
+    return [k * step + lo for k in range(n - 1)] + [hi]
+
 
 print("=" * 72)
 print("1. Transformed equation and Heun reduction (eps^2 = 1)")
@@ -65,7 +70,7 @@ print()
 print("=" * 72)
 print("3. Residual audit: who actually solves the equation?")
 print("=" * 72)
-grid = np.linspace(-10.0, 10.0, 401).tolist()
+grid = linspace(-10.0, 10.0, 401)
 for eps_sq in (F(1, 4), F(1), F(4)):
     ode_n2 = kink_sigma_ode(eps_sq, F(3, 4))
     ode_zero = kink_sigma_ode(eps_sq, F(0))
@@ -87,6 +92,6 @@ basis = polynomial_solution(kink_spec(F(1, 2), F(1, 2)), 1).basis
 print("\nat eps^2 = 1/2 the factor is", [str(c) for c in basis[0]],
       "i.e. f(zeta) = zeta - 1/4, with nu^2 = 9/2:")
 psi = state_from_factor(0.5, basis[0])
-interior = np.linspace(-3.0, 3.0, 121).tolist()
+interior = linspace(-3.0, 3.0, 121)
 r = residual_sigma(kink_sigma_ode(F(1, 2), F(3, 4)), psi, interior)
 print(f"  interior residual of (1-zeta)^(1/2) (zeta-1/4): {r.max_rel_residual:.2e}")

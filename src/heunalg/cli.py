@@ -196,19 +196,17 @@ def cmd_series(args: argparse.Namespace) -> int:
     # n iterations (band-walk steps on one-sided specs, Neumann sweeps on two-sided
     # ones) keep the support inside |shift| <= n, so nothing is dropped
     series, report = series_solution_with_report(spec, lam, args.terms, args.terms)
+    shifts = series.shifts()  # ascending, so the ends bound every exponent
     rows = [
         {"shift": m, "exponent": str(lam + m), "coefficient": str(c)}
-        for m, c in sorted(series.items())
+        for m, c in series.items()
     ]
     notes = []
     if report.stationary_at is not None:
-        exponents = [lam + m for m, _ in series.items()]
-        if all(e.denominator == 1 and e >= 0 for e in exponents):
-            degree = max(int(e) for e in exponents)
-            notes.append(f"terminated: polynomial of degree {degree}")
+        if lam.denominator == 1 and lam + shifts[0] >= 0:
+            notes.append(f"terminated: polynomial of degree {lam + shifts[-1]}")
         else:
             notes.append(f"terminated: series stationary after {report.stationary_at} iterations")
-    shifts = series.shifts()
     inside = [m for m in full_operator(spec).image_support(series) if shifts[0] <= m <= shifts[-1]]
     if inside:
         notes.append(f"residual nonzero at shift {inside[0]} inside the rows: they are not a solution")

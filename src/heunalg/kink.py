@@ -42,22 +42,14 @@ KinkState = Literal["n2", "n3half"]
 
 @dataclass(frozen=True)
 class SigmaOde:
-    """Polynomial data of the transformed fluctuation equation."""
+    """Polynomial data of the transformed fluctuation equation: a, b and c as
+    exact coefficient tuples in sigma, evaluated by polynomials.poly_eval."""
 
     eps_sq: Fraction
     a_poly: Poly
     b_poly: Poly
     c_poly: Poly
     nu_sq: Fraction
-
-    def a(self, sigma: float) -> float:
-        return poly_eval(self.a_poly, sigma)
-
-    def b(self, sigma: float) -> float:
-        return poly_eval(self.b_poly, sigma)
-
-    def c(self, sigma: float) -> float:
-        return poly_eval(self.c_poly, sigma)
 
 
 @dataclass(frozen=True)
@@ -245,10 +237,7 @@ def state_from_factor(s: float, factor: Sequence[Fraction]) -> Callable[[float],
 
     def psi(sigma: float) -> float:
         zeta = sigma * sigma
-        f = 0.0
-        for k, c in enumerate(coeffs):
-            f += c * zeta ** k
-        return (1.0 - zeta) ** s * f
+        return (1.0 - zeta) ** s * poly_eval(coeffs, zeta)
 
     return psi
 

@@ -2,7 +2,9 @@
 
 Polynomials are tuples of Fractions in ascending degree order with no trailing
 zeros; () is the zero polynomial.  Just enough machinery for Taylor shifts
-and rational roots; nothing here rounds, except poly_eval when handed a float.
+and rational roots; nothing here rounds, except poly_eval when handed a float,
+which is how the kink layer's float code evaluates its polynomials
+(verify.residual_sigma and kink.state_from_factor).
 Rational roots come from p-adic lifting of the roots modulo one small prime,
 with no bisection, so their cost is polynomial in the degree and the
 coefficient bit-length rather than in the size of the constant term.
@@ -30,10 +32,12 @@ def poly_padded(p: Sequence[Fraction], n: int) -> tuple[Fraction, ...]:
     return tuple(p) + (Fraction(0),) * (n - len(p))
 
 
-def poly_eval(p: Sequence[Fraction], x: Fraction | float) -> Fraction | float:
-    """p(x) by Horner's rule in the type of x: exact at a Fraction, a float at a
-    float.  The kink profile (kink.SigmaOde) evaluates here at a float sigma, so
-    this stays generic; _horner is the integer evaluator of rational_roots."""
+def poly_eval(p: Sequence[Fraction | float], x: Fraction | float) -> Fraction | float:
+    """p(x) by Horner's rule: exact for Fraction coefficients at a Fraction, a
+    float when x or a coefficient is a float.  The float callers are
+    verify.residual_sigma (SigmaOde's polynomials at sigma) and
+    kink.state_from_factor (float coefficients at zeta); _horner is the
+    integer evaluator of rational_roots."""
     acc = Fraction(0)
     for c in reversed(p):
         acc = acc * x + c

@@ -1,10 +1,16 @@
 """Floating-point residual checks and independent exact oracles.
 
-The residual evaluator and the two oracles deliberately avoid the operator
-machinery they validate: derivatives come from finite differences instead of
-the exact action rule, the series oracle is a two-term recurrence read off by
-direct substitution, and the null-space oracle eliminates fraction-free over
-integers.  A substitution bug in the main path cannot hide here.
+Each check avoids one part of the machinery it validates:
+
+- the residual avoids the exact action rule: its derivatives come from
+  finite differences of a float function;
+- the series oracle avoids the ladder split: it is the two-term recurrence
+  read off a0..a8 by direct substitution;
+- the null-space oracle avoids OdeSpec._ladder_row, the rows that
+  polynomial_solution solves on: it applies full_operator(spec) to each
+  monomial and eliminates fraction-free over the integers.  It does not
+  avoid DiffOp's action kernel, which apply shares with the image_support
+  certificate behind polynomial_solution's verified flag.
 """
 
 from __future__ import annotations
@@ -18,6 +24,7 @@ from .algebra import OdeSpec, full_operator
 from .errors import ResonantExponentError
 from .kink import SigmaOde, sigma_of_x
 from .operators import GeneralizedSeries, RationalLike, as_fraction
+from .polynomials import poly_eval
 
 GUARD_DISTANCE = 1e-3
 
@@ -81,9 +88,9 @@ def residual_sigma(
         try:
             d1, d2 = _fd_derivatives(psi, sigma, step)
             terms = (
-                ode.a(sigma) * d2,
-                ode.b(sigma) * d1,
-                (ode.c(sigma) + nu_sq) * psi(sigma),
+                poly_eval(ode.a_poly, sigma) * d2,
+                poly_eval(ode.b_poly, sigma) * d1,
+                (poly_eval(ode.c_poly, sigma) + nu_sq) * psi(sigma),
             )
             finite = all(isinstance(t, float) and math.isfinite(t) for t in terms)
         except (ValueError, OverflowError, ZeroDivisionError, TypeError):

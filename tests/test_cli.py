@@ -130,6 +130,21 @@ class TestSeries:
         out = capsys.readouterr().out
         assert "polynomial of degree 3" in out
 
+    @pytest.mark.parametrize("text, lam, exponents", [
+        ("a1 = 1\na2 = 1\na6 = 5/3\na8 = 2/9\n", "1/3", ["-2/3", "1/3"]),  # L(-2/3) = 0
+        ("a1 = 1\na2 = 1\na5 = 2\na6 = 3\n", "-1", ["-2", "-1"]),  # L(-2) = 0
+    ])
+    def test_stationary_note_when_rows_are_no_polynomial(self, tmp_path, capsys, text, lam,
+                                                          exponents):
+        """A series that stops with a fractional or negative exponent is not a
+        polynomial, so the note names the iteration it stopped at instead."""
+        p = tmp_path / "stops.spec"
+        p.write_text(text)
+        assert main(["series", str(p), "--lambda", lam, "--terms", "10", "--format", "json"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert [row["exponent"] for row in payload["rows"]] == exponents
+        assert payload["notes"] == ["terminated: series stationary after 1 iterations"]
+
     @pytest.mark.parametrize("fmt", ["table", "json"])
     def test_rows_past_default_horizon_all_printed(self, tmp_path, capsys, fmt):
         p = tmp_path / "long.spec"

@@ -2,10 +2,12 @@
 name it imports, every private function and method of the package has a
 caller in the package itself, every public one has a caller outside the
 tests, no function is written out twice, every package class a
-public function returns is exported by the package, and the private names that belong
-to one module are referenced only there."""
+public function returns is exported by the package, the private names that belong
+to one module are referenced only there, and the package and the demos need
+nothing outside the standard library."""
 
 import ast
+import sys
 from pathlib import Path
 
 import pytest
@@ -32,6 +34,21 @@ def test_every_import_is_used(path):
     tree = ast.parse(path.read_text(encoding="utf-8"))
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     assert sorted(set(_imported_names(tree)) - used) == []
+
+
+@pytest.mark.parametrize("path", sorted([*PACKAGE.glob("*.py"), *(ROOT / "demos").glob("*.py")]),
+                         ids=lambda p: str(p.relative_to(ROOT)))
+def test_package_and_demos_need_only_the_standard_library(path):
+    """The package and the demos import heunalg, relative modules and the
+    standard library, nothing else; numpy and sympy serve the tests only."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    top = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            top |= {alias.name.split(".")[0] for alias in node.names}
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            top.add(node.module.split(".")[0])
+    assert sorted(top - sys.stdlib_module_names - {"heunalg"}) == []
 
 
 def _names_of(node):

@@ -9,6 +9,8 @@ facts are verified here to residual levels the displays miss by orders of
 magnitude.
 """
 
+import math
+import random
 from fractions import Fraction as F
 
 import numpy as np
@@ -34,6 +36,7 @@ from heunalg import (
     sigma_of_x,
     state_from_factor,
 )
+from heunalg.polynomials import poly_eval
 
 GRID = np.linspace(-10.0, 10.0, 401).tolist()
 
@@ -41,16 +44,16 @@ GRID = np.linspace(-10.0, 10.0, 401).tolist()
 class TestSigmaOde:
     def test_values_at_origin(self):
         ode = kink_sigma_ode(F(1), F(3, 4))
-        assert ode.a(0.0) == 1.0  # eps^2
-        assert ode.b(0.0) == 0.0
-        assert ode.c(0.0) == -1 + 2 * 1
+        assert poly_eval(ode.a_poly, 0.0) == 1.0  # eps^2
+        assert poly_eval(ode.b_poly, 0.0) == 0.0
+        assert poly_eval(ode.c_poly, 0.0) == -1 + 2 * 1
 
     def test_values_at_one(self):
         for eps_sq in (F(1, 4), F(1), F(4)):
             ode = kink_sigma_ode(eps_sq, F(1, 2))
-            assert ode.a(1.0) == 0.0
-            assert ode.b(1.0) == 0.0
-            assert ode.c(1.0) == float(-4 * (1 + eps_sq))
+            assert poly_eval(ode.a_poly, 1.0) == 0.0
+            assert poly_eval(ode.b_poly, 1.0) == 0.0
+            assert poly_eval(ode.c_poly, 1.0) == float(-4 * (1 + eps_sq))
 
     def test_zero_mode_nu(self):
         assert kink_sigma_ode(F(1), F(0)).nu_sq == 0
@@ -58,6 +61,39 @@ class TestSigmaOde:
     def test_degenerate_eps(self):
         with pytest.raises(DegenerateKinkError):
             kink_sigma_ode(F(0), F(1, 2))
+
+
+def seeded_factor_cases():
+    """120 pairs (factor of degree 0-5 with rational coefficients, sigma = k/1024 in (-1, 1))."""
+    rng = random.Random(29)
+    return [([F(rng.randint(-60, 60), rng.randint(1, 60)) for _ in range(rng.randint(1, 6))],
+             F(rng.randint(-1023, 1023), 1024)) for _ in range(120)]
+
+
+class TestStateFromFactor:
+    """(1-zeta)^s f(zeta) against an exact evaluation.  At sigma = k/1024 both
+    zeta = sigma^2 and 1 - zeta are exact doubles; the bound is relative to
+    (1-zeta)^s sum |f_k| zeta^k, the scale a rounded evaluation can reach."""
+
+    CASES = seeded_factor_cases()
+
+    @pytest.mark.parametrize("s", [0.0, 1.0])
+    def test_integer_s_matches_exact_value(self, s):
+        for factor, sigma in self.CASES:
+            zeta = sigma * sigma
+            exact = (1 - zeta) ** int(s) * poly_eval(factor, zeta)
+            scale = (1 - zeta) ** int(s) * sum(abs(c) * zeta ** k for k, c in enumerate(factor))
+            got = state_from_factor(s, factor)(float(sigma))
+            assert abs(F(got) - exact) <= F(1e-14) * scale, (factor, sigma)
+
+    def test_half_s_matches_sqrt(self):
+        for factor, sigma in self.CASES:
+            zeta = sigma * sigma
+            root = math.sqrt(float(1 - zeta))
+            want = root * float(poly_eval(factor, zeta))
+            scale = root * float(sum(abs(c) * zeta ** k for k, c in enumerate(factor)))
+            got = state_from_factor(0.5, factor)(float(sigma))
+            assert abs(got - want) <= 1e-14 * scale, (factor, sigma)
 
 
 class TestReduction:
