@@ -221,11 +221,9 @@ def cast_check(spec: OdeSpec) -> bool:
 
 
 def poly_of_op(p: Sequence[Fraction], op: DiffOp) -> DiffOp:
-    """Evaluate a polynomial at an operator by Horner composition."""
-    result = DiffOp._canonical({})
-    for c in reversed(poly(p)):
-        result = result.compose(op) + DiffOp._canonical({(0, 0): c})
-    return result
+    """Evaluate a polynomial at an operator by Horner composition; the steps run
+    on DiffOp's integer pairs, and only the result makes Fractions."""
+    return op._polynomial_of(poly(p))
 
 
 def _base_commutator_poly(spec: OdeSpec) -> tuple[list[int], int]:

@@ -10,9 +10,14 @@ printing reads it.  Composition uses the Leibniz rule
     D^k x^q = sum_{i=0}^{min(k,q)} C(k,i) * q!/(q-i)! * x^{q-i} D^{k-i},
 
 so products, commutators and polynomial expressions in operators stay exact.
-``DiffOp.compose`` adds each output term's contributions as one integer pair
-over the lcm of their denominators (``_add_pair``) and makes one ``Fraction``
-per term.
+One kernel, ``_add_composition``, adds ``sign * left o right`` to a map of
+unreduced integer pairs, each output term's contributions as one pair over the
+lcm of their denominators (``_add_pair``).  It has three readers, and each
+makes one ``Fraction`` per surviving term at its end: ``DiffOp.compose`` (one
+product), ``commutator`` (both products in one map, with signs +1 and -1, so
+terms that cancel make no ``Fraction``) and ``DiffOp._polynomial_of``, the
+Horner evaluation of a polynomial at an operator behind ``poly_of_op``, whose
+accumulator stays a pair map across its steps.
 
 Series are finite collections of terms ``c_m * x^(rho+m)`` with a rational
 base exponent ``rho`` and integer shifts ``m`` (possibly negative).  The
@@ -28,7 +33,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Iterable, Iterator, Mapping, NamedTuple, Union
+from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence, Union
 
 from .errors import IncompatibleBranchError
 
@@ -62,6 +67,23 @@ def _add_pair(acc: dict, key, num: int, den: int) -> None:
         acc[key] = (n * (den // g) + num * (d // g), d // g * den)
     else:
         acc[key] = (num, den)
+
+
+_Pairs = dict[tuple[int, int], tuple[int, int]]  # (dorder, xpow) -> (num, den)
+
+
+def _add_composition(acc: _Pairs, left: _Pairs, right: _Pairs, sign: int = 1) -> None:
+    """acc += sign * (left o right), for operators given as maps of unreduced
+    integer pairs: each product of a left and a right term is Leibniz-expanded,
+    x^p1 D^k1 x^p2 D^k2 = sum_i C(k1, i) p2!/(p2-i)! x^(p1+p2-i) D^(k1+k2-i),
+    and each output term's contributions add up as one pair with _add_pair."""
+    for (k1, p1), (a_num, a_den) in left.items():
+        a_num *= sign
+        for (k2, p2), (b_num, b_den) in right.items():
+            num, den = a_num * b_num, a_den * b_den
+            for i in range(min(k1, p2) + 1):
+                leibniz = math.comb(k1, i) * math.perm(p2, i)
+                _add_pair(acc, (k1 + k2 - i, p1 + p2 - i), num * leibniz, den)
 
 
 class OpTerm(NamedTuple):
@@ -147,16 +169,30 @@ class DiffOp:
     def compose(self, other: "DiffOp") -> "DiffOp":
         """Normal-ordered composition self o other (apply other first); each output
         term's contributions add up as one integer pair, then make one Fraction."""
-        acc: dict[tuple[int, int], tuple[int, int]] = {}  # key -> (num, den)
-        for (k1, p1), a in self._coeffs.items():
-            a_num, a_den = a.numerator, a.denominator
-            for (k2, p2), b in other._coeffs.items():
-                num, den = a_num * b.numerator, a_den * b.denominator
-                # x^p1 D^k1 x^p2 D^k2 -> Leibniz expansion of D^k1 x^p2,
-                # with the integer factor C(k1, i) * p2!/(p2-i)!
-                for i in range(min(k1, p2) + 1):
-                    c = num * (math.comb(k1, i) * math.perm(p2, i))
-                    _add_pair(acc, (k1 + k2 - i, p1 + p2 - i), c, den)
+        acc: _Pairs = {}
+        _add_composition(acc, self._pairs(), other._pairs())
+        return DiffOp._from_pairs(acc)
+
+    def _polynomial_of(self, p: Sequence[Fraction]) -> "DiffOp":
+        """The operator sum_i p[i] self^i, p ascending, by Horner's rule on integer
+        pairs: each step composes the pair map with self and adds the next
+        coefficient as a pair, and only the result makes Fractions."""
+        op = self._pairs()
+        acc: _Pairs = {}
+        for c in reversed(p):
+            step: _Pairs = {}
+            _add_composition(step, acc, op)
+            _add_pair(step, (0, 0), c.numerator, c.denominator)
+            acc = step
+        return DiffOp._from_pairs(acc)
+
+    def _pairs(self) -> _Pairs:
+        """The coefficient map as integer pairs, the input _add_composition reads."""
+        return {key: (c.numerator, c.denominator) for key, c in self._coeffs.items()}
+
+    @staticmethod
+    def _from_pairs(acc: _Pairs) -> "DiffOp":
+        """The operator of a pair map: one Fraction per term with a nonzero numerator."""
         return DiffOp._canonical({key: Fraction(n, d) for key, (n, d) in acc.items() if n})
 
     def _contributions(self, series: "GeneralizedSeries") -> list[tuple[int, int, int, Fraction]]:
@@ -245,8 +281,13 @@ class DiffOp:
 
 
 def commutator(a: DiffOp, b: DiffOp) -> DiffOp:
-    """[a, b] = a o b - b o a in canonical form."""
-    return a.compose(b) - b.compose(a)
+    """[a, b] = a o b - b o a in canonical form.  Both products add into one map of
+    integer pairs, with signs +1 and -1, so a term that cancels makes no Fraction."""
+    acc: _Pairs = {}
+    left, right = a._pairs(), b._pairs()
+    _add_composition(acc, left, right)
+    _add_composition(acc, right, left, -1)
+    return DiffOp._from_pairs(acc)
 
 
 class GeneralizedSeries:

@@ -35,7 +35,7 @@ def poly_padded(p: Sequence[Fraction], n: int) -> tuple[Fraction, ...]:
 def poly_eval(p: Sequence[Fraction | float], x: Fraction | float) -> Fraction | float:
     """p(x) by Horner's rule: exact for Fraction coefficients at a Fraction, a
     float when x or a coefficient is a float.  The float callers are
-    verify.residual_sigma (SigmaOde's polynomials at sigma) and
+    verify.residual_sigma (float copies of SigmaOde's polynomials at sigma) and
     kink.state_from_factor (float coefficients at zeta); _horner is the
     integer evaluator of rational_roots."""
     acc = Fraction(0)

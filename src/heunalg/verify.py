@@ -54,6 +54,21 @@ def _fd_derivatives(f: Callable[[float], float], x: float, h: float) -> tuple[fl
     return (16 * d1h2 - d1h) / 15, (16 * d2h2 - d2h) / 15
 
 
+def _float_coeffs(p: Sequence[Fraction]) -> list[float]:
+    """p's coefficients as floats, one too large for a float as inf.  At a float
+    point, Fraction's arithmetic converts each coefficient to a float before it
+    adds, so poly_eval gives the same bits on these copies; a Horner sum with an
+    infinite coefficient is inf or nan, so a point that needs one is excluded as
+    non-finite."""
+    out = []
+    for c in p:
+        try:
+            out.append(float(c))
+        except OverflowError:
+            out.append(math.inf)
+    return out
+
+
 def residual_sigma(
     ode: SigmaOde,
     psi: Callable[[float], float],
@@ -75,6 +90,7 @@ def residual_sigma(
     """
     eps_sq = float(ode.eps_sq)
     nu_sq = float(ode.nu_sq)
+    a_poly, b_poly, c_poly = (_float_coeffs(p) for p in (ode.a_poly, ode.b_poly, ode.c_poly))
     kept: list[float] = []
     excluded = 0
     residuals: list[float] = []
@@ -88,9 +104,9 @@ def residual_sigma(
         try:
             d1, d2 = _fd_derivatives(psi, sigma, step)
             terms = (
-                poly_eval(ode.a_poly, sigma) * d2,
-                poly_eval(ode.b_poly, sigma) * d1,
-                (poly_eval(ode.c_poly, sigma) + nu_sq) * psi(sigma),
+                poly_eval(a_poly, sigma) * d2,
+                poly_eval(b_poly, sigma) * d1,
+                (poly_eval(c_poly, sigma) + nu_sq) * psi(sigma),
             )
             finite = all(isinstance(t, float) and math.isfinite(t) for t in terms)
         except (ValueError, OverflowError, ZeroDivisionError, TypeError):

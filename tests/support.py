@@ -4,7 +4,7 @@ from fractions import Fraction
 from fractions import Fraction as F
 from typing import Sequence
 
-from heunalg import OdeSpec, build_generators, poly_of_op
+from heunalg import DiffOp, OdeSpec, build_generators, poly_of_op
 from heunalg.algebra import diagonal_coefficients
 from heunalg.polynomials import Poly, poly
 
@@ -22,6 +22,20 @@ def exact_branch_spec(lam1, lam2, a1=F(1), a2=F(1), a6=F(3)):
 def f_of_p0(spec):
     """The diagonal part F(P0) as a DiffOp, composed the way cast_check does."""
     return poly_of_op(diagonal_coefficients(spec), build_generators(spec).p_zero)
+
+
+def reference_commutator(a, b):
+    """[a, b] as two compositions and an operator difference."""
+    return a.compose(b) - b.compose(a)
+
+
+def reference_operator_horner(p, op):
+    """p(op), p ascending, by Horner's rule on operators: compose with op, then
+    add the next coefficient as a constant operator."""
+    result = DiffOp()
+    for c in reversed(poly(p)):
+        result = result.compose(op) + DiffOp([(c, 0, 0)])
+    return result
 
 
 def reference_falling_factorial(sigma, k):

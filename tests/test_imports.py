@@ -162,19 +162,23 @@ def test_classes_returned_by_public_functions_are_exported():
 # private names that belong to one module: the ladder's integer layout to
 # OdeSpec, the integer Horner evaluation to the rational-root finder's exact
 # check, the action kernel to DiffOp's action and its zero test, the integer
-# pair adder to composition and that zero test, and the coefficient maps of
-# DiffOp and GeneralizedSeries to their classes
+# pair adder to composition and that zero test, the composition kernel and the
+# operator's pair maps to compose, commutator and the operator Horner, and the
+# coefficient maps of DiffOp and GeneralizedSeries to their classes
 OWNED_NAMES = {"_ladder_integer": "algebra.py", "_ladder_form": "algebra.py",
                "_horner": "polynomials.py", "_contributions": "operators.py",
-               "_add_pair": "operators.py", "_coeffs": "operators.py"}
+               "_add_pair": "operators.py", "_add_composition": "operators.py",
+               "_pairs": "operators.py", "_from_pairs": "operators.py",
+               "_coeffs": "operators.py"}
 
 
 def test_owned_private_names_stay_in_their_module():
     """The solvers read the three-term action through OdeSpec's row evaluator,
     not through the layout under it or the evaluator rational_roots uses, the
     certificates read DiffOp's action kernel through apply or image_support,
-    no other module adds integer pairs with DiffOp's adder, and no other
-    module reads the coefficient map under an operator or a series."""
+    no other module adds integer pairs with DiffOp's adder or composes pair
+    maps with its composition kernel, and no other module reads the
+    coefficient map under an operator or a series."""
     leaks = set()
     for path in PACKAGE.glob("*.py"):
         for name in _referenced_names(ast.parse(path.read_text(encoding="utf-8"))):

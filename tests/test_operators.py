@@ -15,11 +15,12 @@ from heunalg import (
     ResonantExponentError,
     commutator,
     full_operator,
+    poly_of_op,
     polynomial_solution,
     series_solution_with_report,
 )
 from heunalg.operators import _falling_products
-from support import reference_falling_factorial
+from support import reference_commutator, reference_falling_factorial, reference_operator_horner
 
 D = DiffOp([(1, 0, 1)])
 X = DiffOp([(1, 1, 0)])
@@ -148,6 +149,63 @@ def test_commutator_with_self_is_zero():
         a = rand_op(rng)
         assert commutator(a, a).is_zero()
         assert_matches_init(a, a)
+
+
+def test_commutator_matches_two_compositions():
+    """commutator, whose two products add into one map of integer pairs,
+    against a.compose(b) - b.compose(a): random operators (0-9 terms, orders and
+    powers 0-3) with 1- to 1,024-bit coefficients whose denominators are drawn
+    independently, the zero operator on either side, and pairs whose products
+    cancel to the zero operator (an operator with itself, with a multiple of
+    itself, and polynomials in the same operator)."""
+    rng = random.Random(3001)
+
+    def random_op(bits, terms):
+        return DiffOp([(_rational(rng, bits), rng.randint(0, 3), rng.randint(0, 3))
+                       for _ in range(terms)])
+
+    cases = [(DiffOp(), DiffOp()), (DiffOp(), D), (X, DiffOp())]
+    for _ in range(300):
+        cases.append((random_op(rng.choice((1, 2, 8, 64, 256)), rng.randint(0, 9)),
+                      random_op(rng.choice((1, 2, 8, 64, 256)), rng.randint(0, 9))))
+    for terms in (1, 4, 9):
+        cases.append((random_op(1024, terms), random_op(1024, terms)))
+    cancelling = []
+    for bits in (1, 8, 64, 256, 1024):
+        a = random_op(bits, rng.randint(1, 6))
+        p0 = DiffOp([(1, 1, 1), (_rational(rng, bits), 0, 0)])
+        cancelling += [(a, a), (a, DiffOp([(_rational(rng, bits) or 1, 0, 0)]).compose(a)),
+                       (p0.compose(p0), p0), (p0, p0.compose(p0).compose(p0) - p0)]
+    for a, b in cases + cancelling:
+        got, want = commutator(a, b), reference_commutator(a, b)
+        assert got == want and hash(got) == hash(want), (a, b)
+        assert_canonical(got)
+    assert all(commutator(a, b).is_zero() for a, b in cancelling)
+
+
+def test_poly_of_op_matches_the_operator_horner():
+    """poly_of_op, whose Horner steps stay integer pairs until the result,
+    against composing and adding a constant operator at each step: polynomials of
+    degree 0-4 (zero ones and ones with zero inner coefficients among them) at
+    P0 = x D - j with j = 0 and with 1- to 1,024-bit j, at random operators of
+    0-4 terms and at the zero operator, with 1- to 1,024-bit coefficients whose
+    denominators are drawn independently."""
+    rng = random.Random(3002)
+    cases = [((), DiffOp()), ((F(0), F(0)), DiffOp([(1, 1, 1)])), ((F(3, 7), F(5)), DiffOp())]
+    for _ in range(200):
+        bits = rng.choice((1, 2, 8, 64, 256, 1024))
+        p = [_rational(rng, bits) if rng.random() < 0.8 else F(0) for _ in range(rng.randint(0, 5))]
+        j = rng.choice((F(0), _rational(rng, bits)))
+        op = rng.choice((
+            DiffOp([(1, 1, 1), (-j, 0, 0)]),
+            DiffOp([(_rational(rng, bits), rng.randint(0, 3), rng.randint(0, 3))
+                    for _ in range(rng.randint(0, 4))]),
+        ))
+        cases.append((p, op))
+    for p, op in cases:
+        got, want = poly_of_op(p, op), reference_operator_horner(p, op)
+        assert got == want and hash(got) == hash(want), (p, op)
+        assert_canonical(got)
 
 
 def test_compose_associativity_randomized():

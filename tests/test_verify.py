@@ -1,5 +1,6 @@
 """Residual evaluator and the two independent exact oracles."""
 
+import math
 import random
 from fractions import Fraction as F
 
@@ -18,6 +19,9 @@ from heunalg import (
     residual_sigma,
     series_solution_with_report,
 )
+from heunalg.kink import SigmaOde
+from heunalg.polynomials import poly_eval
+from heunalg.verify import _float_coeffs
 from support import exact_branch_spec
 
 GRID = np.linspace(-10.0, 10.0, 401).tolist()
@@ -58,6 +62,37 @@ class TestResidualSigma:
         assert all(b < a for a, b in zip(levels, levels[1:]))
         floor = residual_sigma(ode, zm, GRID, h=0.01).max_rel_residual
         assert floor < 1e-10
+
+
+    def test_float_copies_evaluate_like_the_fractions(self):
+        """poly_eval on _float_coeffs' copies gives the bits poly_eval gives on the
+        Fraction coefficients at a float point, and a coefficient past the double
+        range, whose conversion overflows there, gives a non-finite value."""
+        rng = random.Random(3003)
+        odes = [kink_sigma_ode(eps_sq, F(3, 4)) for eps_sq in (F(1, 4), F(1, 2), F(1), F(4))]
+        polys = [p for ode in odes for p in (ode.a_poly, ode.b_poly, ode.c_poly)]
+        for _ in range(40):
+            polys.append(tuple(F(rng.randint(-2**64, 2**64), rng.randint(1, 2**64))
+                               for _ in range(rng.randint(0, 6))))
+        for p in polys:
+            copy = _float_coeffs(p)
+            for sigma in [rng.uniform(-1, 1) for _ in range(50)] + [0.0, -0.0]:
+                assert float(poly_eval(copy, sigma)).hex() == float(poly_eval(p, sigma)).hex(), (p, sigma)
+        for huge in (F(10**400, 3), -F(10**400, 3)):
+            for p in ((huge,), (F(1), huge), (huge, F(0), F(2))):
+                with pytest.raises(OverflowError):
+                    poly_eval(p, 0.5)
+                assert not any(math.isfinite(poly_eval(_float_coeffs(p), s)) for s in (-0.5, 0.0, 0.5))
+
+    def test_coefficient_past_the_double_range_excludes_every_point(self):
+        base = kink_sigma_ode(F(1, 2), F(3, 4))
+        for field in ("a_poly", "b_poly", "c_poly"):
+            polys = {name: getattr(base, name) for name in ("a_poly", "b_poly", "c_poly")}
+            polys[field] = polys[field] + (F(10**400, 3),)
+            ode = SigmaOde(base.eps_sq, polys["a_poly"], polys["b_poly"], polys["c_poly"], base.nu_sq)
+            r = residual_sigma(ode, kink_zero_mode(0.5), GRID)
+            assert r.grid == () and r.excluded_points == len(GRID), field
+            assert r.max_abs_residual == r.max_rel_residual == 0.0
 
 
 class TestHypergeometricOracle:
