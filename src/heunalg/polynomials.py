@@ -5,9 +5,13 @@ zeros; () is the zero polynomial.  Just enough machinery for Taylor shifts
 and rational roots; nothing here rounds, except poly_eval when handed a float,
 which is how the kink layer's float code evaluates its polynomials
 (verify.residual_sigma and kink.state_from_factor).
-Rational roots come from p-adic lifting of the roots modulo one small prime,
-with no bisection, so their cost is polynomial in the degree and the
-coefficient bit-length rather than in the size of the constant term.
+Roots come from p-adic lifting of the roots modulo one small prime, with no
+bisection, one lift for both finders: rational_roots lifts the square-free
+part of any polynomial past a bound read off its coefficients, so its cost is
+polynomial in the degree and the coefficient bit-length rather than in the
+size of the constant term; _integer_root_candidates lifts a monic polynomial
+past a bound its caller supplies, with no square-free part, and gives up when
+a root repeats modulo every prime it may try.
 """
 
 from __future__ import annotations
@@ -102,16 +106,16 @@ def is_rational_square(value: Fraction) -> tuple[bool, Fraction]:
 def rational_roots(p: Sequence[Fraction]) -> list[Fraction]:
     """All distinct rational roots of p, ascending, each verified exactly.
 
-    Denominators are cleared, the root 0 is split off, and f is the primitive
-    square-free part of the rest, with c_0 != 0 and c_n > 0 (the denominator
-    _horner evaluates at).  A root a/b in lowest terms has b | c_n and a | c_0,
-    so y = c_n a/b is an integer with |y| <= |c_n c_0|.  Modulo the least
-    prime that does not divide c_n and at which every root of f mod p (found
-    by evaluation at every residue) is simple, a/b is one of those roots.  Newton's step lifts each uniquely, squaring
-    the modulus until M > 2 |c_n c_0|; y is then the symmetric residue of
-    c_n r mod M, kept only where f(y / c_n) is exactly 0 (Loos, SIAM J.
-    Comput. 12, 1983).  The cost is the square-free remainder sequence, then,
-    per root of f mod p, O(log log M) Newton steps and one exact evaluation.
+    A general-purpose tool, and polynomial_solution's fallback for a block
+    whose continuant has a repeated root (_integer_root_candidates serves the
+    others).  Denominators are cleared, the root 0 is split off, and f is the
+    primitive square-free part of the rest, with c_0 != 0 and c_n > 0 (the
+    denominator _horner evaluates at).  A root a/b in lowest terms has
+    b | c_n and a | c_0, so y = c_n a/b is an integer with |y| <= |c_n c_0|:
+    one of f's lifted residues modulo M > 2 |c_n c_0| (_lifted_roots), kept
+    only where f(y / c_n) is exactly 0.  The cost is the square-free
+    remainder sequence, then the lift and one exact evaluation per root of f
+    modulo a small prime.
     """
     q = poly(p)
     if not q:
@@ -120,25 +124,70 @@ def rational_roots(p: Sequence[Fraction]) -> list[Fraction]:
     low = next(i for i, c in enumerate(ints) if c)
     roots = [Fraction(0)] if low else []
     f = _square_free(ints[low:])
-    derivative = [i * c for i, c in enumerate(f)][1:]
-    lead, bound = f[-1], 2 * abs(f[-1] * f[0])
-    for prime in itertools.count(2):
-        if lead % prime and all(prime % k for k in range(2, math.isqrt(prime) + 1)):
-            residues = [r for r in range(prime) if not _horner_mod(f, r, prime)]
-            if all(_horner_mod(derivative, r, prime) for r in residues):
-                break
-    for r in residues:
-        # inverse is 1 / f'(r) modulo the unsquared modulus, all Newton's step needs
-        modulus, inverse = prime, pow(_horner_mod(derivative, r, prime), -1, prime)
-        while modulus <= bound:
-            modulus *= modulus
-            r = (r - _horner_mod(f, r, modulus) * inverse) % modulus
-            inverse = inverse * (2 - _horner_mod(derivative, r, modulus) * inverse) % modulus
-        y = lead * r % modulus
-        y -= modulus if 2 * y > modulus else 0
-        if not _horner(f, y, lead):
-            roots.append(Fraction(y, lead))
+    lead = f[-1]
+    # a square-free f has only simple roots modulo all but finitely many primes
+    lifted = _lifted_roots(f, 2 * abs(lead * f[0]), None)
+    roots += [Fraction(y, lead) for y in lifted if not _horner(f, y, lead)]
     return sorted(roots)
+
+
+def _integer_root_candidates(nums: Sequence[int], bound: int, max_prime: int) -> list[int] | None:
+    """Integers among which lies every integer root y with
+    2 |y| <= bound of the monic integer polynomial sum nums_i u^i: 0 when
+    nums_0 = 0, then the lifted residues of the rest (_lifted_roots),
+    unverified.  None when no prime up to max_prime qualifies, as at every
+    prime when a nonzero root is repeated.  It runs no remainder sequence:
+    the coefficients are only reduced, once per prime tried and per lifting
+    step."""
+    low = next(i for i, c in enumerate(nums) if c)
+    lifted = _lifted_roots(nums[low:], bound, max_prime)
+    return None if lifted is None else [0] * (low > 0) + lifted
+
+
+def _lifted_roots(f: Sequence[int], bound: int, max_prime: int | None) -> list[int] | None:
+    """The symmetric residues y of c_n r modulo M > bound, one per root r of f
+    modulo the least prime p (up to max_prime, if given) that does not divide
+    c_n and at which every root of f mod p is simple (_simple_roots_mod);
+    None when there is no such prime.  f = sum c_i t^i is an integer
+    polynomial with c_0 != 0.  A rational root a/b of f is then a simple root
+    of f mod p, which Newton's step lifts uniquely, squaring the modulus
+    until M > bound, each step reducing f and f' modulo the new M once for
+    all roots; so if 2 |c_n a/b| <= bound < M, c_n a/b is one of the residues
+    (Loos, SIAM J. Comput. 12, 1983).  The lift costs O(log log M) steps.
+    """
+    derivative = [i * c for i, c in enumerate(f)][1:]
+    for prime in itertools.count(2) if max_prime is None else range(2, max_prime + 1):
+        if f[-1] % prime and all(prime % k for k in range(2, math.isqrt(prime) + 1)):
+            lifted = _simple_roots_mod(f, derivative, prime)
+            if lifted is not None:
+                break
+    else:
+        return None
+    modulus = prime
+    while lifted and modulus <= bound:
+        modulus *= modulus
+        f_mod, d_mod = [c % modulus for c in f], [c % modulus for c in derivative]
+        for i, (r, inverse) in enumerate(lifted):
+            # inverse is 1 / f'(r) modulo the unsquared modulus, all Newton's step needs
+            r = (r - _horner_mod(f_mod, r, modulus) * inverse) % modulus
+            lifted[i] = r, inverse * (2 - _horner_mod(d_mod, r, modulus) * inverse) % modulus
+    symmetric = [f[-1] * r % modulus for r, _ in lifted]
+    return [y - modulus if 2 * y > modulus else y for y in symmetric]
+
+
+def _simple_roots_mod(f: Sequence[int], derivative: Sequence[int], prime: int) -> list[tuple[int, int]] | None:
+    """Each root r of f modulo prime, ascending, with 1 / f'(r) mod prime,
+    found by evaluation at every residue with the coefficients reduced once;
+    None at the first root that f' shares, the scan stopping there."""
+    f_mod, d_mod = [c % prime for c in f], [c % prime for c in derivative]
+    roots = []
+    for r in range(prime):
+        if not _horner_mod(f_mod, r, prime):
+            slope = _horner_mod(d_mod, r, prime)
+            if not slope:
+                return None
+            roots.append((r, pow(slope, -1, prime)))
+    return roots
 
 
 def _horner_mod(nums: Sequence[int], x: int, m: int) -> int:

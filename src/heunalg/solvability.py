@@ -40,8 +40,9 @@ parameters and O(degree) exact operations.  The vector stays Fraction, since
 Fraction arithmetic keeps its gcds small against large where one common
 denominator would not.  The spectral condition on a8 is a continuant: the
 integer characteristic polynomial det(D B + u I) in u = D t, built by a
-three-term recurrence in O(degree^2) integer operations, whose rational roots
-u give a8 + u / D.
+three-term recurrence in O(degree^2) integer operations, whose roots u give
+a8 + u / D.  It is monic, so they are integers, bounded by Gershgorin's row
+sums over the table and found by a modular lift past that bound.
 """
 
 from __future__ import annotations
@@ -57,7 +58,7 @@ from .errors import (
     ResonantExponentError,
 )
 from .operators import GeneralizedSeries, RationalLike, as_fraction
-from .polynomials import is_rational_square, poly_padded, rational_roots
+from .polynomials import _integer_root_candidates, is_rational_square, poly_padded, rational_roots
 
 DEFAULT_HORIZON = 32
 
@@ -395,6 +396,9 @@ def _characteristic_polynomial(table: list[tuple[int, int, int]]) -> list[int]:
     which costs O(degree^2) integer operations.  With u = D t,
     det(D B + u I) = D^(degree+1) det(B + t I), so the roots in u are D times
     those in t, and coefficient c_k of u^k is D^(degree+1-k) times that of t^k.
+    It is monic in u, so its rational roots are integers, each minus an
+    eigenvalue of the integer matrix D B.  A slice of consecutive rows gives
+    the continuant of that diagonal block.
     """
     prev, cur = [1], [table[0][1], 1]
     for k in range(1, len(table)):
@@ -406,6 +410,52 @@ def _characteristic_polynomial(table: list[tuple[int, int, int]]) -> list[int]:
             nxt[i] -= couple * c
         prev, cur = cur, nxt
     return cur
+
+
+def _blocks(table: list[tuple[int, int, int]]) -> list[list[tuple[int, int, int]]]:
+    """The table cut before every row k whose coupling D^2 R(k-1) L(k) is 0.
+    There D B is block triangular, so its continuant is the product of the
+    blocks' continuants (the recurrence's coupling term vanishes)."""
+    cuts = [k for k in range(1, len(table)) if not (table[k - 1][0] and table[k][2])]
+    return [table[a:b] for a, b in zip([0, *cuts], [*cuts, len(table)])]
+
+
+def _gershgorin_bound(block: list[tuple[int, int, int]]) -> int:
+    """G with |u| <= G at every root u of the block's continuant: -u is an
+    eigenvalue of the block of D B, so it lies in a Gershgorin disc (Golub
+    and Van Loan, Matrix Computations, section 7.2), and G is the largest
+    row sum |D R(k-1)| + |D F(k)| + |D L(k+1)| inside the block, read off the
+    table in O(rows) operations."""
+    rows = [(0, 0, 0), *block, (0, 0, 0)]
+    return max(abs(rows[k - 1][0]) + abs(rows[k][1]) + abs(rows[k + 1][2])
+               for k in range(1, len(rows) - 1))
+
+
+def _scalar_continuant(block: list[tuple[int, int, int]], u: int) -> int:
+    """The block's det(D B + u I) at one integer u, by the continuant
+    recurrence on integers: O(rows) products."""
+    prev, cur = 1, block[0][1] + u
+    for k in range(1, len(block)):
+        prev, cur = cur, (block[k][1] + u) * cur - block[k - 1][0] * block[k][2] * prev
+    return cur
+
+
+def _continuant_roots(block: list[tuple[int, int, int]]) -> list[int]:
+    """The distinct integer roots u of the block's continuant, every rational
+    root of that monic polynomial: the candidates of the lift past twice the
+    Gershgorin bound, each kept where the scalar continuant vanishes.  The
+    primes tried grow with the block, since a large block has many roots
+    that collide modulo a small prime (kink_spec(1/3, 1/2) at degree 320
+    has a 319-row block that needed p = 331).  Past the cap a nonzero root is
+    taken to repeat, and the block falls back to rational_roots' square-free
+    part, which is exact too, so the cap trades only time: the scan of every
+    prime up to it, O(rows) per residue, took 0.4-0.6 s before the fallback
+    on a 300-row block with a planted double root."""
+    char = _characteristic_polynomial(block)
+    candidates = _integer_root_candidates(char, 2 * _gershgorin_bound(block), 64 + 2 * len(block))
+    if candidates is None:
+        return [u.numerator for u in rational_roots(char)]
+    return [u for u in candidates if not _scalar_continuant(block, u)]
 
 
 def polynomial_solution(spec: OdeSpec, degree: int) -> PolynomialSolutionResult:
@@ -420,30 +470,37 @@ def polynomial_solution(spec: OdeSpec, degree: int) -> PolynomialSolutionResult:
     Its vectors are Fraction, not integers over one denominator, whose final
     reduction would be quadratic in their size.  Each basis vector is
     certified by an integer zero test of its exact residual,
-    full_operator(spec).image_support, which builds no Fraction.
+    full_operator(spec).image_support, which builds no Fraction; the
+    operator is built only when there is a vector to certify.
 
     When no polynomial solution exists, the rational a8 values that make the
     (degree+1)-square subsystem singular are reported; only when R(degree) = 0
     is each sure to give a polynomial solution at that a8 (see
     PolynomialSolutionResult).  a8 enters that
     tridiagonal block only on the diagonal, so its determinant at a8 + t is,
-    up to the factor D^(degree+1), the integer continuant in u = D t, whose
-    rational roots u are found in polynomial time and reported as
-    a8 + u / D.  Requires a3 = 0 and a nonnegative degree.
+    up to the factor D^(degree+1), the integer continuant in u = D t, and
+    each rational root u is reported as a8 + u / D.  The continuant is monic,
+    so those roots are integers.  The table is cut where a coupling
+    R(k-1) L(k) vanishes (_blocks); per block, the roots are bounded by
+    Gershgorin's row sums, found modulo the least prime at which all of them
+    are simple, lifted by Newton's step past twice the bound and checked by
+    the scalar continuant (_continuant_roots), with no remainder sequence
+    unless a root repeats.  Requires a3 = 0 and a nonnegative degree.
     """
     if degree < 0:
         raise ValueError("degree must be nonnegative")
     require_castable(spec)
     table = [spec._ladder_row(s, 1) for s in range(degree + 1)]  # D (R, F, L)(s)
     basis = _polynomial_nullspace(spec, table)
-    op = full_operator(spec)
-    verified = not any(op.image_support(GeneralizedSeries._canonical(Fraction(0), dict(enumerate(vec))))
-                       for vec in basis)
-    spectral: tuple[Fraction, ...] = ()
-    if not basis:
-        char = _characteristic_polynomial(table)
+    verified, spectral = True, ()
+    if basis:
+        op = full_operator(spec)
+        verified = not any(op.image_support(GeneralizedSeries._canonical(Fraction(0), dict(enumerate(vec))))
+                           for vec in basis)
+    else:
+        roots = sorted({u for block in _blocks(table) for u in _continuant_roots(block)})
         # det vanishes at a8 = spec.a8 + t with t = u / D, so report the shifted roots
-        spectral = tuple(spec.a8 + u / spec._ladder_scale for u in rational_roots(char))
+        spectral = tuple(spec.a8 + Fraction(u, spec._ladder_scale) for u in roots)
     return PolynomialSolutionResult(
         degree=degree,
         basis=tuple(tuple(v) for v in basis),

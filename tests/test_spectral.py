@@ -6,6 +6,8 @@ bisection rational_roots that polynomial_solution once used are kept here as
 test-only references.  The first two read the operator matrix from
 full_operator's action on each monomial, not from the R, F, L formulas the
 solver uses; the two root finders check the p-adic lifting that replaced them.
+rational_roots, in turn, is the reference for the solver's block spectrum,
+the Gershgorin-bounded lift that replaced it on polynomial_solution's path.
 """
 
 import dataclasses
@@ -17,7 +19,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from heunalg import DiffOp, OdeSpec, full_operator, kink_spec, polynomial_solution
+from heunalg import DiffOp, OdeSpec, full_operator, kink_spec, polynomial_solution, solvability
 from heunalg.operators import GeneralizedSeries
 from heunalg.polynomials import (
     _horner,
@@ -29,7 +31,10 @@ from heunalg.polynomials import (
 )
 from heunalg.solvability import (
     PolynomialSolutionResult,
+    _blocks,
     _characteristic_polynomial,
+    _continuant_roots,
+    _gershgorin_bound,
     _polynomial_nullspace,
 )
 from support import poly_mul, reference_interpolate
@@ -701,3 +706,107 @@ def test_a_perturbed_basis_vector_is_not_verified(monkeypatch):
         assert result.verified is want, (spec, degree)
         refused += not want
     assert refused >= 50, refused
+
+
+# -- the block spectrum: Gershgorin bound and modular lift ------------------------------
+
+
+def count_fallbacks(monkeypatch):
+    """A list that grows by one continuant each time polynomial_solution falls
+    back to rational_roots."""
+    calls = []
+
+    def counted(p):
+        calls.append(p)
+        return rational_roots(p)
+
+    monkeypatch.setattr(solvability, "rational_roots", counted)
+    return calls
+
+
+def random_block_table(rng):
+    """An integer table D (R, F, L)(s) of 1 to 12 rows in runs: a random run
+    has entries in -4..4 and so often a zero coupling, which makes the table
+    reducible; a planted run is two rows with F = d +- e and R L = -e^2, whose
+    continuant (u + d)^2 has a double root.  Consecutive runs share no
+    coupling, so a planted run is a block of its own."""
+    table = []
+    while len(table) < rng.randint(1, 12):
+        if rng.random() < 0.2:
+            d, e = rng.randint(-9, 9), rng.randint(1, 4)
+            sign = rng.choice((1, -1))
+            run = [(sign * e, d + e, rng.randint(-4, 4)), (rng.randint(-4, 4), d - e, -sign * e)]
+        else:
+            run = [tuple(rng.randint(-4, 4) for _ in range(3)) for _ in range(rng.randint(1, 4))]
+        if table:
+            run[0] = run[0][:2] + (0,)
+        table += run
+    return table
+
+
+def block_spectrum(table):
+    return sorted({u for block in _blocks(table) for u in _continuant_roots(block)})
+
+
+def test_block_spectrum_matches_rational_roots_of_the_continuant(monkeypatch):
+    """The union of the blocks' lifted roots equals rational_roots of the
+    whole table's continuant, on random reducible tables with planted double
+    roots and on the tables of random specs (coefficients p/q, |p| <= 6,
+    q in {1, 2, 3}, degrees 0-8); the blocks with a repeated nonzero root
+    reach the fallback, which must run.  A 1-row block's root -F lies on its
+    Gershgorin boundary, 2 |u| = 2G, the bound the lift is asked to pass; at
+    F = 8 the lift modulo 2 reaches M = 16 = 2G, where the residue 8 still
+    reads as +8, so it must go on to M > 2G."""
+    for f in (8, -8, 7, -3, 0):
+        block = [(5, f, -2)]
+        assert _gershgorin_bound(block) == abs(f)
+        assert _continuant_roots(block) == [-f]
+    fallbacks = count_fallbacks(monkeypatch)
+    rng = random.Random(3131)
+    repeated = reducible = 0
+    for _ in range(1500):
+        table = random_block_table(rng)
+        reducible += len(_blocks(table)) > 1
+        char = _characteristic_polynomial(table)
+        want = rational_roots(char)
+        assert all(u.denominator == 1 for u in want)
+        assert block_spectrum(table) == [u.numerator for u in want], table
+        derivative = [F(i * c) for i, c in enumerate(char)][1:]
+        repeated += any(poly_eval(derivative, u) == 0 for u in want)
+    assert min(repeated, reducible) >= 100, (repeated, reducible)
+    for _ in range(1500):
+        spec = OdeSpec(**{f"a{i}": F(rng.randint(-6, 6), rng.choice((1, 2, 3)))
+                          for i in (0, 1, 2, 4, 5, 6, 7, 8)})
+        degree = rng.randint(0, 8)
+        result = polynomial_solution(spec, degree)
+        if not result.basis:
+            char = _characteristic_polynomial(ladder_table(spec, degree))
+            want = tuple(spec.a8 + u / spec._ladder_scale for u in rational_roots(char))
+            assert result.spectral_a8 == want, (spec, degree)
+    assert fallbacks
+
+
+BASELINE_SPECS = (
+    {"a0": 1, "a1": F(1, 3), "a2": 2, "a4": F(1, 2), "a5": -1, "a6": F(1, 5)},
+    {"a0": 1, "a1": F(-3, 2), "a2": F(1, 2), "a4": -2, "a5": F(7, 4), "a6": F(-1, 3)},
+)
+
+
+@pytest.mark.parametrize("t, limit", ((160, 0.5), (320, 2.0)))
+def test_terminating_baseline_specs_finish_without_the_remainder_sequence(monkeypatch, t, limit):
+    """The two specs of the ROADMAP baseline, built to terminate at t
+    (a7 = -(a0 t (t-1) + a4 t), so R(t) = 0): their continuants have 3,000 to
+    6,000-bit coefficients, on which the square-free remainder sequence took
+    4.7-8.2 s already at t = 80.  The lift past the Gershgorin bound finds a
+    prime at which every root is simple, so no block falls back; it took
+    0.02-0.06 s at t = 160 and 0.08-0.2 s at t = 320 on a 2-vCPU x86-64
+    host."""
+    fallbacks = count_fallbacks(monkeypatch)
+    for c in BASELINE_SPECS:
+        spec = OdeSpec(a7=-(c["a0"] * t * (t - 1) + c["a4"] * t), **c)
+        start = time.perf_counter()
+        result = polynomial_solution(spec, t)
+        elapsed = time.perf_counter() - start
+        assert elapsed < limit, (t, elapsed)
+        assert result.degree == t and result.basis == () and result.verified
+    assert fallbacks == []
