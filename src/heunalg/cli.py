@@ -10,13 +10,15 @@ Exit codes: 0 success, 2 unreadable/invalid input, 3 uncastable (a3 != 0),
 4 resonant exponent, 5 no rational indicial root on the chosen branch,
 6 kink residual above threshold.  With --format json, errors are emitted as
 one JSON object on stderr.
+
+Each subcommand imports the layers it runs inside its cmd_* function, and json
+and csv are imported by the output paths that print them, so a call loads only
+the modules it uses; errors stays at module level for main's exit codes.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
-import json
 import math
 import sys
 from fractions import Fraction
@@ -40,20 +42,6 @@ from .errors import (
     ResonantExponentError,
     SpecFileError,
 )
-from .catalog import catalog_rows
-from .kink import (
-    kink_algebra,
-    kink_heun_reduction,
-    kink_termination,
-    kink_wavefunction,
-    kink_sigma_ode,
-    psi_n2_sigma,
-    psi_n3half_sigma,
-    sigma_of_x,
-)
-from .solvability import indicial_roots, series_solution_with_report
-from .specfile import parse_rational, read_spec_file
-from .verify import residual_sigma
 
 RESIDUAL_THRESHOLD = 1e-6
 MAX_TERMS = 4000  # series rows and their digits both grow with --terms
@@ -73,6 +61,8 @@ def _fmt_float(v: float) -> str:
 
 def _emit_error(code: int, kind: str, message: str, fmt: str) -> int:
     if fmt == "json":
+        import json
+
         print(json.dumps({"error": {"exit_code": code, "kind": kind, "message": message}}),
               file=sys.stderr)
     else:
@@ -97,10 +87,14 @@ def _render(
     csv, and with json live only in the payload.
     """
     if fmt == "json":
+        import json
+
         # a non-finite float raises ValueError (exit 2) instead of printing NaN
         print(json.dumps(payload, indent=2, allow_nan=False))
         return
     if fmt == "csv":
+        import csv
+
         writer = csv.writer(sys.stdout, lineterminator="\n")
         writer.writerows([header, *rows] if header else list(zip(*footer)))
         for note in notes:
@@ -130,6 +124,8 @@ def _deformation(coeffs: DeformationCoeffs) -> dict[str, str]:
 
 
 def cmd_classify(args: argparse.Namespace) -> int:
+    from .specfile import read_spec_file
+
     spec = read_spec_file(args.specfile)
     coeffs = deformation_coefficients(spec)
     kind, abelian = _deformation_class(coeffs)
@@ -166,6 +162,9 @@ def cmd_classify(args: argparse.Namespace) -> int:
 
 
 def _pick_lambda(spec: OdeSpec, branch: str) -> Fraction:
+    from .solvability import indicial_roots
+    from .specfile import parse_rational
+
     if branch not in ("plus", "minus"):
         lam = parse_rational(branch)
         if spec.ladder_at(lam)[1] != 0:
@@ -186,6 +185,9 @@ def _pick_lambda(spec: OdeSpec, branch: str) -> Fraction:
 
 
 def cmd_series(args: argparse.Namespace) -> int:
+    from .solvability import series_solution_with_report
+    from .specfile import read_spec_file
+
     if args.terms < 0:
         raise SpecFileError("--terms must be nonnegative")
     if args.terms > MAX_TERMS:
@@ -237,6 +239,11 @@ def _as_double(value: Fraction, name: str) -> float:
 
 
 def cmd_kink(args: argparse.Namespace) -> int:
+    from .kink import (kink_algebra, kink_heun_reduction, kink_sigma_ode, kink_termination,
+                       kink_wavefunction, psi_n2_sigma, psi_n3half_sigma, sigma_of_x)
+    from .specfile import parse_rational
+    from .verify import residual_sigma
+
     eps_sq = parse_rational(args.eps_sq)
     mu = parse_rational(args.mu)
     eps_sq_f, mu_f = _as_double(eps_sq, "--eps-sq"), _as_double(mu, "--mu")
@@ -312,6 +319,8 @@ def cmd_kink(args: argparse.Namespace) -> int:
 
 
 def cmd_catalog(args: argparse.Namespace) -> int:
+    from .catalog import catalog_rows
+
     payload = {
         "rows": [
             {

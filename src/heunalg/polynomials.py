@@ -41,8 +41,11 @@ def poly_eval(p: Sequence[Fraction | float], x: Fraction | float) -> Fraction | 
     float when x or a coefficient is a float.  The float callers are
     verify.residual_sigma (float copies of SigmaOde's polynomials at sigma) and
     kink.state_from_factor (float coefficients at zeta); _horner is the
-    integer evaluator of rational_roots."""
-    acc = Fraction(0)
+    integer evaluator of rational_roots.  The sum starts at the int 0, whose
+    product with a float x is a float, so float coefficients never pass
+    through Fraction's slow mixed-type operators; the zero polynomial is
+    Fraction(0)."""
+    acc = 0 if p else Fraction(0)
     for c in reversed(p):
         acc = acc * x + c
     return acc

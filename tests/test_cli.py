@@ -496,6 +496,37 @@ def test_import_does_not_load_numpy():
     assert out.strip() == "False"
 
 
+DEMO_SPECS = Path(__file__).resolve().parents[1] / "demos" / "specs"
+ALGEBRA_LAYER = {"errors", "operators", "polynomials", "algebra"}
+
+
+@pytest.mark.parametrize("argv, code, modules", [
+    ([], None, set()),
+    (["classify", str(DEMO_SPECS / "heun.spec")], 0, ALGEBRA_LAYER | {"cli", "specfile"}),
+    (["series", str(DEMO_SPECS / "qes_branch.spec")], 0,
+     ALGEBRA_LAYER | {"cli", "specfile", "solvability"}),
+    (["kink", "--eps-sq", "1/2"], 6,
+     ALGEBRA_LAYER | {"cli", "specfile", "catalog", "kink", "verify"}),
+    (["catalog"], 0, ALGEBRA_LAYER | {"cli", "catalog"}),
+], ids=["import", "classify", "series", "kink", "catalog"])
+def test_a_call_loads_only_the_modules_it_runs(argv, code, modules):
+    """A fresh interpreter loads no heunalg submodule on `import heunalg`, and
+    on a subcommand exactly the modules that subcommand runs."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    probe = ("import contextlib, io, sys, heunalg\n"
+             "if sys.argv[1:]:\n"
+             "    import heunalg.cli\n"
+             "    with contextlib.redirect_stdout(io.StringIO()):\n"
+             "        print(heunalg.cli.main(sys.argv[1:]), file=sys.stderr)\n"
+             "print(' '.join(sorted(m for m in sys.modules if m.startswith('heunalg.'))))\n")
+    run = subprocess.run([sys.executable, "-c", probe, *argv], env=env,
+                         capture_output=True, text=True, check=True)
+    if code is not None:
+        assert run.stderr.splitlines()[-1] == str(code)
+    assert set(run.stdout.split()) == {f"heunalg.{m}" for m in modules}
+
+
 def test_literal_beyond_int_digit_limit_exit_2(tmp_path):
     spec = tmp_path / "long.spec"
     spec.write_text(f"a0 = {'1' * 5000}\n")

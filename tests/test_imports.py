@@ -3,14 +3,21 @@ name it imports, every private function and method of the package has a
 caller in the package itself, every public one has a caller outside the
 tests, no function is written out twice, every package class a
 public function returns is exported by the package, the private names that belong
-to one module are referenced only there, and the package and the demos need
-nothing outside the standard library."""
+to one module are referenced only there, the package and the demos need
+nothing outside the standard library, and the package namespace resolves each
+export and submodule on first access, with the names the eager package had."""
 
 import ast
+import importlib
+import os
+import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+
+import heunalg
+from heunalg.solvability import DEFAULT_HORIZON
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "heunalg"
@@ -147,6 +154,14 @@ def _annotation_names(node):
             yield from _annotation_names(ast.parse(sub.value, mode="eval"))
 
 
+def _export_table():
+    """__init__.py's one export table, {submodule: names}, read as a literal."""
+    tree = ast.parse((PACKAGE / "__init__.py").read_text(encoding="utf-8"))
+    [value] = [node.value for node in tree.body if isinstance(node, ast.Assign)
+               and [getattr(t, "id", None) for t in node.targets] == ["_EXPORTS"]]
+    return ast.literal_eval(value)
+
+
 def test_classes_returned_by_public_functions_are_exported():
     """A caller can name the type of every result a public function hands back."""
     trees = [ast.parse(path.read_text(encoding="utf-8")) for path in MODULES]
@@ -155,7 +170,7 @@ def test_classes_returned_by_public_functions_are_exported():
                 if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
                 and not node.name.startswith("_") and node.returns is not None
                 for name in _annotation_names(node.returns)}
-    exported = set(_imported_names(ast.parse((PACKAGE / "__init__.py").read_text(encoding="utf-8"))))
+    exported = {name for names in _export_table().values() for name in names}
     assert sorted((returned & classes) - exported) == []
 
 
@@ -196,3 +211,70 @@ def test_owned_private_names_stay_in_their_module():
             if path.name not in ((owners,) if isinstance(owners, str) else owners):
                 leaks.add((path.name, name))
     assert sorted(leaks) == []
+
+
+# every name a star import of the package gave when __init__.py imported each
+# submodule eagerly: the exports and the nine submodules those imports bound
+STAR_NAMES = {
+    "CasimirResult", "CatalogRow", "DeformationCoeffs", "DegenerateDiagonalError",
+    "DegenerateKinkError", "DiagonalFitError", "DiffOp", "GeneralizedSeries", "GeneratorSet",
+    "GroundStateReport", "HeunParams", "HeunalgError", "IncompatibleBranchError", "IndicialRoots",
+    "KinkAlgebra", "NoIndicialRootError", "NotCastableError", "OdeSpec", "OpTerm",
+    "PolynomialSolutionResult", "ResidualReport", "ResonantExponentError", "SeriesReport",
+    "SigmaOde", "SingularPointCollisionError", "SolvabilityVerdict", "SpecFileError",
+    "TerminationResult", "algebra", "biconfluent_heun_spec", "brute_force_deformation",
+    "build_generators", "casimir", "casimir_operator", "cast_check", "catalog", "catalog_rows",
+    "check_solvability", "classify_deformation", "commutator", "confluent_heun_spec",
+    "deformation_coefficients", "doubly_confluent_spec", "errors", "fit_diagonal_polynomial",
+    "full_operator", "heun_spec", "hypergeometric_oracle", "indicial_roots", "is_abelian",
+    "jacobi_spec", "kink", "kink_algebra", "kink_ground_state_check", "kink_heun_reduction",
+    "kink_sigma_ode", "kink_spec", "kink_termination", "kink_wavefunction", "kink_zero_mode",
+    "nullspace_oracle", "operators", "parse_rational", "parse_spec_text", "poly_of_op",
+    "polynomial_solution", "polynomials", "psi_n2_sigma", "psi_n3half_sigma", "read_spec_file",
+    "residual_sigma", "series_solution_with_report", "sigma_of_x", "sl2_generators",
+    "solvability", "specfile", "state_from_factor", "termination_condition", "verify",
+}
+
+
+def _fresh(code):
+    """stdout of code run in a fresh interpreter that imports heunalg from src/."""
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    return subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, check=True).stdout
+
+
+class TestLazyNamespace:
+    def test_all_and_star_import_give_the_names_of_the_eager_package(self):
+        assert set(heunalg.__all__) == STAR_NAMES
+        assert len(heunalg.__all__) == len(STAR_NAMES)
+        out = _fresh("ns = {}\nexec('from heunalg import *', ns)\n"
+                     "print(' '.join(sorted(set(ns) - {'__builtins__'})))")
+        assert set(out.split()) == STAR_NAMES
+
+    def test_every_export_is_the_object_its_module_defines(self):
+        for module, names in _export_table().items():
+            source = importlib.import_module(f"heunalg.{module}")
+            for name in names:
+                assert getattr(heunalg, name) is vars(source)[name], name
+                assert vars(source)[name].__module__ == source.__name__, name
+
+    @pytest.mark.parametrize("name", ["algebra", "catalog", "cli", "errors", "kink", "operators",
+                                      "polynomials", "solvability", "specfile", "verify"])
+    def test_a_submodule_resolves_as_the_first_access(self, name):
+        out = _fresh(f"import sys, heunalg\nm = heunalg.{name}\n"
+                     f"print(m is sys.modules['heunalg.{name}'], m.__name__)")
+        assert out.split() == ["True", f"heunalg.{name}"]
+
+    def test_submodule_attributes_read_first_as_the_benchmark_reads_them(self):
+        out = _fresh("import heunalg as h\nprint(h.solvability.DEFAULT_HORIZON)\n"
+                     "print(h.polynomials.is_rational_square.__name__)")
+        assert out.split() == [str(DEFAULT_HORIZON), "is_rational_square"]
+
+    def test_an_unknown_name_raises_attribute_error_naming_it(self):
+        with pytest.raises(AttributeError, match="'no_such_name'"):
+            heunalg.no_such_name
+        with pytest.raises(ImportError, match="no_such_name"):
+            exec("from heunalg import no_such_name", {})
+
+    def test_dir_lists_every_export_and_submodule(self):
+        assert STAR_NAMES | {"cli", "__version__"} <= set(dir(heunalg))
