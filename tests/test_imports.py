@@ -213,8 +213,8 @@ def test_owned_private_names_stay_in_their_module():
     assert sorted(leaks) == []
 
 
-# every name a star import of the package gave when __init__.py imported each
-# submodule eagerly: the exports and the nine submodules those imports bound
+# the names a star import of the package binds: the 70 exports and the nine
+# library submodules, the set it bound when __init__.py imported them all
 STAR_NAMES = {
     "CasimirResult", "CatalogRow", "DeformationCoeffs", "DegenerateDiagonalError",
     "DegenerateKinkError", "DiagonalFitError", "DiffOp", "GeneralizedSeries", "GeneratorSet",
