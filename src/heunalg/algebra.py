@@ -40,11 +40,10 @@ polynomial, with one Fraction per coefficient a call returns.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import zip_longest
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .errors import DiagonalFitError, NotCastableError
 from .operators import DiffOp, RationalLike, as_fraction, commutator
@@ -52,24 +51,51 @@ from .polynomials import (Poly, _integer_shift, _over_lcm, _shift_over, poly, po
                           poly_shift)
 
 
-@dataclass(frozen=True)
-class OdeSpec:
+class _FractionRecord:
+    """An immutable value whose fields, named in _fields, hold Fractions.
+
+    == (between instances of one class) and hash read the field values, and
+    repr prints them as Name(field=value, ...).  Other instance attributes,
+    such as cached_property caches, stay outside all three.
+    """
+
+    _fields: tuple[str, ...] = ()
+
+    def _store(self, *values: RationalLike) -> None:
+        self.__dict__.update(zip(self._fields, map(as_fraction, values)))
+
+    def _values(self) -> tuple[Fraction, ...]:
+        return tuple([getattr(self, name) for name in self._fields])
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return self._values() == other._values()
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{self.__class__.__qualname__}({fields})"
+
+
+class OdeSpec(_FractionRecord):
     """Coefficients a0..a8 of the general equation plus the spin label j."""
 
-    a0: Fraction = Fraction(0)
-    a1: Fraction = Fraction(0)
-    a2: Fraction = Fraction(0)
-    a3: Fraction = Fraction(0)
-    a4: Fraction = Fraction(0)
-    a5: Fraction = Fraction(0)
-    a6: Fraction = Fraction(0)
-    a7: Fraction = Fraction(0)
-    a8: Fraction = Fraction(0)
-    j: Fraction = Fraction(0)
+    _fields = ("a0", "a1", "a2", "a3", "a4", "a5", "a6", "a7", "a8", "j")
 
-    def __post_init__(self) -> None:
-        for name in ("a0", "a1", "a2", "a3", "a4", "a5", "a6", "a7", "a8", "j"):
-            object.__setattr__(self, name, as_fraction(getattr(self, name)))
+    def __init__(self, a0: RationalLike = 0, a1: RationalLike = 0, a2: RationalLike = 0,
+                 a3: RationalLike = 0, a4: RationalLike = 0, a5: RationalLike = 0,
+                 a6: RationalLike = 0, a7: RationalLike = 0, a8: RationalLike = 0,
+                 j: RationalLike = 0) -> None:
+        self._store(a0, a1, a2, a3, a4, a5, a6, a7, a8, j)
 
     def coefficients(self) -> tuple[Fraction, ...]:
         return (self.a0, self.a1, self.a2, self.a3, self.a4,
@@ -122,8 +148,7 @@ class OdeSpec:
         return Fraction(r, scale), Fraction(f, scale), Fraction(l, scale)
 
 
-@dataclass(frozen=True)
-class GeneratorSet:
+class GeneratorSet(NamedTuple):
     """The generator triple (P+, P0, P-) of the deformed algebra."""
 
     p_plus: DiffOp
@@ -131,8 +156,7 @@ class GeneratorSet:
     p_minus: DiffOp
 
 
-@dataclass(frozen=True)
-class DeformationCoeffs:
+class DeformationCoeffs(NamedTuple):
     """Cubic commutator polynomial: [P+, P-] = alpha1 P0^3 + beta1 P0^2 + gamma1 P0 + delta1."""
 
     alpha1: Fraction
@@ -156,8 +180,7 @@ class DeformationCoeffs:
         )
 
 
-@dataclass(frozen=True)
-class CasimirResult:
+class CasimirResult(NamedTuple):
     """Quartic g with g(n)-g(n-1) = f(n), the scalar C acts by, and the verdict."""
 
     g_poly: Poly

@@ -12,29 +12,23 @@ casting; it is constructed anyway and reported as a documented conflict.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
-from .algebra import OdeSpec, classify_deformation
+from .algebra import OdeSpec, _FractionRecord, classify_deformation
 from .errors import NotCastableError, SingularPointCollisionError
 from .operators import RationalLike, as_fraction
 
 
-@dataclass(frozen=True)
-class HeunParams:
+class HeunParams(_FractionRecord):
     """Canonical Heun parameters; a_sing is the third finite singular point."""
 
-    gamma: Fraction
-    delta: Fraction
-    eps_h: Fraction
-    a_sing: Fraction
-    alpha: Fraction
-    beta: Fraction
-    q: Fraction
+    _fields = ("gamma", "delta", "eps_h", "a_sing", "alpha", "beta", "q")
 
-    def __post_init__(self) -> None:
-        for name in ("gamma", "delta", "eps_h", "a_sing", "alpha", "beta", "q"):
-            object.__setattr__(self, name, as_fraction(getattr(self, name)))
+    def __init__(self, gamma: RationalLike, delta: RationalLike, eps_h: RationalLike,
+                 a_sing: RationalLike, alpha: RationalLike, beta: RationalLike,
+                 q: RationalLike) -> None:
+        self._store(gamma, delta, eps_h, a_sing, alpha, beta, q)
         if self.a_sing in (0, 1):
             raise SingularPointCollisionError(
                 f"third singular point {self.a_sing} collides with 0 or 1"
@@ -136,8 +130,7 @@ def jacobi_spec(
     )
 
 
-@dataclass(frozen=True)
-class CatalogRow:
+class CatalogRow(NamedTuple):
     name: str
     sample: str
     spec: OdeSpec

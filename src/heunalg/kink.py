@@ -21,9 +21,8 @@ as the rational input.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Literal, Sequence
+from typing import Callable, Literal, NamedTuple, Sequence
 
 from .algebra import (
     OdeSpec,
@@ -40,8 +39,7 @@ from .polynomials import Poly, poly, poly_eval
 KinkState = Literal["n2", "n3half"]
 
 
-@dataclass(frozen=True)
-class SigmaOde:
+class SigmaOde(NamedTuple):
     """Polynomial data of the transformed fluctuation equation: a, b and c as
     exact coefficient tuples in sigma, evaluated by polynomials.poly_eval."""
 
@@ -52,8 +50,7 @@ class SigmaOde:
     nu_sq: Fraction
 
 
-@dataclass(frozen=True)
-class KinkAlgebra:
+class KinkAlgebra(NamedTuple):
     """Deformation coefficients of the unit-normalized ladder pair, plus the
     diagonal-part coefficients (n2, n1, n0)."""
 
@@ -63,8 +60,7 @@ class KinkAlgebra:
     n0: Fraction
 
 
-@dataclass(frozen=True)
-class GroundStateReport:
+class GroundStateReport(NamedTuple):
     """Exact checks behind the lowest terminating state."""
 
     annihilates_sqrt: bool

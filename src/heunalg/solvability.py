@@ -48,8 +48,8 @@ sums over the table and found by a modular lift past that bound.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .algebra import OdeSpec, full_operator, require_castable
 from .errors import (
@@ -63,8 +63,7 @@ from .polynomials import _integer_root_candidates, is_rational_square, poly_padd
 DEFAULT_HORIZON = 32
 
 
-@dataclass(frozen=True)
-class IndicialRoots:
+class IndicialRoots(NamedTuple):
     """Roots of the indicial equation F(L) = 0, F from OdeSpec.ladder_polys().
 
     Rational roots are carried directly; irrational ones are reported through
@@ -80,8 +79,7 @@ class IndicialRoots:
     degenerate: bool
 
 
-@dataclass(frozen=True)
-class SolvabilityVerdict:
+class SolvabilityVerdict(NamedTuple):
     exactly_solvable: bool
     quasi_exactly_solvable: bool
     trivial_diagonal: bool
@@ -89,16 +87,14 @@ class SolvabilityVerdict:
     note: str | None
 
 
-@dataclass(frozen=True)
-class TerminationResult:
+class TerminationResult(NamedTuple):
     """Positive n with P+ x^(n-1) = 0; all_n marks an identically-zero P+."""
 
     values: tuple[Fraction, ...]
     all_n: bool
 
 
-@dataclass(frozen=True)
-class PolynomialSolutionResult:
+class PolynomialSolutionResult(NamedTuple):
     """Null space of the operator on {x^0..x^degree}, plus the spectral report.
 
     basis holds coefficient tuples (c_0..c_degree).  verified is True when
@@ -191,8 +187,7 @@ def check_solvability(spec: OdeSpec) -> SolvabilityVerdict:
     )
 
 
-@dataclass(frozen=True)
-class SeriesReport:
+class SeriesReport(NamedTuple):
     """How the fixed-point iteration of series_solution_with_report ended.
 
     dropped counts, over the iterations, the coefficients of psi at the window

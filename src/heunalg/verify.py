@@ -16,9 +16,8 @@ Each check avoids one part of the machinery it validates:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 from .algebra import OdeSpec, full_operator
 from .errors import ResonantExponentError
@@ -29,8 +28,7 @@ from .polynomials import poly_eval
 GUARD_DISTANCE = 1e-3
 
 
-@dataclass(frozen=True)
-class ResidualReport:
+class ResidualReport(NamedTuple):
     """Residual of (a psi'' + b psi' + (c+nu^2) psi) over a mapped grid."""
 
     grid: tuple[float, ...]

@@ -1,5 +1,6 @@
 """Helpers that more than one test module uses; pytest collects no tests here."""
 
+import inspect
 from fractions import Fraction
 from fractions import Fraction as F
 from typing import Sequence
@@ -17,6 +18,13 @@ def exact_branch_spec(lam1, lam2, a1=F(1), a2=F(1), a6=F(3)):
         a6=a6,
         a8=a1 * lam1 * lam2,
     )
+
+
+def with_fields(spec, **changes):
+    """spec with the named fields changed, rebuilt through OdeSpec's constructor
+    from every parameter it takes."""
+    fields = {name: getattr(spec, name) for name in inspect.signature(OdeSpec).parameters}
+    return OdeSpec(**{**fields, **changes})
 
 
 def f_of_p0(spec):

@@ -527,6 +527,35 @@ def test_a_call_loads_only_the_modules_it_runs(argv, code, modules):
     assert set(run.stdout.split()) == {f"heunalg.{m}" for m in modules}
 
 
+
+def _loaded(code, names, *argv):
+    """The modules of names that a fresh interpreter running code has loaded."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    probe = code + f"\nprint(' '.join(m for m in {names!r} if m in sys.modules))\n"
+    run = subprocess.run([sys.executable, "-c", probe, *argv], env=env,
+                         capture_output=True, text=True, check=True)
+    return set(run.stdout.split())
+
+
+@pytest.mark.parametrize("argv", [
+    ["classify", str(DEMO_SPECS / "heun.spec")],
+    ["series", str(DEMO_SPECS / "qes_branch.spec")],
+    ["kink", "--eps-sq", "1/2"],
+    ["catalog"],
+], ids=["classify", "series", "kink", "catalog"])
+def test_a_call_loads_neither_dataclasses_nor_inspect(argv):
+    """The records are NamedTuples and OdeSpec and HeunParams plain classes,
+    so no subcommand pays for dataclasses and the inspect it imports, beyond
+    what a bare interpreter on this host already loads."""
+    names = ("dataclasses", "inspect")
+    bare = _loaded("import sys", names)
+    call = _loaded("import contextlib, io, sys\nimport heunalg.cli\n"
+                   "with contextlib.redirect_stdout(io.StringIO()):\n"
+                   "    heunalg.cli.main(sys.argv[1:])", names, *argv)
+    assert call - bare == set()
+
+
 def test_literal_beyond_int_digit_limit_exit_2(tmp_path):
     spec = tmp_path / "long.spec"
     spec.write_text(f"a0 = {'1' * 5000}\n")

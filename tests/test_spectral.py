@@ -10,7 +10,6 @@ rational_roots, in turn, is the reference for the solver's block spectrum,
 the Gershgorin-bounded lift that replaced it on polynomial_solution's path.
 """
 
-import dataclasses
 import itertools
 import math
 import random
@@ -37,7 +36,7 @@ from heunalg.solvability import (
     _gershgorin_bound,
     _polynomial_nullspace,
 )
-from support import poly_mul, reference_interpolate
+from support import poly_mul, reference_interpolate, with_fields
 from test_operators import reference_apply
 
 
@@ -341,7 +340,7 @@ NULLSPACE_BRANCHES = {
 def test_recurrence_nullspace_on_each_branch(base):
     dims = set()
     for a1, a5, a8 in itertools.product(range(-2, 3), repeat=3):
-        spec = dataclasses.replace(base, a1=F(a1), a5=F(a5), a8=F(a8))
+        spec = with_fields(base, a1=F(a1), a5=F(a5), a8=F(a8))
         for degree in range(7):
             want = reference_gauss_nullspace(reference_operator_matrix(spec, degree))
             table = ladder_table(spec, degree)
