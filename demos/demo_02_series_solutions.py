@@ -25,7 +25,7 @@ lam1, lam2 = F(1, 3), F(-3, 2)
 spec = OdeSpec(a1=6, a2=2, a5=6 * (1 - lam1 - lam2), a6=1, a8=6 * lam1 * lam2)
 verdict = check_solvability(spec)
 print("exactly solvable:", verdict.exactly_solvable,
-      "  reduced form:", {k: str(v) for k, v in verdict.reduced_form.items()})
+      "  reduced form:", {k: str(v) for k, v in verdict.reduced_form})
 roots = indicial_roots(spec)
 print("indicial roots:", roots.lambda_plus, ",", roots.lambda_minus)
 

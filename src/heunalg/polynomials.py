@@ -6,12 +6,12 @@ and rational roots; nothing here rounds, except poly_eval when handed a float,
 which is how the kink layer's float code evaluates its polynomials
 (verify.residual_sigma and kink.state_from_factor).
 Roots come from p-adic lifting of the roots modulo one small prime, with no
-bisection, one lift for both finders: rational_roots lifts the square-free
-part of any polynomial past a bound read off its coefficients, so its cost is
-polynomial in the degree and the coefficient bit-length rather than in the
-size of the constant term; _integer_root_candidates lifts a monic polynomial
-past a bound its caller supplies, with no square-free part, and gives up when
-a root repeats modulo every prime it may try.
+bisection, in one finder for both rational_roots and polynomial_solution's
+block spectrum: it lifts past a bound its caller reads off the polynomial,
+so its cost is polynomial in the degree and the coefficient bit-length
+rather than in the size of the constant term, runs the square-free
+remainder sequence only when a root repeats, and checks each candidate by
+one exact integer Horner evaluation.
 """
 
 from __future__ import annotations
@@ -41,7 +41,7 @@ def poly_eval(p: Sequence[Fraction | float], x: Fraction | float) -> Fraction | 
     float when x or a coefficient is a float.  The float callers are
     verify.residual_sigma (float copies of SigmaOde's polynomials at sigma) and
     kink.state_from_factor (float coefficients at zeta); _horner is the
-    integer evaluator of rational_roots.  The sum starts at the int 0, whose
+    integer evaluator of the root finder.  The sum starts at the int 0, whose
     product with a float x is a float, so float coefficients never pass
     through Fraction's slow mixed-type operators; the zero polynomial is
     Fraction(0)."""
@@ -109,63 +109,63 @@ def is_rational_square(value: Fraction) -> tuple[bool, Fraction]:
 def rational_roots(p: Sequence[Fraction]) -> list[Fraction]:
     """All distinct rational roots of p, ascending, each verified exactly.
 
-    A general-purpose tool, and polynomial_solution's fallback for a block
-    whose continuant has a repeated root (_integer_root_candidates serves the
-    others).  Denominators are cleared, the root 0 is split off, and f is the
-    primitive square-free part of the rest, with c_0 != 0 and c_n > 0 (the
-    denominator _horner evaluates at).  A root a/b in lowest terms has
-    b | c_n and a | c_0, so y = c_n a/b is an integer with |y| <= |c_n c_0|:
-    one of f's lifted residues modulo M > 2 |c_n c_0| (_lifted_roots), kept
-    only where f(y / c_n) is exactly 0.  The cost is the square-free
-    remainder sequence, then the lift and one exact evaluation per root of f
-    modulo a small prime.
+    Denominators are cleared to integers c_i with c_n > 0, and a nonzero
+    root a/b in lowest terms has b | c_n and a | c_0 (c_0 the lowest nonzero
+    coefficient), so c_n a/b is an integer of absolute value at most
+    |c_n c_0|: _integer_polynomial_roots finds them all past the bound
+    2 |c_n c_0|, and runs the remainder sequence only when a root repeats.
     """
     q = poly(p)
     if not q:
         raise ZeroDivisionError("the zero polynomial vanishes everywhere")
-    ints, _ = _over_lcm(q)
-    low = next(i for i, c in enumerate(ints) if c)
-    roots = [Fraction(0)] if low else []
-    f = _square_free(ints[low:])
-    lead = f[-1]
-    # a square-free f has only simple roots modulo all but finitely many primes
-    lifted = _lifted_roots(f, 2 * abs(lead * f[0]), None)
-    roots += [Fraction(y, lead) for y in lifted if not _horner(f, y, lead)]
-    return sorted(roots)
+    ints, _ = _over_lcm(q if q[-1] > 0 else [-c for c in q])
+    roots, lead = _integer_polynomial_roots(ints, 2 * ints[-1] * abs(next(c for c in ints if c)))
+    return [Fraction(y, lead) for y in roots]
 
 
-def _integer_root_candidates(nums: Sequence[int], bound: int, max_prime: int) -> list[int] | None:
-    """Integers among which lies every integer root y with
-    2 |y| <= bound of the monic integer polynomial sum nums_i u^i: 0 when
-    nums_0 = 0, then the lifted residues of the rest (_lifted_roots),
-    unverified.  None when no prime up to max_prime qualifies, as at every
-    prime when a nonzero root is repeated.  It runs no remainder sequence:
-    the coefficients are only reduced, once per prime tried and per lifting
-    step."""
-    low = next(i for i, c in enumerate(nums) if c)
-    lifted = _lifted_roots(nums[low:], bound, max_prime)
-    return None if lifted is None else [0] * (low > 0) + lifted
+def _integer_polynomial_roots(ints: Sequence[int], bound: int) -> tuple[list[int], int]:
+    """(ys, lead): the distinct rational roots of the integer polynomial
+    sum c_i t^i, c_n = ints[-1] > 0, are y / lead for y in ys, ascending.
+    bound must satisfy 2 |c_n r| <= bound at every nonzero rational root r.
 
-
-def _lifted_roots(f: Sequence[int], bound: int, max_prime: int | None) -> list[int] | None:
-    """The symmetric residues y of c_n r modulo M > bound, one per root r of f
-    modulo the least prime p (up to max_prime, if given) that does not divide
-    c_n and at which every root of f mod p is simple (_simple_roots_mod);
-    None when there is no such prime.  f = sum c_i t^i is an integer
-    polynomial with c_0 != 0.  A rational root a/b of f is then a simple root
-    of f mod p, which Newton's step lifts uniquely, squaring the modulus
-    until M > bound, each step reducing f and f' modulo the new M once for
-    all roots; so if 2 |c_n a/b| <= bound < M, c_n a/b is one of the residues
-    (Loos, SIAM J. Comput. 12, 1983).  The lift costs O(log log M) steps.
+    The root 0 is split off, leaving f with f(0) != 0, and f's roots modulo
+    the least prime p (not dividing its lead) at which all of them are
+    simple (_simple_roots_mod) are lifted past the bound (_lifted_roots).  A
+    nonzero root that repeats does so modulo every prime, so if no prime up
+    to the cap 64 + 2 n qualifies, f becomes its square-free part
+    (_square_free, whose lead divides c_n, so the bound still holds and a
+    monic f stays monic) and the search starts again from 2.  The cap only
+    trades time, since both searches are exact; it grows with the degree
+    because a large block of polynomial_solution has many roots that collide
+    modulo a small prime (kink_spec(1/3, 1/2) at degree 320 has a 319-row
+    block that needed p = 331).  Each candidate y is kept where f(y / lead)
+    is exactly 0 (_horner).
     """
+    low = next(i for i, c in enumerate(ints) if c)
+    f = ints[low:]
     derivative = [i * c for i, c in enumerate(f)][1:]
-    for prime in itertools.count(2) if max_prime is None else range(2, max_prime + 1):
-        if f[-1] % prime and all(prime % k for k in range(2, math.isqrt(prime) + 1)):
-            lifted = _simple_roots_mod(f, derivative, prime)
-            if lifted is not None:
-                break
-    else:
-        return None
+    found = _simple_roots_mod(f, derivative, range(2, 65 + 2 * (len(ints) - 1)))
+    if found is None:  # a nonzero root repeats, or the roots collide modulo every prime to the cap
+        f = _square_free(f)
+        derivative = [i * c for i, c in enumerate(f)][1:]
+        found = _simple_roots_mod(f, derivative, itertools.count(2))
+    prime, residues = found
+    lead = f[-1]
+    roots = [y for y in _lifted_roots(f, derivative, prime, residues, bound) if not _horner(f, y, lead)]
+    return sorted([0] * (low > 0) + roots), lead
+
+
+def _lifted_roots(f: Sequence[int], derivative: Sequence[int], prime: int, lifted: list[tuple[int, int]],
+                  bound: int) -> list[int]:
+    """The symmetric residues y of c_n r modulo M > bound, one per root r of
+    f = sum c_i t^i modulo prime, given in lifted with 1 / f'(r)
+    (_simple_roots_mod) and overwritten by the lift.  Every root of f mod p
+    is simple, so a rational root a/b of f lifts from its residue uniquely
+    by Newton's step, squaring the modulus until M > bound, each step
+    reducing f and f' modulo the new M once for all roots; so if
+    2 |c_n a/b| <= bound < M, c_n a/b is one of the residues (Loos, SIAM J.
+    Comput. 12, 1983).  The lift costs O(log log M) steps.
+    """
     modulus = prime
     while lifted and modulus <= bound:
         modulus *= modulus
@@ -178,19 +178,27 @@ def _lifted_roots(f: Sequence[int], bound: int, max_prime: int | None) -> list[i
     return [y - modulus if 2 * y > modulus else y for y in symmetric]
 
 
-def _simple_roots_mod(f: Sequence[int], derivative: Sequence[int], prime: int) -> list[tuple[int, int]] | None:
-    """Each root r of f modulo prime, ascending, with 1 / f'(r) mod prime,
-    found by evaluation at every residue with the coefficients reduced once;
-    None at the first root that f' shares, the scan stopping there."""
-    f_mod, d_mod = [c % prime for c in f], [c % prime for c in derivative]
-    roots = []
-    for r in range(prime):
-        if not _horner_mod(f_mod, r, prime):
-            slope = _horner_mod(d_mod, r, prime)
-            if not slope:
-                return None
-            roots.append((r, pow(slope, -1, prime)))
-    return roots
+def _simple_roots_mod(f: Sequence[int], derivative: Sequence[int],
+                      primes: Iterable[int]) -> tuple[int, list[tuple[int, int]]] | None:
+    """The first prime p among primes that does not divide f's leading
+    coefficient and at which every root of f mod p is simple, with each root
+    r, ascending, and 1 / f'(r) mod p; None when primes has no such prime.
+    The roots come from evaluation at every residue with the coefficients
+    reduced once per prime, the scan stopping at the first root that f'
+    shares."""
+    for prime in primes:
+        if f[-1] % prime and all(prime % k for k in range(2, math.isqrt(prime) + 1)):
+            f_mod, d_mod = [c % prime for c in f], [c % prime for c in derivative]
+            roots = []
+            for r in range(prime):
+                if not _horner_mod(f_mod, r, prime):
+                    slope = _horner_mod(d_mod, r, prime)
+                    if not slope:
+                        break
+                    roots.append((r, pow(slope, -1, prime)))
+            else:
+                return prime, roots
+    return None
 
 
 def _horner_mod(nums: Sequence[int], x: int, m: int) -> int:

@@ -58,7 +58,7 @@ from .errors import (
     ResonantExponentError,
 )
 from .operators import GeneralizedSeries, RationalLike, as_fraction
-from .polynomials import _integer_root_candidates, is_rational_square, poly_padded, rational_roots
+from .polynomials import _integer_polynomial_roots, is_rational_square, poly_padded, rational_roots
 
 DEFAULT_HORIZON = 32
 
@@ -80,11 +80,20 @@ class IndicialRoots(NamedTuple):
 
 
 class SolvabilityVerdict(NamedTuple):
+    """reduced_form holds ("ai/aj", value) pairs: the ratios of the exactly
+    solvable branch, else those of the QES branch, else none; a value is None
+    where its denominator is 0."""
+
     exactly_solvable: bool
     quasi_exactly_solvable: bool
     trivial_diagonal: bool
-    reduced_form: dict[str, Fraction | None]
+    reduced_form: tuple[tuple[str, Fraction | None], ...]
     note: str | None
+
+
+# the ratios a verdict reports on the exactly solvable and on the QES branch
+_EXACT_RATIOS = ("a2/a1", "a5/a1", "a6/a5", "a8/a1")
+_QES_RATIOS = ("a1/a0", "a4/a0", "a5/a4", "a7/a0", "a8/a7")
 
 
 class TerminationResult(NamedTuple):
@@ -154,22 +163,10 @@ def check_solvability(spec: OdeSpec) -> SolvabilityVerdict:
     quasi = lowering == ()
     trivial = exact and quasi
 
-    reduced: dict[str, Fraction | None] = {}
-    if exact:
-        reduced = {
-            "a2/a1": spec.a2 / spec.a1 if spec.a1 != 0 else None,
-            "a5/a1": spec.a5 / spec.a1 if spec.a1 != 0 else None,
-            "a6/a5": spec.a6 / spec.a5 if spec.a5 != 0 else None,
-            "a8/a1": spec.a8 / spec.a1 if spec.a1 != 0 else None,
-        }
-    elif quasi:
-        reduced = {
-            "a1/a0": spec.a1 / spec.a0 if spec.a0 != 0 else None,
-            "a4/a0": spec.a4 / spec.a0 if spec.a0 != 0 else None,
-            "a5/a4": spec.a5 / spec.a4 if spec.a4 != 0 else None,
-            "a7/a0": spec.a7 / spec.a0 if spec.a0 != 0 else None,
-            "a8/a7": spec.a8 / spec.a7 if spec.a7 != 0 else None,
-        }
+    reduced = []
+    for name in _EXACT_RATIOS if exact else _QES_RATIOS if quasi else ():
+        num, den = (getattr(spec, a) for a in name.split("/"))
+        reduced.append((name, num / den if den != 0 else None))
 
     note = None
     if trivial:
@@ -182,7 +179,7 @@ def check_solvability(spec: OdeSpec) -> SolvabilityVerdict:
         exactly_solvable=exact,
         quasi_exactly_solvable=quasi,
         trivial_diagonal=trivial,
-        reduced_form=reduced,
+        reduced_form=tuple(reduced),
         note=note,
     )
 
@@ -426,31 +423,12 @@ def _gershgorin_bound(block: list[tuple[int, int, int]]) -> int:
                for k in range(1, len(rows) - 1))
 
 
-def _scalar_continuant(block: list[tuple[int, int, int]], u: int) -> int:
-    """The block's det(D B + u I) at one integer u, by the continuant
-    recurrence on integers: O(rows) products."""
-    prev, cur = 1, block[0][1] + u
-    for k in range(1, len(block)):
-        prev, cur = cur, (block[k][1] + u) * cur - block[k - 1][0] * block[k][2] * prev
-    return cur
-
-
 def _continuant_roots(block: list[tuple[int, int, int]]) -> list[int]:
     """The distinct integer roots u of the block's continuant, every rational
-    root of that monic polynomial: the candidates of the lift past twice the
-    Gershgorin bound, each kept where the scalar continuant vanishes.  The
-    primes tried grow with the block, since a large block has many roots
-    that collide modulo a small prime (kink_spec(1/3, 1/2) at degree 320
-    has a 319-row block that needed p = 331).  Past the cap a nonzero root is
-    taken to repeat, and the block falls back to rational_roots' square-free
-    part, which is exact too, so the cap trades only time: the scan of every
-    prime up to it, O(rows) per residue, took 0.4-0.6 s before the fallback
-    on a 300-row block with a planted double root."""
+    root of that monic polynomial, ascending: the root finder's numerators
+    over the lead 1, past twice the Gershgorin bound."""
     char = _characteristic_polynomial(block)
-    candidates = _integer_root_candidates(char, 2 * _gershgorin_bound(block), 64 + 2 * len(block))
-    if candidates is None:
-        return [u.numerator for u in rational_roots(char)]
-    return [u for u in candidates if not _scalar_continuant(block, u)]
+    return _integer_polynomial_roots(char, 2 * _gershgorin_bound(block))[0]
 
 
 def polynomial_solution(spec: OdeSpec, degree: int) -> PolynomialSolutionResult:
@@ -477,10 +455,9 @@ def polynomial_solution(spec: OdeSpec, degree: int) -> PolynomialSolutionResult:
     each rational root u is reported as a8 + u / D.  The continuant is monic,
     so those roots are integers.  The table is cut where a coupling
     R(k-1) L(k) vanishes (_blocks); per block, the roots are bounded by
-    Gershgorin's row sums, found modulo the least prime at which all of them
-    are simple, lifted by Newton's step past twice the bound and checked by
-    the scalar continuant (_continuant_roots), with no remainder sequence
-    unless a root repeats.  Requires a3 = 0 and a nonnegative degree.
+    Gershgorin's row sums and found by the root finder of rational_roots
+    past twice that bound (_continuant_roots).  Requires a3 = 0 and a
+    nonnegative degree.
     """
     if degree < 0:
         raise ValueError("degree must be nonnegative")

@@ -187,8 +187,8 @@ def test_classes_returned_by_public_functions_are_exported():
 OWNED_NAMES = {"_ladder_integer": "algebra.py", "_ladder_form": "algebra.py",
                "_horner": "polynomials.py", "_horner_mod": "polynomials.py",
                "_lifted_roots": "polynomials.py", "_simple_roots_mod": "polynomials.py",
-               "_integer_root_candidates": ("polynomials.py", "solvability.py"),
-               "_gershgorin_bound": "solvability.py", "_scalar_continuant": "solvability.py",
+               "_integer_polynomial_roots": ("polynomials.py", "solvability.py"),
+               "_square_free": "polynomials.py", "_gershgorin_bound": "solvability.py",
                "_contributions": "operators.py",
                "_add_pair": "operators.py", "_add_composition": "operators.py",
                "_pairs": "operators.py", "_from_pairs": "operators.py",
@@ -197,13 +197,13 @@ OWNED_NAMES = {"_ladder_integer": "algebra.py", "_ladder_form": "algebra.py",
 
 def test_owned_private_names_stay_in_their_module():
     """The solvers read the three-term action through OdeSpec's row evaluator,
-    not through the layout under it or the evaluator rational_roots uses,
-    the solver reaches the lift only through _integer_root_candidates and
-    rational_roots, no other module bounds or checks a block's roots, the
-    certificates read DiffOp's action kernel through apply or image_support,
-    no other module adds integer pairs with DiffOp's adder or composes pair
-    maps with its composition kernel, and no other module reads the
-    coefficient map under an operator or a series."""
+    not through the layout under it or the root finder's integer evaluator,
+    the solver reaches the lift only through _integer_polynomial_roots and
+    rational_roots, no other module runs the remainder sequence or bounds a
+    block's roots, the certificates read DiffOp's action kernel through
+    apply or image_support, no other module adds integer pairs with DiffOp's
+    adder or composes pair maps with its composition kernel, and no other
+    module reads the coefficient map under an operator or a series."""
     leaks = set()
     for path in PACKAGE.glob("*.py"):
         for name in _referenced_names(ast.parse(path.read_text(encoding="utf-8"))):

@@ -150,12 +150,12 @@ class TestSolvabilityVerdict:
     def test_exact_branch(self):
         v = check_solvability(OdeSpec(a1=1, a2=-1, a5=3, a6=1, a8=-2))
         assert v.exactly_solvable and not v.quasi_exactly_solvable
-        assert v.reduced_form["a2/a1"] == -1
+        assert dict(v.reduced_form)["a2/a1"] == -1
 
     def test_qes_branch(self):
         v = check_solvability(OdeSpec(a0=1, a1=2, a4=1, a5=1, a7=-2, a8=1))
         assert v.quasi_exactly_solvable and not v.exactly_solvable
-        assert v.reduced_form["a8/a7"] == F(-1, 2)
+        assert dict(v.reduced_form)["a8/a7"] == F(-1, 2)
 
     def test_kink_outside_sl2_conditions(self):
         v = check_solvability(kink_spec(F(1), F(1, 2)))
@@ -167,6 +167,15 @@ class TestSolvabilityVerdict:
         assert v.exactly_solvable and v.quasi_exactly_solvable
         assert v.trivial_diagonal
 
+    def test_verdicts_hash(self):
+        """reduced_form is a tuple of (name, value) pairs, so every verdict is
+        hashable and equal verdicts hash alike."""
+        specs = (OdeSpec(a1=1, a2=1, a5=-2, a6=3), OdeSpec(a0=1, a1=2, a4=1, a5=1, a7=-2, a8=1),
+                 OdeSpec(a1=1, a5=1, a8=-1), kink_spec(F(1), F(1, 2)))
+        verdicts = [check_solvability(spec) for spec in specs]
+        assert [len(v.reduced_form) for v in verdicts] == [4, 5, 4, 0]
+        assert [hash(v) for v in verdicts] == [hash(check_solvability(spec)) for spec in specs]
+        assert len(set(verdicts)) == 4
 
     def test_uncastable_rejected(self):
         """a3 D^2 lowers every monomial by two, outside both gates: the verdict

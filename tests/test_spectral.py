@@ -18,7 +18,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from heunalg import DiffOp, OdeSpec, full_operator, kink_spec, polynomial_solution, solvability
+from heunalg import DiffOp, OdeSpec, full_operator, kink_spec, polynomial_solution, polynomials
 from heunalg.operators import GeneralizedSeries
 from heunalg.polynomials import (
     _horner,
@@ -445,6 +445,35 @@ def test_rational_roots_matches_sympy_ground_roots():
         assert expected <= set(found)
 
 
+def test_rational_roots_takes_the_square_free_part_only_when_a_root_repeats(monkeypatch):
+    """On the sympy cross-check's polynomials, and on each of them times the
+    square of a planted nonzero root, rational_roots runs the remainder
+    sequence once when a nonzero rational root repeats (it is a repeated
+    root modulo every prime) and never when every root is simple.  A
+    repeated root 0 is split off first, and a repeated factor with no
+    rational root may have no root modulo the first prime tried."""
+    sympy = pytest.importorskip("sympy")
+    x = sympy.Symbol("x")
+    calls = count_fallbacks(monkeypatch)
+    rng = random.Random(1988)
+    seen = {False: 0, True: 0}
+    for _ in range(1000):
+        p, _ = random_root_case(rng)
+        root = F(rng.randint(1, 300) * rng.choice((1, -1)), rng.randint(1, 40))
+        for q in (p, poly_mul(p, poly_mul((-root, F(1)), (-root, F(1))))):
+            oracle = sympy.Poly([sympy.Rational(c.numerator, c.denominator) for c in reversed(q)], x,
+                                domain="QQ")
+            del calls[:]
+            found = rational_roots(q)
+            assert found == sorted(F(int(r.p), int(r.q)) for r in oracle.ground_roots()), q
+            derivative = [i * c for i, c in enumerate(q)][1:]
+            repeated = any(r and poly_eval(derivative, r) == 0 for r in found)
+            if repeated or oracle.is_sqf:
+                assert len(calls) == repeated, q
+                seen[repeated] += 1
+    assert min(seen.values()) >= 300, seen
+
+
 def test_rational_roots_matches_trial_division():
     rng = random.Random(467)
     for _ in range(300):
@@ -711,15 +740,17 @@ def test_a_perturbed_basis_vector_is_not_verified(monkeypatch):
 
 
 def count_fallbacks(monkeypatch):
-    """A list that grows by one continuant each time polynomial_solution falls
-    back to rational_roots."""
+    """A list that grows by one polynomial each time the root finder takes a
+    square-free part, which it does only when no prime up to its cap has
+    every root simple."""
     calls = []
+    square_free = polynomials._square_free
 
-    def counted(p):
-        calls.append(p)
-        return rational_roots(p)
+    def counted(f):
+        calls.append(f)
+        return square_free(f)
 
-    monkeypatch.setattr(solvability, "rational_roots", counted)
+    monkeypatch.setattr(polynomials, "_square_free", counted)
     return calls
 
 
