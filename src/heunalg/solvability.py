@@ -24,7 +24,8 @@ monomial, so the iteration is the two-term band recurrence
     c_(m+-1) = -X(lambda+m) c_m / F_val(lambda+m+-1),
 
 X the one of R, L that is not zero: a walk of O(iterations) steps, each
-evaluating one row and doing one small ratio and one multiply.  Only
+evaluating one row and multiplying a reduced integer pair by the row's ratio
+with three small gcds.  Only
 two-sided specs run the Neumann sweep.  The truncated map is linear, so psi_k
 is the partial Neumann sum sum_{i<k} (-Finv (P+ + P-))^i x^lambda, and a
 sweep maps only the newest term psi_k - psi_(k-1) through the cached rows at
@@ -49,6 +50,7 @@ from __future__ import annotations
 
 import functools
 from fractions import Fraction
+from math import gcd
 from typing import NamedTuple
 
 from .algebra import OdeSpec, full_operator, require_castable
@@ -237,11 +239,19 @@ def _band_walk(
 ) -> tuple[dict[int, Fraction], SeriesReport]:
     """The iteration on a spec whose only ladder factor that may be nonzero is
     X, index band of (R, F, L): c_(m+-1) = -X(lam+m) c_m / F(lam+m+-1), X read
-    off the integer row at shift m and F off the next, one row per shift."""
+    off the integer row at shift m and F off the next, one row per shift.
+
+    c_m is carried as a reduced integer pair (num, den), den > 0.  A step
+    orients the row's ratio a/b = -X/F so that b > 0, divides out gcd(X, F),
+    a gcd of two row-sized integers, and multiplies by Henrici's
+    cross-cancellation (Knuth, TAOCP vol. 2, 4.5.1): g1 = gcd(num, b) and
+    g2 = gcd(a, den) each pair a big integer with a row-sized one, and
+    (num/g1)(a/g2) over (den/g2)(b/g1) is reduced by construction, so no gcd
+    of two big integers is ever taken."""
     step = 1 if band == 0 else -1
     p, q = lam.numerator, lam.denominator
     psi = {0: Fraction(1)}
-    c, m = psi[0], 0
+    num, den, m = 1, 1, 0
     row = spec._ladder_row(p, q)  # at shift m
     for k in range(iterations):
         x = row[band]
@@ -255,9 +265,25 @@ def _band_walk(
         if abs(m + step) > window:
             return psi, SeriesReport(dropped=1, stationary_at=k)
         m += step
-        c *= Fraction(-x, row[1])
-        psi[m] = c
+        a, b = (x, -row[1]) if row[1] < 0 else (-x, row[1])
+        g = gcd(a, b)
+        a, b = a // g, b // g
+        g1, g2 = gcd(num, b), gcd(a, den)
+        num, den = (num // g1) * (a // g2), (den // g2) * (b // g1)
+        psi[m] = _coprime_fraction(num, den)
     return psi, SeriesReport(dropped=0, stationary_at=None)
+
+
+def _coprime_fraction(num: int, den: int) -> Fraction:
+    """The Fraction num/den without the constructor's gcd; requires den > 0
+    and gcd(num, den) = 1.  The constructor would take one gcd of the two
+    numbers, which on a long walk are huge and coprime, so its cost grows
+    quadratically with their size while the walk's own gcds stay small.
+    Fills the two slots of a bare Fraction, as CPython 3.12's private
+    Fraction._from_coprime_ints does."""
+    c = object.__new__(Fraction)
+    c._numerator, c._denominator = num, den
+    return c
 
 
 def _neumann_sweep(
@@ -333,6 +359,9 @@ def _polynomial_nullspace(spec: OdeSpec, table: list[tuple[int, int, int]]) -> l
     while carrying integer numerators over a running denominator would end in
     one gcd of two huge coprime integers per coefficient, which is quadratic
     in their size and dominates once coefficients reach thousands of bits.
+    The series walk (_band_walk) carries reduced integer pairs without that
+    gcd only because its two-term rows multiply and never add: a product of
+    reduced pairs stays reduced by cross-cancellation, a sum does not.
     """
     degree = len(table) - 1
     band = next((k for k, p in enumerate(spec.ladder_polys()) if p), 0)  # R, else F, else L

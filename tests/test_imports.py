@@ -192,7 +192,8 @@ OWNED_NAMES = {"_ladder_integer": "algebra.py", "_ladder_form": "algebra.py",
                "_contributions": "operators.py",
                "_add_pair": "operators.py", "_add_composition": "operators.py",
                "_pairs": "operators.py", "_from_pairs": "operators.py",
-               "_coeffs": "operators.py"}
+               "_coeffs": "operators.py", "_coprime_fraction": "solvability.py",
+               "_numerator": "solvability.py", "_denominator": "solvability.py"}
 
 
 def test_owned_private_names_stay_in_their_module():
@@ -202,8 +203,9 @@ def test_owned_private_names_stay_in_their_module():
     rational_roots, no other module runs the remainder sequence or bounds a
     block's roots, the certificates read DiffOp's action kernel through
     apply or image_support, no other module adds integer pairs with DiffOp's
-    adder or composes pair maps with its composition kernel, and no other
-    module reads the coefficient map under an operator or a series."""
+    adder or composes pair maps with its composition kernel, no other
+    module reads the coefficient map under an operator or a series, and only
+    the series walk's one helper fills a Fraction's slots, skipping its gcd."""
     leaks = set()
     for path in PACKAGE.glob("*.py"):
         for name in _referenced_names(ast.parse(path.read_text(encoding="utf-8"))):

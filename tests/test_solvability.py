@@ -1,8 +1,10 @@
 """Indicial roots, solvability gates, series and polynomial solutions."""
 
 import random
+import time
 from collections import Counter
 from fractions import Fraction as F
+from math import gcd
 
 import pytest
 
@@ -27,7 +29,7 @@ from heunalg import (
 )
 from heunalg.operators import as_fraction
 from heunalg.polynomials import rational_roots
-from heunalg.solvability import DEFAULT_HORIZON, SeriesReport
+from heunalg.solvability import DEFAULT_HORIZON, SeriesReport, _band_walk
 from support import exact_branch_spec
 
 
@@ -466,17 +468,127 @@ class TestLongBandWalk:
         assert residual.support().get(lam + 401, 0) == raising * series.support().get(lam + 400, 0)
 
     def test_ascending_qes_branch_with_rational_coefficients_certifies(self):
+        # the walk alone took 0.2-0.3 s on a 2-vCPU x86-64 host; one that
+        # built each coefficient with Fraction's constructor, one gcd of its
+        # huge coprime numerator and denominator per step, took 11.9 s
         rng = random.Random(4003)
         lam = F(rng.choice((-5, -4, -2, -1, 1, 2, 4, 5)), 3)
         a0, a1, a4, a5, a7 = (_bits128(rng) for _ in range(5))
         spec = OdeSpec(a0=a0, a1=a1, a4=a4, a5=a5, a7=a7, a8=-(a1 * lam * (lam - 1) + a5 * lam))
+        start = time.perf_counter()
         series, report = series_solution_with_report(spec, lam, 400, 400)
+        elapsed = time.perf_counter() - start
+        assert elapsed < 3.0, elapsed
         assert series.shifts() == tuple(range(0, 401))
         assert report == SeriesReport(dropped=0, stationary_at=None)
         residual = full_operator(spec).apply(series)
         assert residual.shifts() == (401,)
         raising = spec.ladder_at(lam + 400)[0]
         assert residual.support().get(lam + 401, 0) == raising * series.support().get(lam + 400, 0)
+
+
+def reference_band_walk(spec, lam, band, iterations, window):
+    """_band_walk as it ran with one normalised Fraction ratio and one
+    Fraction multiply per step, kept as a test-only reference."""
+    step = 1 if band == 0 else -1
+    p, q = lam.numerator, lam.denominator
+    psi = {0: F(1)}
+    c, m = psi[0], 0
+    row = spec._ladder_row(p, q)  # at shift m
+    for k in range(iterations):
+        x = row[band]
+        if not x:
+            return psi, SeriesReport(dropped=0, stationary_at=k)
+        row = spec._ladder_row(p + (m + step) * q, q)
+        if not row[1]:
+            raise ResonantExponentError(
+                f"F vanishes at generated exponent {lam + m + step} (shift {m + step})"
+            )
+        if abs(m + step) > window:
+            return psi, SeriesReport(dropped=1, stationary_at=k)
+        m += step
+        c *= F(-x, row[1])
+        psi[m] = c
+    return psi, SeriesReport(dropped=0, stationary_at=None)
+
+
+def _bits(rng, bits, integer):
+    """A nonzero rational with a numerator, and unless integer a denominator,
+    of at most the given bits."""
+    num = (rng.getrandbits(bits) or 1) * rng.choice((1, -1))
+    return F(num) if integer else F(num, rng.getrandbits(bits) or 1)
+
+
+def random_band_walk_case(rng):
+    """(spec, lam, band, iterations, window) of a one-sided spec, descending
+    (band 2, L only) or ascending (band 0, R only), with 1- to 256-bit
+    coefficients, lam an integer or p/q, F's second root at times an integer
+    step ahead (a resonance) and the ladder factor at times zero at a shift
+    ahead (a stationary walk)."""
+    band = rng.choice((0, 2))
+    step = 1 if band == 0 else -1
+    bits = rng.randint(1, 256)
+    integer = rng.random() < 0.3
+    iterations, window = rng.randint(0, 40), rng.randint(0, 40)
+    if rng.random() < 0.3:
+        lam = F(rng.randint(-6, 6))
+    else:
+        lam = F(rng.randint(-40, 40), rng.randint(2, 9))
+    if rng.random() < 0.3:
+        lam2 = lam + step * rng.randint(1, 20)
+    else:
+        lam2 = _bits(rng, bits, integer)
+    a1 = _bits(rng, bits, integer) if rng.random() < 0.9 else F(0)
+    if a1:
+        c = dict(a1=a1, a5=a1 * (1 - lam - lam2), a8=a1 * lam * lam2)
+    else:
+        a5 = _bits(rng, bits, integer)
+        c = dict(a5=a5, a8=-a5 * lam)
+    stop = lam + step * rng.randint(0, 20) if rng.random() < 0.3 else None
+    if band == 0:  # R(s) = a0 s(s-1) + a4 s + a7, zero at stop
+        a0, a4 = _bits(rng, bits, integer), _bits(rng, bits, integer)
+        a7 = _bits(rng, bits, integer) if stop is None else -(a0 * stop * (stop - 1) + a4 * stop)
+        c.update(a0=a0, a4=a4, a7=a7)
+    else:  # L(s) = a2 s(s-1) + a6 s, zero at 0 and at stop
+        a2 = _bits(rng, bits, integer)
+        a6 = _bits(rng, bits, integer) if stop is None else a2 * (1 - stop)
+        c.update(a2=a2, a6=a6)
+    return OdeSpec(**c), lam, band, iterations, window
+
+
+def test_pair_walk_matches_the_fraction_walk():
+    """The walk's reduced integer pairs give the series and report of one
+    Fraction multiply per step, and every coefficient is a Fraction that
+    equals and hashes like the one the constructor builds."""
+    assert F.__slots__ == ("_numerator", "_denominator")
+    rng = random.Random(3607)
+    kinds = Counter()
+    for _ in range(400):
+        case = random_band_walk_case(rng)
+        spec, lam, band, _, _ = case
+        try:
+            want = reference_band_walk(*case)
+        except ResonantExponentError as exc:
+            with pytest.raises(ResonantExponentError) as got:
+                _band_walk(*case)
+            assert str(got.value) == str(exc), case
+            kinds["resonant"] += 1
+            continue
+        psi, report = _band_walk(*case)
+        assert (psi, report) == want, case
+        for c in psi.values():
+            n, d = c.numerator, c.denominator
+            assert type(c) is F and d > 0 and gcd(n, d) == 1, (case, c)
+            assert c == F(n, d) and hash(c) == hash(F(n, d)), (case, c)
+        kinds["stationary" if report.stationary_at is not None and not report.dropped
+              else "dropped" if report.dropped else "ran out"] += 1
+        kinds["down" if band else "up"] += len(psi) > 1
+        kinds["integer lam"] += lam.denominator == 1 and len(psi) > 1
+        kinds["F < 0"] += any(spec.ladder_at(lam + m)[1] < 0 for m in psi if m)
+        kinds["wide"] += max(abs(c.numerator).bit_length() for c in psi.values()) > 1000
+    # the seeded mix reaches every end of the walk, both directions, integer
+    # seeds, negative F and coefficients of thousands of bits
+    assert min(kinds.values()) >= 40, kinds
 
 
 @pytest.mark.parametrize("direction", (-1, 1))

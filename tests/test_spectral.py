@@ -6,8 +6,9 @@ bisection rational_roots that polynomial_solution once used are kept here as
 test-only references.  The first two read the operator matrix from
 full_operator's action on each monomial, not from the R, F, L formulas the
 solver uses; the two root finders check the p-adic lifting that replaced them.
-rational_roots, in turn, is the reference for the solver's block spectrum,
-the Gershgorin-bounded lift that replaced it on polynomial_solution's path.
+The Sturm reference, in turn, is the reference for the solver's block
+spectrum, the Gershgorin-bounded lift on polynomial_solution's path; not
+rational_roots, which runs the same private finder.
 """
 
 import itertools
@@ -778,15 +779,15 @@ def block_spectrum(table):
     return sorted({u for block in _blocks(table) for u in _continuant_roots(block)})
 
 
-def test_block_spectrum_matches_rational_roots_of_the_continuant(monkeypatch):
-    """The union of the blocks' lifted roots equals rational_roots of the
-    whole table's continuant, on random reducible tables with planted double
-    roots and on the tables of random specs (coefficients p/q, |p| <= 6,
-    q in {1, 2, 3}, degrees 0-8); the blocks with a repeated nonzero root
-    reach the fallback, which must run.  A 1-row block's root -F lies on its
-    Gershgorin boundary, 2 |u| = 2G, the bound the lift is asked to pass; at
-    F = 8 the lift modulo 2 reaches M = 16 = 2G, where the residue 8 still
-    reads as +8, so it must go on to M > 2G."""
+def test_block_spectrum_matches_sturm_roots_of_the_continuant(monkeypatch):
+    """The union of the blocks' lifted roots equals the Sturm reference's
+    roots of the whole table's continuant, on random reducible tables with
+    planted double roots and on the tables of random specs (coefficients p/q,
+    |p| <= 6, q in {1, 2, 3}, degrees 0-8); the blocks with a repeated
+    nonzero root reach the fallback, which must run.  A 1-row block's root
+    -F lies on its Gershgorin boundary, 2 |u| = 2G, the bound the lift is
+    asked to pass; at F = 8 the lift modulo 2 reaches M = 16 = 2G, where the
+    residue 8 still reads as +8, so it must go on to M > 2G."""
     for f in (8, -8, 7, -3, 0):
         block = [(5, f, -2)]
         assert _gershgorin_bound(block) == abs(f)
@@ -798,7 +799,7 @@ def test_block_spectrum_matches_rational_roots_of_the_continuant(monkeypatch):
         table = random_block_table(rng)
         reducible += len(_blocks(table)) > 1
         char = _characteristic_polynomial(table)
-        want = rational_roots(char)
+        want = reference_sturm_roots(char)
         assert all(u.denominator == 1 for u in want)
         assert block_spectrum(table) == [u.numerator for u in want], table
         derivative = [F(i * c) for i, c in enumerate(char)][1:]
@@ -811,7 +812,7 @@ def test_block_spectrum_matches_rational_roots_of_the_continuant(monkeypatch):
         result = polynomial_solution(spec, degree)
         if not result.basis:
             char = _characteristic_polynomial(ladder_table(spec, degree))
-            want = tuple(spec.a8 + u / spec._ladder_scale for u in rational_roots(char))
+            want = tuple(spec.a8 + u / spec._ladder_scale for u in reference_sturm_roots(char))
             assert result.spectral_a8 == want, (spec, degree)
     assert fallbacks
 
