@@ -23,9 +23,11 @@ monomial, so the iteration is the two-term band recurrence
 
     c_(m+-1) = -X(lambda+m) c_m / F_val(lambda+m+-1),
 
-X the one of R, L that is not zero: a walk of O(iterations) steps, each
-evaluating one row and multiplying a reduced integer pair by the row's ratio
-with three small gcds.  Only
+X the one of R, L that is not zero: a walk of O(iterations) steps.  X and F
+along the walk are quadratics in m, so four rows set up their values and
+differences, and each step advances them by four integer additions
+(tabulating a polynomial by differences; Knuth, TAOCP vol. 2, 4.6.4) and
+multiplies a reduced integer pair by their ratio with three small gcds.  Only
 two-sided specs run the Neumann sweep.  The truncated map is linear, so psi_k
 is the partial Neumann sum sum_{i<k} (-Finv (P+ + P-))^i x^lambda, and a
 sweep maps only the newest term psi_k - psi_(k-1) through the cached rows at
@@ -212,18 +214,19 @@ def series_solution_with_report(
     raises ResonantExponentError at the lowest generated shift where
     F_val = 0, checked before the window test, and keeps the part of psi
     inside |m| <= horizon (DEFAULT_HORIZON when None); SeriesReport says how
-    it ended.  One-sided specs walk one band in O(iterations) steps evaluated
-    in integers; two-sided ones push the newest Neumann term through the
-    three-term action on every iteration.
+    it ended.  lam is tested on the integer row of F; F(lam) becomes a
+    Fraction only for the error message.  One-sided specs walk one band in
+    O(iterations) integer steps, stepping X and F by their differences;
+    two-sided ones push the newest Neumann term through the three-term action
+    on every iteration.
     """
     if iterations < 0:
         raise ValueError("iterations must be nonnegative")
     if horizon is not None and horizon < 0:
         raise ValueError("horizon must be nonnegative")
     lam = as_fraction(lam)
-    f_lam = spec.ladder_at(lam)[1]
-    if f_lam != 0:
-        raise ValueError(f"lambda = {lam} is not an indicial root: F({lam}) = {f_lam}")
+    if spec._ladder_row(lam.numerator, lam.denominator)[1]:
+        raise ValueError(f"lambda = {lam} is not an indicial root: F({lam}) = {spec.ladder_at(lam)[1]}")
     require_castable(spec)
     window = DEFAULT_HORIZON if horizon is None else horizon
     raising, _, lowering = spec.ladder_polys()
@@ -238,11 +241,17 @@ def _band_walk(
     spec: OdeSpec, lam: Fraction, band: int, iterations: int, window: int
 ) -> tuple[dict[int, Fraction], SeriesReport]:
     """The iteration on a spec whose only ladder factor that may be nonzero is
-    X, index band of (R, F, L): c_(m+-1) = -X(lam+m) c_m / F(lam+m+-1), X read
-    off the integer row at shift m and F off the next, one row per shift.
+    X, index band of (R, F, L): c_(m+-1) = -X(lam+m) c_m / F(lam+m+-1).
+
+    On the rows at lam + m = (p + m q)/q, X at shift m and F at shift m + step
+    are quadratics in m, so the rows at the shifts 0, step, 2 step and 3 step
+    give each its value, first difference and constant second difference, and
+    a step advances both by four integer additions instead of evaluating a row
+    (Knuth, TAOCP vol. 2, 4.6.4).  The set-up rows may reach past the walk's
+    end; they are only read, so a zero of F there raises nothing.
 
     c_m is carried as a reduced integer pair (num, den), den > 0.  A step
-    orients the row's ratio a/b = -X/F so that b > 0, divides out gcd(X, F),
+    orients the ratio a/b = -X/F so that b > 0, divides out gcd(X, F),
     a gcd of two row-sized integers, and multiplies by Henrici's
     cross-cancellation (Knuth, TAOCP vol. 2, 4.5.1): g1 = gcd(num, b) and
     g2 = gcd(a, den) each pair a big integer with a row-sized one, and
@@ -250,27 +259,32 @@ def _band_walk(
     of two big integers is ever taken."""
     step = 1 if band == 0 else -1
     p, q = lam.numerator, lam.denominator
+    r0, r1, r2, r3 = (spec._ladder_row(p + k * step * q, q) for k in range(4))
+    # X at shift m and F at shift m + step, each with its two differences
+    x, dx, ddx = r0[band], r1[band] - r0[band], r2[band] - 2 * r1[band] + r0[band]
+    f, df, ddf = r1[1], r2[1] - r1[1], r3[1] - 2 * r2[1] + r1[1]
     psi = {0: Fraction(1)}
     num, den, m = 1, 1, 0
-    row = spec._ladder_row(p, q)  # at shift m
     for k in range(iterations):
-        x = row[band]
         if not x:
             return psi, SeriesReport(dropped=0, stationary_at=k)
-        row = spec._ladder_row(p + (m + step) * q, q)
-        if not row[1]:
+        if not f:
             raise ResonantExponentError(
                 f"F vanishes at generated exponent {lam + m + step} (shift {m + step})"
             )
         if abs(m + step) > window:
             return psi, SeriesReport(dropped=1, stationary_at=k)
         m += step
-        a, b = (x, -row[1]) if row[1] < 0 else (-x, row[1])
+        a, b = (x, -f) if f < 0 else (-x, f)
         g = gcd(a, b)
         a, b = a // g, b // g
         g1, g2 = gcd(num, b), gcd(a, den)
         num, den = (num // g1) * (a // g2), (den // g2) * (b // g1)
         psi[m] = _coprime_fraction(num, den)
+        x += dx
+        dx += ddx
+        f += df
+        df += ddf
     return psi, SeriesReport(dropped=0, stationary_at=None)
 
 

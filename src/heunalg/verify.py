@@ -7,10 +7,10 @@ Each check avoids one part of the machinery it validates:
 - the series oracle avoids the ladder split: it is the two-term recurrence
   read off a0..a8 by direct substitution;
 - the null-space oracle avoids OdeSpec._ladder_row, the rows that
-  polynomial_solution solves on: it applies full_operator(spec) to each
-  monomial and eliminates fraction-free over the integers.  It does not
-  avoid DiffOp's action kernel, which apply shares with the image_support
-  certificate behind polynomial_solution's verified flag.
+  polynomial_solution solves on, and DiffOp's action kernel, which the
+  image_support certificate behind polynomial_solution's verified flag
+  runs: it reads each monomial's image off a0..a8 by direct substitution
+  and eliminates fraction-free over the integers.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ import math
 from fractions import Fraction
 from typing import Callable, NamedTuple, Sequence
 
-from .algebra import OdeSpec, full_operator
+from .algebra import OdeSpec
 from .errors import ResonantExponentError
 from .kink import SigmaOde, sigma_of_x
 from .operators import GeneralizedSeries, RationalLike, as_fraction
@@ -174,25 +174,23 @@ def hypergeometric_oracle(spec: OdeSpec, lam: RationalLike, terms: int) -> Gener
 def nullspace_oracle(spec: OdeSpec, degree: int) -> tuple[tuple[Fraction, ...], ...]:
     """Polynomial solutions up to the given degree by fraction-free elimination.
 
-    Builds the action matrix by applying the assembled operator to each
-    monomial (not from the coefficient formulas), clears denominators, and
-    row-reduces over the integers (Bareiss); the back-substituted basis spans
-    the same space polynomial_solution must find.
+    Builds the action matrix by direct substitution of x^c into
+    (a0 x^3 + a1 x^2 + a2 x + a3) psi'' + (a4 x^2 + a5 x + a6) psi' + (a7 x + a8) psi,
+    clears denominators, and row-reduces over the integers (Bareiss); the
+    back-substituted basis spans the same space polynomial_solution must find.
     """
     if degree < 0:
         raise ValueError("degree must be nonnegative")
-    op = full_operator(spec)
+    a0, a1, a2, a3, a4, a5, a6, a7, a8 = spec.coefficients()
     rows, cols = degree + 2, degree + 1
     mat = [[Fraction(0)] * cols for _ in range(rows)]
     for c in range(cols):
-        image = op.apply_to_monomial(c)
-        for exponent, value in image.support().items():
-            if exponent.denominator != 1:
-                raise AssertionError("polynomial input produced a fractional exponent")
-            row = int(exponent)
-            if row < 0 or row >= rows:
-                raise AssertionError("image escaped the expected degree window")
-            mat[row][c] = value
+        # x^c goes to x^(c+1), x^c, x^(c-1) and x^(c-2); those below x^0 are 0
+        d2 = c * (c - 1)
+        for row, value in ((c + 1, a0 * d2 + a4 * c + a7), (c, a1 * d2 + a5 * c + a8),
+                           (c - 1, a2 * d2 + a6 * c), (c - 2, a3 * d2)):
+            if value:
+                mat[row][c] = value
     int_rows: list[list[int]] = []
     for row in mat:
         scale = 1

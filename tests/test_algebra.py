@@ -1,6 +1,7 @@
 """Generator construction, deformation coefficients, Casimir."""
 
 import inspect
+import itertools
 import math
 import random
 from fractions import Fraction as F
@@ -270,3 +271,75 @@ def test_ladder_cache_leaves_spec_identity_unchanged():
     assert repr(warm) == repr(fresh)
     assert list(inspect.signature(OdeSpec).parameters) == [f"a{i}" for i in range(9)] + ["j"]
     assert with_fields(warm) == fresh
+
+
+# -- the identities for every spec, proved on a product grid ---------------------------
+#
+# Each identity below compares two polynomials in the coefficients that its
+# sides read.  A polynomial of degree at most t_i in each variable x_i that
+# vanishes on a product S_1 x ... x S_n of sets with |S_i| > t_i is zero
+# (Alon, "Combinatorial Nullstellensatz", Combin. Probab. Comput. 8 (1999) 7,
+# Lemma 2.1), so agreement on such a grid proves the identity for every spec
+# with a3 = 0.  Every side is computed exactly, by additions, multiplications
+# and exact divisions by integer constants, so its value at a rational point
+# is the value there of the polynomial the construction describes.
+
+GRID_VARIABLES = ("a0", "a4", "a7", "a2", "a6")  # P+ reads a0, a4, a7; P- reads a2, a6
+
+
+def grid_specs(values, j_values):
+    """One spec per point of values^5 x j_values over (a0, a4, a7, a2, a6, j);
+    a1, a5 and a8, which no side below reads, stay 0."""
+    for point in itertools.product(values, repeat=len(GRID_VARIABLES)):
+        for j in j_values:
+            yield OdeSpec(j=j, **dict(zip(GRID_VARIABLES, point)))
+
+
+def test_deformation_closed_form_holds_for_every_spec():
+    """deformation_coefficients equals brute_force_deformation for every spec,
+    shown on the 128 points of {0,1}^5 x {0,1,2,3}.
+
+    Degree bounds, for each of alpha1..delta1 on either side:
+    - [P+, P-] is bilinear in P+'s coefficients (a0, a4, a7) and P-'s
+      (a2, a6), and so is each of the closed form's k0..k3, the cubic in m by
+      which it acts on x^m: degree at most 1 in each of the five;
+    - both sides rewrite that cubic in P0 = m - j by a Taylor shift by j,
+      whose coefficients have degree at most 3 in j.
+    So the difference has degree at most 1 in each a and 3 in j, and two
+    values per a and four of j prove it zero.
+    """
+    points = 0
+    for spec in grid_specs(range(2), range(4)):
+        assert deformation_coefficients(spec) == brute_force_deformation(spec), spec
+        points += 1
+    assert points == 128
+
+
+def test_casimir_identities_hold_for_every_spec():
+    """casimir_operator(spec) = C commutes with P+, P0 and P-, equals a6 a7
+    times the identity, and equals P- P+ + g(P0) with g = casimir(spec).g_poly,
+    for every spec, shown on the 1,215 points of {0,1,2}^5 x {0,...,4}.
+
+    Degree bounds, for each coefficient of the operators compared:
+    - C = P- P+ + G(x D), G(m) = a6 a7 - R(m) L(m+1), is bilinear in P+'s
+      and P-'s coefficients (R reads a0, a4, a7 and L reads a2, a6), and
+      does not read j: degree at most 1 in each a;
+    - so [C, P+] and [C, P-], each a difference of two products with a
+      generator, have degree at most 2 in each a, and [C, P0] at most 1 in
+      each a and in j, since P0 = x D - j; C - a6 a7 has at most 1 in each a;
+    - g is G's Taylor shift by j, quartic, with its P0^k coefficient of degree
+      at most 4 - k in j, and (x D - j)^k has degree k in j: P- P+ + g(P0)
+      has degree at most 1 in each a and 4 in j.
+    So three values per a and five of j prove each identity.
+    """
+    points = 0
+    for spec in grid_specs(range(3), range(5)):
+        gens = build_generators(spec)
+        c_op = casimir_operator(spec)
+        for generator in gens:
+            assert commutator(c_op, generator).is_zero(), (spec, generator)
+        assert c_op == DiffOp([(spec.a6 * spec.a7, 0, 0)]), spec
+        g_of_p0 = poly_of_op(casimir(spec).g_poly, gens.p_zero)
+        assert gens.p_minus.compose(gens.p_plus) + g_of_p0 == c_op, spec
+        points += 1
+    assert points == 1215

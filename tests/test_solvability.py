@@ -591,6 +591,147 @@ def test_pair_walk_matches_the_fraction_walk():
     assert min(kinds.values()) >= 40, kinds
 
 
+def one_sided_spec(rng, lam, band, bits, integer, lam2=None, stop=None, scale=F(1)):
+    """scale times a spec with F(s) = a1 (s - lam)(s - lam2) and one ladder
+    factor, R (band 0) or L (band 2), of coefficients drawn with _bits; R is
+    a0 (s - stop)(s - other) and L is a2 s (s - stop) when stop is given.
+    A common scale leaves every ratio -X/F of the walk alone, so the rows are
+    as wide as the scale while the coefficients grow with the narrow part."""
+    a1 = _bits(rng, bits, integer)
+    lam2 = _bits(rng, bits, integer) if lam2 is None else lam2
+    c = dict(a1=a1, a5=a1 * (1 - lam - lam2), a8=a1 * lam * lam2)
+    if band == 0:  # R(s) = a0 s(s-1) + a4 s + a7
+        a0, a4 = _bits(rng, bits, integer), _bits(rng, bits, integer)
+        a7 = _bits(rng, bits, integer) if stop is None else -(a0 * stop * (stop - 1) + a4 * stop)
+        c.update(a0=a0, a4=a4, a7=a7)
+    else:  # L(s) = a2 s(s-1) + a6 s
+        a2 = _bits(rng, bits, integer)
+        a6 = _bits(rng, bits, integer) if stop is None else a2 * (1 - stop)
+        c.update(a2=a2, a6=a6)
+    return OdeSpec(**{k: scale * v for k, v in c.items()})
+
+
+def _random_lam(rng, integer_share=0.3):
+    """An integer, or p/q with 2 <= q <= 9."""
+    if rng.random() < integer_share:
+        return F(rng.randint(-6, 6))
+    return F(rng.randint(-40, 40), rng.randint(2, 9))
+
+
+def _walk_outcome(walk, *case):
+    try:
+        return walk(*case)
+    except ResonantExponentError as exc:
+        return str(exc)
+
+
+def test_difference_walk_matches_the_row_walk_on_long_walks():
+    """_band_walk steps X and F by their first and second differences, set up
+    from four rows; reference_band_walk reads a row at every shift.  A wrong
+    difference would grow into every later row, so these walks run 200 to
+    600 steps, on 1- to 256-bit specs: most are a narrow spec times a wide
+    common scale, which keeps the coefficients small while the rows are wide,
+    and some have independent coefficients of up to 24 bits."""
+    rng = random.Random(3709)
+    kinds = Counter()
+    for i in range(40):
+        band, lam = rng.choice((0, 2)), _random_lam(rng)
+        integer = rng.random() < 0.5
+        if i % 4:
+            bits = rng.randint(1, 256)
+            scale = _bits(rng, bits, integer)
+            spec = one_sided_spec(rng, lam, band, rng.randint(1, 3), integer, scale=scale)
+        else:
+            bits = rng.randint(1, 24)
+            spec = one_sided_spec(rng, lam, band, bits, integer)
+        steps = rng.randint(200, 600)
+        case = (spec, lam, band, steps, steps + rng.randint(0, 1))
+        got = _walk_outcome(_band_walk, *case)
+        assert got == _walk_outcome(reference_band_walk, *case), case
+        if isinstance(got, tuple) and len(got[0]) > 200:
+            kinds["down" if band else "up"] += 1
+            kinds["integer lam" if lam.denominator == 1 else "p/q lam"] += 1
+            kinds["over 128 bits"] += max(max(abs(c.numerator), c.denominator).bit_length()
+                                          for c in spec.coefficients()) > 128
+    assert min(kinds.values()) >= 5 and len(kinds) == 5, kinds
+
+
+def test_difference_walk_set_up_reads_rows_past_the_walk():
+    """With 0 to 3 iterations the walk's four set-up rows reach past its
+    last shift; a zero of X or F there must not change how it ends."""
+    rng = random.Random(3710)
+    for _ in range(400):
+        band, lam = rng.choice((0, 2)), _random_lam(rng)
+        step = 1 if band == 0 else -1
+        zero_f, zero_x = rng.choice((None, 1, 2, 3)), rng.choice((None, 0, 1, 2, 3))
+        spec = one_sided_spec(rng, lam, band, rng.randint(1, 256), rng.random() < 0.5,
+                              lam2=None if zero_f is None else lam + zero_f * step,
+                              stop=None if zero_x is None else lam + zero_x * step)
+        case = (spec, lam, band, rng.randint(0, 3), rng.randint(0, 4))
+        assert _walk_outcome(_band_walk, *case) == _walk_outcome(reference_band_walk, *case), case
+    for band in (0, 2):
+        step = 1 if band == 0 else -1
+        for zero_f in (2, 3):
+            lam = F(1, 3)
+            spec = one_sided_spec(rng, lam, band, 256, False, lam2=lam + zero_f * step)
+            psi, report = _band_walk(spec, lam, band, 1, 5)
+            assert sorted(psi) == sorted((0, step)), (band, zero_f)
+            assert report == SeriesReport(dropped=0, stationary_at=None)
+
+
+def test_difference_walk_stops_and_resonates_at_the_exact_step():
+    """X vanishes first at shift t * step and F at shift r * step (r >= 1),
+    read off the factors' roots: the walk is stationary at iteration t when
+    t < r, else it raises at the step onto shift r * step."""
+    rng = random.Random(3711)
+    ends = Counter()
+    for _ in range(60):
+        band = rng.choice((0, 2))
+        step = 1 if band == 0 else -1
+        lam = F(rng.randint(-40, 40), rng.randint(2, 9))
+        while lam.denominator == 1:
+            lam = F(rng.randint(-40, 40), rng.randint(2, 9))
+        r, t = rng.randint(1, 300), rng.randint(0, 300)
+        scale = _bits(rng, rng.randint(1, 256), rng.random() < 0.5)
+        spec = one_sided_spec(rng, lam, band, rng.randint(1, 3), rng.random() < 0.5,
+                              lam2=lam + r * step, stop=lam + t * step, scale=scale)
+        if band == 0:  # R's roots are stop and other, with stop + other = 1 - a4 / a0
+            other = 1 - spec.a4 / spec.a0 - (lam + t * step)
+            shift = (other - lam) * step
+            if shift.denominator == 1 and 0 <= shift < t:
+                t = int(shift)
+        if t < r:
+            psi, report = _band_walk(spec, lam, band, 700, 700)
+            assert report == SeriesReport(dropped=0, stationary_at=t), (spec, lam, t)
+            assert sorted(psi) == sorted(k * step for k in range(t + 1))
+            ends["stationary"] += 1
+        else:
+            with pytest.raises(ResonantExponentError) as exc:
+                _band_walk(spec, lam, band, 700, 700)
+            assert str(exc.value) == (
+                f"F vanishes at generated exponent {lam + r * step} (shift {r * step})")
+            ends["resonant"] += 1
+    assert min(ends.values()) >= 20, ends
+
+
+def test_non_indicial_exponent_message():
+    """The exponent is tested on the integer row; the message still shows F
+    at lam as a reduced Fraction, on an integer and on a p/q exponent."""
+    spec = exact_branch_spec(F(1, 2), F(-1, 3))
+    with pytest.raises(ValueError) as exc:
+        series_solution_with_report(spec, F(1, 4), 3)
+    assert str(exc.value) == "lambda = 1/4 is not an indicial root: F(1/4) = -7/48"
+    rng = random.Random(3712)
+    a1, a2, a5, a6, a8 = (_bits(rng, 256, False) for _ in range(5))
+    spec = OdeSpec(a1=a1, a2=a2, a5=a5, a6=a6, a8=a8)
+    for lam in (F(rng.getrandbits(64)), F(rng.getrandbits(64), rng.getrandbits(64) | 1)):
+        f_lam = a1 * lam * (lam - 1) + a5 * lam + a8
+        assert f_lam != 0
+        with pytest.raises(ValueError) as exc:
+            series_solution_with_report(spec, lam, 3)
+        assert str(exc.value) == f"lambda = {lam} is not an indicial root: F({lam}) = {f_lam}"
+
+
 @pytest.mark.parametrize("direction", (-1, 1))
 class TestBandWalkEdges:
     """Pinned ends of a walk down (L only) or up (R only) from lam = 1/3."""
