@@ -17,6 +17,7 @@ from heunalg import (
     classify_deformation,
     commutator,
     deformation_coefficients,
+    fit_diagonal_polynomial,
     poly_of_op,
     sl2_generators,
 )
@@ -52,6 +53,10 @@ print("  alpha1 =", coeffs.alpha1, " beta1 =", coeffs.beta1,
       " gamma1 =", coeffs.gamma1, " delta1 =", coeffs.delta1)
 print("brute-force normal-ordered fit agrees exactly:",
       brute_force_deformation(spec) == coeffs)
+bracket = commutator(gens.p_plus, gens.p_minus)
+print("  [P+, P-] =", bracket)
+print("  read back as a cubic in P0 (ascending):",
+      [str(c) for c in fit_diagonal_polynomial(bracket, spec.j, 3)])
 print("classification:", classify_deformation(spec))
 
 cas = casimir(spec)

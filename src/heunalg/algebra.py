@@ -30,11 +30,13 @@ where the ladder factors, the commutator polynomial and G(m) = g(m - j) carry
 no power of j.  The Casimir identity is checked there, as G(m) - G(m-1)
 against the commutator polynomial, and C is built as P- o P+ plus the
 diagonal sum c_k x^k D^k over G's Newton coefficients c_k at m = 0, 1, 2, ...;
-fit_diagonal_polynomial reads such coefficients back off a diagonal
-operator.  One Taylor shift by j rewrites a result as a polynomial in P0.
+fit_diagonal_polynomial and brute_force_deformation read such coefficients
+back off a diagonal operator.  One Taylor shift by j rewrites a result as a
+polynomial in P0.
 
 This polynomial work runs on integer numerators over one denominator per
-polynomial, with one Fraction per coefficient a call returns.
+polynomial, with one Fraction per coefficient a call returns; operator sums
+stay integer pairs inside operators.py (_pair_sum, _diagonal_newton).
 """
 
 from __future__ import annotations
@@ -45,10 +47,10 @@ from functools import cached_property
 from itertools import zip_longest
 from typing import NamedTuple, Sequence
 
-from .errors import DiagonalFitError, NotCastableError
-from .operators import DiffOp, RationalLike, as_fraction, commutator
-from .polynomials import (Poly, _integer_shift, _over_lcm, _shift_over, poly, poly_padded,
-                          poly_shift)
+from .errors import NotCastableError
+from .operators import DiffOp, RationalLike, _diagonal_newton, _pair_sum, as_fraction
+from .polynomials import (Poly, _integer_shift, _over_lcm, _shift_over, _shifted_pairs, poly,
+                          poly_padded, poly_shift)
 
 
 class _FractionRecord:
@@ -236,17 +238,20 @@ def cast_check(spec: OdeSpec) -> bool:
 
     F(P0) is the diagonal part as a quadratic polynomial in P0,
         F(P0) = a1 P0^2 + ((2j-1)a1 + a5) P0 + (a1 j^2 - (a1-a5) j + a8),
-    composed out of P0 here; it equals a1 x^2 D^2 + a5 x D + a8 identically.
+    composed out of P0 here by Horner on the integer pairs of F shifted by j;
+    it equals a1 x^2 D^2 + a5 x D + a8 identically.  The sum P+ + F(P0) + P-
+    minus full_operator(spec) is tested for zero on integer pairs.
     """
     gens = build_generators(spec)
-    f_of_p0 = poly_of_op(diagonal_coefficients(spec), gens.p_zero)
-    return gens.p_plus + f_of_p0 + gens.p_minus == full_operator(spec)
+    f_of_p0 = (_shifted_pairs(*spec._ladder_integer[1], spec.j), gens.p_zero)
+    rest = ((1, gens.p_plus), (1, gens.p_minus), (-1, full_operator(spec)))
+    return _pair_sum(horner=f_of_p0, addends=rest).is_zero()
 
 
 def poly_of_op(p: Sequence[Fraction], op: DiffOp) -> DiffOp:
     """Evaluate a polynomial at an operator by Horner composition; the steps run
     on DiffOp's integer pairs, and only the result makes Fractions."""
-    return op._polynomial_of(poly(p))
+    return _pair_sum(horner=([c.as_integer_ratio() for c in poly(p)], op))
 
 
 def _base_commutator_poly(spec: OdeSpec) -> tuple[list[int], int]:
@@ -274,7 +279,7 @@ def fit_diagonal_polynomial(op: DiffOp, j: RationalLike, max_degree: int) -> Pol
     op is diagonal exactly when every term is c_k x^k D^k, and that term sends
     x^m to c_k m(m-1)...(m-k+1) x^m: the c_k are the Newton coefficients of the
     eigenvalue polynomial at the nodes m = 0, 1, 2, ..., whose degree is the
-    highest such k.  One Taylor shift by j then gives p.
+    highest such k.  One Taylor shift by j then gives p (_fit).
     Raises DiagonalFitError when the operator is not diagonal (naming the first
     x^m it moves) or when the eigenvalues are not polynomial of degree
     <= max_degree, and ValueError when max_degree is negative.
@@ -282,27 +287,19 @@ def fit_diagonal_polynomial(op: DiffOp, j: RationalLike, max_degree: int) -> Pol
     """
     if max_degree < 0:
         raise ValueError("max_degree must be nonnegative")
-    jf = as_fraction(j)
-    terms = op.terms
-    if any(t.xpow != t.dorder for t in terms):
-        # Off the diagonal, op moves x^m by polynomials in m of degree <= K (the
-        # highest derivative order), not all zero, so it moves one of x^0..x^K.
-        for m in range(terms[-1].dorder + 1):
-            image = op.apply_to_monomial(m)
-            off_diag = {e: c for e, c in image.support().items() if e != m}
-            if off_diag:
-                raise DiagonalFitError(f"operator is not diagonal on x^{m}: {off_diag}")
-    newton = {t.dorder: t.coeff for t in terms}
-    degree = max(newton, default=-1)
-    if degree > max_degree:
-        raise DiagonalFitError(f"eigenvalues are not polynomial of degree <= {max_degree}")
-    newton_nums, den = _over_lcm([newton.get(k, 0) for k in range(degree + 1)])
+    return _fit(as_fraction(j), max_degree, addends=((1, op),))
+
+
+def _fit(j: Fraction, max_degree: int, **pieces) -> Poly:
+    """fit_diagonal_polynomial of the operator sum of pieces (_diagonal_newton):
+    its Newton numerators in powers of m, then one Taylor shift by j."""
+    newton, den = _diagonal_newton(max_degree, **pieces)
     in_m: list[int] = []  # numerators over den
-    for k in range(degree, -1, -1):  # in_m = in_m * (m - k) + c_k
-        in_m = [newton_nums[k]] + in_m
+    for k in range(len(newton) - 1, -1, -1):  # in_m = in_m * (m - k) + c_k
+        in_m = [newton[k]] + in_m
         for i in range(len(in_m) - 1):
             in_m[i] -= k * in_m[i + 1]
-    return _shift_over(in_m, den, jf)
+    return _shift_over(in_m, den, j)
 
 
 def _deformation_class(coeffs: DeformationCoeffs) -> tuple[str, bool]:
@@ -345,17 +342,16 @@ def _casimir_in_m(spec: OdeSpec) -> tuple[list[int], int]:
     return g_in_m, r_den * l_den
 
 
-def _diagonal_operator(nums: Sequence[int], den: int) -> DiffOp:
-    """sum c_k x^k D^k, acting on every x^m by p(m) = sum nums_n m^n / den,
-    which fit_diagonal_polynomial reads back; m^n = sum_k S(n, k)
-    m(m-1)...(m-k+1), with S the Stirling numbers of the second kind, gives the
-    Newton coefficients c_k, one Fraction each."""
+def _newton_of(nums: Sequence[int]) -> list[int]:
+    """The Newton coefficients c_k of p(m) = sum_n nums_n m^n, so that
+    sum c_k x^k D^k acts on every x^m by p(m): m^n = sum_k S(n, k)
+    m(m-1)...(m-k+1), with S the Stirling numbers of the second kind."""
     newton, stirling = [0] * len(nums), [1]  # S(n, 0..n)
     for c in nums:
         for k, s in enumerate(stirling):
             newton[k] += c * s
         stirling = [k * s + t for k, (s, t) in enumerate(zip(stirling + [0], [0] + stirling))]
-    return DiffOp._canonical({(k, k): Fraction(c, den) for k, c in enumerate(newton) if c})
+    return newton
 
 
 def casimir(spec: OdeSpec, m_range: int = 10) -> CasimirResult:
@@ -382,16 +378,20 @@ def casimir(spec: OdeSpec, m_range: int = 10) -> CasimirResult:
 
 def casimir_operator(spec: OdeSpec) -> DiffOp:
     """C = P- o P+ + g(P0) as an exact DiffOp; g(P0) is diagonal with eigenvalue
-    G(m) on x^m, so it is sum c_k x^k D^k over G's Newton coefficients."""
+    G(m) on x^m, so it is sum c_k x^k D^k over G's Newton coefficients, added
+    to the product as integer pairs."""
     gens = build_generators(spec)
-    return gens.p_minus.compose(gens.p_plus) + _diagonal_operator(*_casimir_in_m(spec))
+    g_in_m, g_den = _casimir_in_m(spec)
+    product = gens.p_minus.compose(gens.p_plus)
+    return _pair_sum(addends=((1, product),), diagonal=(_newton_of(g_in_m), g_den))
 
 
 def brute_force_deformation(spec: OdeSpec) -> DeformationCoeffs:
     """[P+, P-] by normal-ordered commutation, fitted as a cubic in P0.
 
+    Both products add into one pair map, read with the fit's integer half.
     Independent of the closed form; the two must agree exactly.
     """
     gens = build_generators(spec)
-    fitted = fit_diagonal_polynomial(commutator(gens.p_plus, gens.p_minus), spec.j, 3)
-    return DeformationCoeffs.from_poly(fitted)
+    products = ((1, gens.p_plus, gens.p_minus), (-1, gens.p_minus, gens.p_plus))
+    return DeformationCoeffs.from_poly(_fit(spec.j, 3, products=products))

@@ -12,12 +12,13 @@ printing reads it.  Composition uses the Leibniz rule
 so products, commutators and polynomial expressions in operators stay exact.
 One kernel, ``_add_composition``, adds ``sign * left o right`` to a map of
 unreduced integer pairs, each output term's contributions as one pair over the
-lcm of their denominators (``_add_pair``).  It has three readers, and each
-makes one ``Fraction`` per surviving term at its end: ``DiffOp.compose`` (one
-product), ``commutator`` (both products in one map, with signs +1 and -1, so
-terms that cancel make no ``Fraction``) and ``DiffOp._polynomial_of``, the
-Horner evaluation of a polynomial at an operator behind ``poly_of_op``, whose
-accumulator stays a pair map across its steps.
+lcm of their denominators (``_add_pair``).  ``_pair_map`` builds one such map
+from a sum of pieces (signed products and operators, a diagonal given as
+integer numerators over one denominator, and a polynomial at an operator by
+Horner's rule), and only its two readers end it: ``_pair_sum`` makes one
+``Fraction`` per surviving term (``compose``, ``commutator``, ``poly_of_op``,
+``casimir_operator``, and ``cast_check``, whose vanishing sum makes none), and
+``_diagonal_newton`` reads a diagonal sum's Newton numerators as integers.
 
 Series are finite collections of terms ``c_m * x^(rho+m)`` with a rational
 base exponent ``rho`` and integer shifts ``m`` (possibly negative).  The
@@ -35,7 +36,7 @@ import math
 from fractions import Fraction
 from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence, Union
 
-from .errors import IncompatibleBranchError
+from .errors import DiagonalFitError, IncompatibleBranchError
 
 RationalLike = Union[Fraction, int, str]
 
@@ -169,31 +170,11 @@ class DiffOp:
     def compose(self, other: "DiffOp") -> "DiffOp":
         """Normal-ordered composition self o other (apply other first); each output
         term's contributions add up as one integer pair, then make one Fraction."""
-        acc: _Pairs = {}
-        _add_composition(acc, self._pairs(), other._pairs())
-        return DiffOp._from_pairs(acc)
-
-    def _polynomial_of(self, p: Sequence[Fraction]) -> "DiffOp":
-        """The operator sum_i p[i] self^i, p ascending, by Horner's rule on integer
-        pairs: each step composes the pair map with self and adds the next
-        coefficient as a pair, and only the result makes Fractions."""
-        op = self._pairs()
-        acc: _Pairs = {}
-        for c in reversed(p):
-            step: _Pairs = {}
-            _add_composition(step, acc, op)
-            _add_pair(step, (0, 0), c.numerator, c.denominator)
-            acc = step
-        return DiffOp._from_pairs(acc)
+        return _pair_sum(products=((1, self, other),))
 
     def _pairs(self) -> _Pairs:
         """The coefficient map as integer pairs, the input _add_composition reads."""
         return {key: (c.numerator, c.denominator) for key, c in self._coeffs.items()}
-
-    @staticmethod
-    def _from_pairs(acc: _Pairs) -> "DiffOp":
-        """The operator of a pair map: one Fraction per term with a nonzero numerator."""
-        return DiffOp._canonical({key: Fraction(n, d) for key, (n, d) in acc.items() if n})
 
     def _contributions(self, series: "GeneralizedSeries") -> list[tuple[int, int, int, Fraction]]:
         """[(shift, weight numerator, weight denominator, coefficient)] per monomial
@@ -283,11 +264,64 @@ class DiffOp:
 def commutator(a: DiffOp, b: DiffOp) -> DiffOp:
     """[a, b] = a o b - b o a in canonical form.  Both products add into one map of
     integer pairs, with signs +1 and -1, so a term that cancels makes no Fraction."""
+    return _pair_sum(products=((1, a, b), (-1, b, a)))
+
+
+def _pair_map(products: Iterable[tuple[int, DiffOp, DiffOp]] = (),
+              addends: Iterable[tuple[int, DiffOp]] = (),
+              diagonal: tuple[Sequence[int], int] = ((), 1),
+              horner: tuple[Sequence[tuple[int, int]], DiffOp] | None = None) -> _Pairs:
+    """One map of unreduced integer pairs: sum_i (n_i/d_i) op^i for horner =
+    ([(n_0, d_0), ...], op) by Horner's rule, each step composing the pair map
+    with op, plus sign * left o right per product, sign * op per addend and
+    sum_k (nums_k/den) x^k D^k for diagonal = (nums, den)."""
     acc: _Pairs = {}
-    left, right = a._pairs(), b._pairs()
-    _add_composition(acc, left, right)
-    _add_composition(acc, right, left, -1)
-    return DiffOp._from_pairs(acc)
+    if horner is not None:
+        coeffs, op = horner
+        at = op._pairs()
+        for num, den in reversed(coeffs):
+            step: _Pairs = {}
+            _add_composition(step, acc, at)
+            _add_pair(step, (0, 0), num, den)
+            acc = step
+    for sign, left, right in products:
+        _add_composition(acc, left._pairs(), right._pairs(), sign)
+    for sign, op in addends:
+        for key, c in op._coeffs.items():
+            _add_pair(acc, key, sign * c.numerator, c.denominator)
+    nums, den = diagonal
+    for k, num in enumerate(nums):
+        if num:
+            _add_pair(acc, (k, k), num, den)
+    return acc
+
+
+def _pair_sum(**pieces) -> DiffOp:
+    """The operator of _pair_map(**pieces): one Fraction per term whose numerator
+    is nonzero, so a sum that vanishes makes none."""
+    return DiffOp._canonical({key: Fraction(n, d) for key, (n, d) in _pair_map(**pieces).items() if n})
+
+
+def _diagonal_newton(max_degree: int, **pieces) -> tuple[list[int], int]:
+    """(nums, den) with _pair_map(**pieces) = sum_k (nums_k/den) x^k D^k, den the
+    lcm of its pairs' denominators: the Newton numerators fit_diagonal_polynomial
+    reads, with its DiagonalFitErrors for a sum off the diagonal or of degree
+    above max_degree."""
+    acc = {key: pair for key, pair in _pair_map(**pieces).items() if pair[0]}
+    top = max((k for k, _ in acc), default=-1)
+    if any(k != p for k, p in acc):
+        # Off the diagonal, the sum moves x^m by polynomials in m of degree <= top
+        # (the highest derivative order), not all zero, so it moves one of x^0..x^top.
+        op = _pair_sum(**pieces)
+        for m in range(top + 1):
+            off_diag = {e: c for e, c in op.apply_to_monomial(m).support().items() if e != m}
+            if off_diag:
+                raise DiagonalFitError(f"operator is not diagonal on x^{m}: {off_diag}")
+    if top > max_degree:
+        raise DiagonalFitError(f"eigenvalues are not polynomial of degree <= {max_degree}")
+    den = math.lcm(*(d for _, d in acc.values()))
+    newton = {k: n * (den // d) for (k, _), (n, d) in acc.items()}
+    return [newton.get(k, 0) for k in range(top + 1)], den
 
 
 class GeneralizedSeries:

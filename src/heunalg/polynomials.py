@@ -75,7 +75,13 @@ def _over_lcm(coeffs: Sequence[Fraction]) -> tuple[list[int], int]:
 
 
 def _shift_over(nums: Sequence[int], den: int, h: Fraction) -> Poly:
-    """p(t + h) for p = sum nums_i t^i / den, den > 0, one Fraction per coefficient:
+    """p(t + h), p = sum nums_i t^i / den: one Fraction per _shifted_pairs pair."""
+    return tuple(Fraction(r, d) for r, d in _shifted_pairs(nums, den, h))
+
+
+def _shifted_pairs(nums: Sequence[int], den: int, h: Fraction) -> list[tuple[int, int]]:
+    """The coefficients of p(t + h), p = sum nums_i t^i / den, den > 0, as
+    unreduced integer pairs (numerator, denominator), trailing zeros dropped:
     with h = u/v, P(y) = den v^n p(y/v) = sum nums_i v^(n-i) y^i is integer, and
     P(y + u) = sum r_k y^k gives p(t + h) = sum r_k t^k / (den v^(n-k))."""
     nums = list(nums)
@@ -83,7 +89,7 @@ def _shift_over(nums: Sequence[int], den: int, h: Fraction) -> Poly:
         nums.pop()
     powers = [h.denominator ** (len(nums) - 1 - i) for i in range(len(nums))]
     shifted = _integer_shift([c * w for c, w in zip(nums, powers)], h.numerator)
-    return tuple(Fraction(r, den * w) for r, w in zip(shifted, powers))
+    return [(r, den * w) for r, w in zip(shifted, powers)]
 
 
 def _integer_shift(nums: Sequence[int], u: int) -> list[int]:

@@ -28,7 +28,9 @@ def with_fields(spec, **changes):
 
 
 def f_of_p0(spec):
-    """The diagonal part F(P0) as a DiffOp, composed the way cast_check does."""
+    """The diagonal part F(P0) as a DiffOp, composed from P0 by poly_of_op, the
+    public Horner path; cast_check runs the same Horner on integer pairs and
+    makes no such DiffOp."""
     return poly_of_op(diagonal_coefficients(spec), build_generators(spec).p_zero)
 
 

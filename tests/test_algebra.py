@@ -289,7 +289,7 @@ GRID_VARIABLES = ("a0", "a4", "a7", "a2", "a6")  # P+ reads a0, a4, a7; P- reads
 
 def grid_specs(values, j_values):
     """One spec per point of values^5 x j_values over (a0, a4, a7, a2, a6, j);
-    a1, a5 and a8, which no side below reads, stay 0."""
+    a1, a5 and a8, which the deformation and the Casimir do not read, stay 0."""
     for point in itertools.product(values, repeat=len(GRID_VARIABLES)):
         for j in j_values:
             yield OdeSpec(j=j, **dict(zip(GRID_VARIABLES, point)))
@@ -343,3 +343,55 @@ def test_casimir_identities_hold_for_every_spec():
         assert gens.p_minus.compose(gens.p_plus) + g_of_p0 == c_op, spec
         points += 1
     assert points == 1215
+
+
+def test_cast_check_holds_for_every_spec():
+    """cast_check(spec) is True for every spec with a3 = 0, shown on the 768
+    points of {0,1}^8 x {0,1,2} over (a0, a1, a2, a4, a5, a6, a7, a8, j).
+
+    Degree bounds, for each coefficient of P+ + F(P0) + P- - full_operator(spec),
+    the operator cast_check tests for zero:
+    - each coefficient of P+, P- and the full operator is one of a0..a8;
+    - F(P0) = n2 P0^2 + n1 P0 + n0, where n_i, the coefficients of F's Taylor
+      shift by j, F(s) = a1 s^2 + (a5 - a1) s + a8, are linear in (a1, a5, a8)
+      and of degree at most 2 - i in j, and P0^i = (x D - j)^i has
+      coefficients of degree i in j; so F(P0) has degree at most 1 in each of
+      a1, a5, a8 and 2 in j.
+    So the difference has degree at most 1 in each a and 2 in j, and two
+    values per a and three of j prove it zero.
+    """
+    names = ("a0", "a1", "a2", "a4", "a5", "a6", "a7", "a8")
+    points = 0
+    for values in itertools.product(range(2), repeat=len(names)):
+        for j in range(3):
+            spec = OdeSpec(j=j, **dict(zip(names, values)))
+            assert cast_check(spec), spec
+            points += 1
+    assert points == 768
+
+
+def test_class_rule_holds_for_every_spec():
+    """alpha1 = -4 a0 a2 for every spec, and beta1 does not depend on j where
+    alpha1 = 0, so the class of [P+, P-] does not either; shown on the 128
+    points of {0,1}^5 x {0,1,2,3}.
+
+    Degree bounds, from the construction of deformation_coefficients: the
+    m-coefficients k0..k3 by which [P+, P-] acts on x^m are bilinear in P+'s
+    (a0, a4, a7) and P-'s (a2, a6) coefficients and carry no j, and the Taylor
+    shift by j gives the P0^i coefficient degree at most 3 - i in j.
+    - alpha1 + 4 a0 a2 has degree at most 1 in each a and 0 in j: two values
+      per a prove it zero.
+    - So alpha1 = 0 exactly where a0 = 0 or a2 = 0.  On a0 = 0,
+      beta1(j) - beta1(0) is a polynomial in (a4, a7, a2, a6, j) of degree at
+      most 1 in each a and 1 in j, and the grid points with a0 = 0 give two
+      values per a and four of j; a2 = 0 likewise.
+    """
+    points = 0
+    for spec in grid_specs(range(2), range(4)):
+        coeffs = deformation_coefficients(spec)
+        assert coeffs.alpha1 == -4 * spec.a0 * spec.a2, spec
+        if coeffs.alpha1 == 0:
+            assert coeffs.beta1 == deformation_coefficients(with_fields(spec, j=0)).beta1, spec
+        assert classify_deformation(spec) == classify_deformation(with_fields(spec, j=0)), spec
+        points += 1
+    assert points == 128

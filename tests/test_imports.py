@@ -182,8 +182,11 @@ def test_classes_returned_by_public_functions_are_exported():
 # caller, the solver's block spectrum, the Gershgorin bound and the scalar
 # continuant to that block spectrum, the action kernel to DiffOp's action and
 # its zero test, the integer pair adder to composition and that zero test, the composition kernel and the
-# operator's pair maps to compose, commutator and the operator Horner, and the
-# coefficient maps of DiffOp and GeneralizedSeries to their classes
+# operator's pair maps to compose, commutator and the operator Horner, the
+# map that sums such pieces to operators.py and its two readers (an
+# operator, or a diagonal's Newton numerators) to that module and the ladder
+# layer, the integer half of the Taylor shift to its module and to cast_check,
+# and the coefficient maps of DiffOp and GeneralizedSeries to their classes
 OWNED_NAMES = {"_ladder_integer": "algebra.py", "_ladder_form": "algebra.py",
                "_horner": "polynomials.py", "_horner_mod": "polynomials.py",
                "_lifted_roots": "polynomials.py", "_simple_roots_mod": "polynomials.py",
@@ -193,7 +196,10 @@ OWNED_NAMES = {"_ladder_integer": "algebra.py", "_ladder_form": "algebra.py",
                "_add_pair": "operators.py", "_add_composition": "operators.py",
                "_pairs": "operators.py", "_from_pairs": "operators.py",
                "_coeffs": "operators.py", "_coprime_fraction": "solvability.py",
-               "_numerator": "solvability.py", "_denominator": "solvability.py"}
+               "_numerator": "solvability.py", "_denominator": "solvability.py",
+               "_pair_map": "operators.py", "_pair_sum": ("operators.py", "algebra.py"),
+               "_diagonal_newton": ("operators.py", "algebra.py"),
+               "_shifted_pairs": ("polynomials.py", "algebra.py")}
 
 
 def test_owned_private_names_stay_in_their_module():
@@ -203,8 +209,10 @@ def test_owned_private_names_stay_in_their_module():
     rational_roots, no other module runs the remainder sequence or bounds a
     block's roots, the certificates read DiffOp's action kernel through
     apply or image_support, no other module adds integer pairs with DiffOp's
-    adder or composes pair maps with its composition kernel, no other
-    module reads the coefficient map under an operator or a series, and only
+    adder or composes pair maps with its composition kernel, only the ladder
+    layer reads a sum of pair pieces, and only as an operator or as Newton
+    numerators, no other module reads the coefficient map under an operator
+    or a series, and only
     the series walk's one helper fills a Fraction's slots, skipping its gcd."""
     leaks = set()
     for path in PACKAGE.glob("*.py"):

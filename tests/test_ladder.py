@@ -4,7 +4,11 @@ fit_diagonal_polynomial reads a diagonal operator's eigenvalue polynomial in m
 off its x^k D^k terms, casimir builds G(m) = g(m - j) from the product of the
 ladder factors in m and checks its backward difference there, casimir_operator
 turns G's Newton coefficients back into x^k D^k terms, and results move to
-P0 = m - j with one Taylor shift.  The Lagrange interpolation, the sampling fit
+P0 = m - j with one Taylor shift.  brute_force_deformation, casimir_operator
+and cast_check keep their operator sums as integer pairs inside operators.py;
+the public operator path (commutator, compose plus a Fraction
+diagonal operator, and F(P0) with DiffOp + and ==) is their reference here.
+The Lagrange interpolation, the sampling fit
 at the nodes m - j, the Casimir built as the antidifference of the commutator
 polynomial in P0, the Leibniz rule with Fraction falling factorials and the
 Taylor shift by synthetic division in Fractions that they replaced are kept
@@ -38,11 +42,12 @@ from heunalg import (
     heun_spec,
     jacobi_spec,
 )
-from heunalg.algebra import CasimirResult, DeformationCoeffs, _diagonal_operator
+from heunalg.algebra import CasimirResult, DeformationCoeffs, _casimir_in_m, _newton_of
 from heunalg.catalog import HeunParams
-from heunalg.operators import GeneralizedSeries
+from heunalg.operators import GeneralizedSeries, _diagonal_newton, commutator
 from heunalg.polynomials import _horner, poly, poly_eval, poly_shift
-from support import f_of_p0, poly_add, reference_falling_factorial, reference_interpolate
+from support import (f_of_p0, poly_add, reference_falling_factorial, reference_interpolate,
+                     with_fields)
 
 
 # -- test-only references ---------------------------------------------------------
@@ -449,7 +454,8 @@ def test_fit_of_falling_factorial_sums_holds_off_the_nodes():
         bits = (4, 32, 256)[n % 3]
         p_in_m = poly(_rational(round_trip_rng, bits) for _ in range(n % 8))
         den = math.lcm(*(c.denominator for c in p_in_m))
-        diagonal = _diagonal_operator([c.numerator * (den // c.denominator) for c in p_in_m], den)
+        newton = _newton_of([c.numerator * (den // c.denominator) for c in p_in_m])
+        diagonal = DiffOp([(F(c, den), k, k) for k, c in enumerate(newton)])
         assert all(t.xpow == t.dorder for t in diagonal.terms), p_in_m
         degree = max(len(p_in_m) - 1, 0)
         assert fit_diagonal_polynomial(diagonal, 0, degree) == p_in_m
@@ -457,6 +463,119 @@ def test_fit_of_falling_factorial_sums_holds_off_the_nodes():
         for s in exponents[:4] + exponents[-1:]:
             want = GeneralizedSeries.monomial(s, poly_eval(p_in_m, s))
             assert diagonal.apply_to_monomial(s) == want, (p_in_m, s)
+
+
+# -- pair paths -------------------------------------------------------------------
+
+
+def public_brute_force(spec):
+    gens = build_generators(spec)
+    bracket = commutator(gens.p_plus, gens.p_minus)
+    return DeformationCoeffs.from_poly(fit_diagonal_polynomial(bracket, spec.j, 3))
+
+
+def public_casimir_operator(spec):
+    gens = build_generators(spec)
+    g_in_m, den = _casimir_in_m(spec)
+    diagonal = DiffOp([(F(c, den), k, k) for k, c in enumerate(_newton_of(g_in_m))])
+    return gens.p_minus.compose(gens.p_plus) + diagonal
+
+
+def public_cast_check(spec):
+    """P+ + F(P0) + P- == the operator, read through the module attribute so that
+    a patched full_operator reaches both sides."""
+    gens = build_generators(spec)
+    return gens.p_plus + f_of_p0(spec) + gens.p_minus == heunalg.algebra.full_operator(spec)
+
+
+def _reduced(values):
+    return all(type(c) is F and math.gcd(c.numerator, c.denominator) == 1 and c.denominator > 0
+               for c in values)
+
+
+def _pair_path_spec(rng, n):
+    """1- to 256-bit coefficients, each zero with probability 1/3, j = 0 or a j
+    with a 256-bit denominator; every tenth spec has a3 != 0, no ladder split."""
+    bits = rng.randint(1, 256)
+    fields = {name: F(0) if rng.random() < 1 / 3 else _rational(rng, bits)
+              for name in ("a0", "a1", "a2", "a4", "a5", "a6", "a7", "a8")}
+    if n % 10 == 9:
+        fields["a3"] = _rational(rng, bits)
+    j = F(0) if rng.random() < 0.5 else F(rng.getrandbits(256) - 2**255, rng.getrandbits(256) | 2**255)
+    return OdeSpec(j=j, **fields), bits
+
+
+def test_pair_paths_match_the_public_operator_path(monkeypatch):
+    """brute_force_deformation, casimir_operator and cast_check equal the public
+    operator path on 320 specs, return reduced Fractions, and raise
+    NotCastableError where a3 != 0.  cast_check also meets, half of the time,
+    a full_operator with one extra term, which both sides read."""
+    rng = random.Random(2271)
+    original = heunalg.algebra.full_operator
+    seen = {"not castable": 0, "j = 0": 0, "cast": 0, "no cast": 0}
+    for n in range(320):
+        spec, bits = _pair_path_spec(rng, n)
+        if spec.a3:
+            for call in (brute_force_deformation, casimir_operator, cast_check):
+                with pytest.raises(NotCastableError):
+                    call(spec)
+            seen["not castable"] += 1
+            continue
+        seen["j = 0"] += spec.j == 0
+        got, want = brute_force_deformation(spec), public_brute_force(spec)
+        assert got == want and repr(got) == repr(want) and _reduced(got), spec
+        got, want = casimir_operator(spec), public_casimir_operator(spec)
+        assert got == want and repr(got) == repr(want), spec
+        assert _reduced(t.coeff for t in got.terms), spec
+        extra = DiffOp()
+        if rng.random() < 0.5:
+            extra = DiffOp([(_rational(rng, bits), rng.randint(0, 3), rng.randint(0, 2))])
+        with monkeypatch.context() as patch:
+            patch.setattr(heunalg.algebra, "full_operator", lambda s: original(s) + extra)
+            got = cast_check(spec)
+            assert got is public_cast_check(spec), (spec, extra)
+        seen["cast" if got else "no cast"] += 1
+    assert seen["not castable"] == 32 and seen["j = 0"] >= 100, seen
+    assert min(seen["cast"], seen["no cast"]) >= 100, seen
+
+
+def test_cast_check_sees_a_changed_operator(monkeypatch):
+    """With a8 + 1 in place of a8 in the operator it compares with, cast_check
+    is False; and a cast that holds makes no Fraction in operators.py."""
+    specs = [spec for family, spec in seeded_specs(2272, 48) if family != "jacobi"]
+    assert all(cast_check(spec) for spec in specs)
+    original = heunalg.algebra.full_operator
+    with monkeypatch.context() as patch:
+        patch.setattr(heunalg.algebra, "full_operator",
+                      lambda spec: original(with_fields(spec, a8=spec.a8 + 1)))
+        assert not any(cast_check(spec) for spec in specs)
+
+    def no_fraction(*args):
+        raise AssertionError(f"Fraction{args} made")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(heunalg.operators, "Fraction", no_fraction)
+        assert all(cast_check(spec) for spec in specs)
+
+
+@pytest.mark.parametrize("a, b, max_degree, message", [
+    (DiffOp([(1, 2, 0)]), DiffOp([(1, 0, 1)]), 3,  # [x^2, D] = -2x
+     "operator is not diagonal on x^0: {Fraction(1, 1): Fraction(-2, 1)}"),
+    (DiffOp([(1, 1, 1)]), DiffOp([(1, 6, 4)]), 5,  # 2 x^6 D^4 first moves x^4
+     "operator is not diagonal on x^4: {Fraction(6, 1): Fraction(48, 1)}"),
+    (DiffOp([(3, 0, 3)]), DiffOp([(1, 5, 0)]), 3,
+     "operator is not diagonal on x^0: {Fraction(2, 1): Fraction(180, 1)}"),
+    (DiffOp([(1, 2, 1)]), DiffOp([(1, 1, 2)]), 1,  # -2 x D - 3 x^2 D^2
+     "eigenvalues are not polynomial of degree <= 1"),
+], ids=["x2-D", "xD-x6D4", "D3-x5", "degree"])
+def test_commutator_reader_raises_the_fit_message(a, b, max_degree, message):
+    """The private reader of [a, b] raises DiagonalFitError with the message the
+    public fit gives for commutator(a, b)."""
+    with pytest.raises(DiagonalFitError) as public:
+        fit_diagonal_polynomial(commutator(a, b), 0, max_degree)
+    with pytest.raises(DiagonalFitError) as private:
+        _diagonal_newton(max_degree, products=((1, a, b), (-1, b, a)))
+    assert str(private.value) == str(public.value) == message
 
 
 # -- argument checks --------------------------------------------------------------

@@ -4,8 +4,9 @@ The Bareiss-plus-interpolation characteristic polynomial, the dense
 Gauss-Jordan null space, the trial-division rational_roots and the Sturm
 bisection rational_roots that polynomial_solution once used are kept here as
 test-only references.  The first two read the operator matrix from
-full_operator's action on each monomial, not from the R, F, L formulas the
-solver uses; the two root finders check the p-adic lifting that replaced them.
+full_operator's action on each monomial through test_operators.reference_apply,
+the per-term loop, not from the R, F, L formulas the solver uses or DiffOp's
+action kernel; the two root finders check the p-adic lifting that replaced them.
 The Sturm reference, in turn, is the reference for the solver's block
 spectrum, the Gershgorin-bounded lift on polynomial_solution's path; not
 rational_roots, which runs the same private finder.
@@ -155,11 +156,11 @@ def _divisors(n):
 
 def reference_operator_matrix(spec, degree):
     """Matrix of the operator on {x^0..x^degree}, rows x^0..x^(degree+1), built
-    by applying full_operator(spec) to each monomial."""
+    by applying full_operator(spec) to each monomial with reference_apply."""
     op = full_operator(spec)
     mat = [[F(0)] * (degree + 1) for _ in range(degree + 2)]
     for c in range(degree + 1):
-        for exponent, value in op.apply_to_monomial(c).support().items():
+        for exponent, value in reference_apply(op, GeneralizedSeries.monomial(c)).support().items():
             mat[int(exponent)][c] = value
     return mat
 
