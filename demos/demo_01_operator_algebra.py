@@ -4,6 +4,7 @@
 # cubic algebra exactly, and compute the Casimir.  Everything here is exact
 # rational arithmetic; no tolerance appears anywhere.
 
+import itertools
 from fractions import Fraction as F
 
 from heunalg import (
@@ -77,3 +78,27 @@ for row in catalog_rows():
     label = row.computed_class or f"({row.conflict})"
     flag = "" if row.matches in (True, None) else "  <-- MISMATCH"
     print(f"{row.name:<20} expected {row.expected_class:<10} computed {label}{flag}")
+
+print()
+print("=" * 72)
+print("4. Identities that hold for every spec, proved on product grids")
+print("=" * 72)
+# Each identity equates two polynomials in the coefficients (and j), of known
+# degree in each variable; agreement on a product grid with more points per
+# variable than that degree proves it for every spec with a3 = 0 (Alon,
+# Combinatorial Nullstellensatz, Lemma 2.1).  tests/test_algebra.py derives
+# each degree bound and checks each grid exactly.
+GRID_PROOFS = (
+    ("[P+, P-]: closed form = brute-force fit", 128, "{0,1}^5 x {0..3} over a0 a4 a7 a2 a6, j"),
+    ("Casimir commutes with P+, P0, P-, equals a6 a7, = P- P+ + g(P0)", 1215,
+     "{0,1,2}^5 x {0..4} over a0 a4 a7 a2 a6, j"),
+    ("cast check: P+ + F(P0) + P- = full operator", 768, "{0,1}^8 x {0,1,2} over a0..a8 but a3, j"),
+    ("class rule: alpha1 = -4 a0 a2; beta1, class j-free where alpha1 = 0", 128,
+     "{0,1}^5 x {0..3} over a0 a4 a7 a2 a6, j"),
+)
+for identity, points, grid in GRID_PROOFS:
+    print(f"  {identity}\n      {points:>5} points of {grid}")
+grid = [OdeSpec(j=j, **dict(zip(("a0", "a4", "a7", "a2", "a6"), point)))
+        for point in itertools.product(range(2), repeat=5) for j in range(4)]
+print(f"closed form = brute force on all {len(grid)} points of the first grid, run now:",
+      all(deformation_coefficients(s) == brute_force_deformation(s) for s in grid))

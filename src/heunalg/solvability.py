@@ -39,13 +39,15 @@ integer table, the block D B, which has B's null space.  That null space
 comes from a recurrence on the lowest nonzero band (R, else F, else L): each
 row fixes one coefficient by a division, except at the band's zeros, which a
 nonzero quadratic has at most two of; so there are at most two free
-parameters and O(degree) exact operations.  The vector stays Fraction, since
-Fraction arithmetic keeps its gcds small against large where one common
-denominator would not.  The spectral condition on a8 is a continuant: the
-integer characteristic polynomial det(D B + u I) in u = D t, built by a
-three-term recurrence in O(degree^2) integer operations, whose roots u give
-a8 + u / D.  It is monic, so they are integers, bounded by Gershgorin's row
-sums over the table and found by a modular lift past that bound.
+parameters and O(degree) exact operations.  One-sided specs with pivot band
+R or F walk their two-term rows on the series' reduced pairs; other vectors
+stay Fraction, since Fraction arithmetic keeps its gcds small against large
+where one common denominator would not.  The spectral condition on a8 is a
+continuant: the integer characteristic polynomial det(D B + u I) in u = D t,
+built by a three-term recurrence in O(degree^2) integer operations, whose
+roots u give a8 + u / D.  It is monic, so they are integers, bounded by
+Gershgorin's row sums over the table and found by a modular lift past that
+bound.
 """
 
 from __future__ import annotations
@@ -238,31 +240,33 @@ def series_solution_with_report(
 
 
 def _band_walk(
-    spec: OdeSpec, lam: Fraction, band: int, iterations: int, window: int
+    spec: OdeSpec, lam: Fraction | int, band: int, iterations: int, window: int, divide: int = 1
 ) -> tuple[dict[int, Fraction], SeriesReport]:
-    """The iteration on a spec whose only ladder factor that may be nonzero is
-    X, index band of (R, F, L): c_(m+-1) = -X(lam+m) c_m / F(lam+m+-1).
+    """The two-term walk c_(m+-1) = -X(lam+m) c_m / Y(lam+m+-1), X and Y the
+    factors of index band and divide of (R, F, L), upward when X is the lower:
+    with Y = F the iteration on a one-sided spec (its ResonantExponentError
+    names F), with Y = R or F the null-space walk of _polynomial_nullspace.
 
-    On the rows at lam + m = (p + m q)/q, X at shift m and F at shift m + step
+    On the rows at lam + m = (p + m q)/q, X at shift m and Y at shift m + step
     are quadratics in m, so the rows at the shifts 0, step, 2 step and 3 step
     give each its value, first difference and constant second difference, and
     a step advances both by four integer additions instead of evaluating a row
     (Knuth, TAOCP vol. 2, 4.6.4).  The set-up rows may reach past the walk's
-    end; they are only read, so a zero of F there raises nothing.
+    end; they are only read, so a zero of Y there raises nothing.
 
     c_m is carried as a reduced integer pair (num, den), den > 0.  A step
-    orients the ratio a/b = -X/F so that b > 0, divides out gcd(X, F),
+    orients the ratio a/b = -X/Y so that b > 0, divides out gcd(X, Y),
     a gcd of two row-sized integers, and multiplies by Henrici's
     cross-cancellation (Knuth, TAOCP vol. 2, 4.5.1): g1 = gcd(num, b) and
     g2 = gcd(a, den) each pair a big integer with a row-sized one, and
     (num/g1)(a/g2) over (den/g2)(b/g1) is reduced by construction, so no gcd
     of two big integers is ever taken."""
-    step = 1 if band == 0 else -1
+    step = 1 if band < divide else -1
     p, q = lam.numerator, lam.denominator
     r0, r1, r2, r3 = (spec._ladder_row(p + k * step * q, q) for k in range(4))
-    # X at shift m and F at shift m + step, each with its two differences
+    # X at shift m and the divisor at shift m + step, each with its two differences
     x, dx, ddx = r0[band], r1[band] - r0[band], r2[band] - 2 * r1[band] + r0[band]
-    f, df, ddf = r1[1], r2[1] - r1[1], r3[1] - 2 * r2[1] + r1[1]
+    f, df, ddf = r1[divide], r2[divide] - r1[divide], r3[divide] - 2 * r2[divide] + r1[divide]
     psi = {0: Fraction(1)}
     num, den, m = 1, 1, 0
     for k in range(iterations):
@@ -368,14 +372,15 @@ def _polynomial_nullspace(spec: OdeSpec, table: list[tuple[int, int, int]]) -> l
     and degree+1 under L.  Reducing the images in parameter order against
     the parameters that are not free leaves the reduced-echelon basis.
 
-    The entries are integers but the vector stays Fraction: Fraction's
-    multiply and add reduce by gcds of a small factor against a large one,
-    while carrying integer numerators over a running denominator would end in
-    one gcd of two huge coprime integers per coefficient, which is quadratic
-    in their size and dominates once coefficients reach thousands of bits.
-    The series walk (_band_walk) carries reduced integer pairs without that
-    gcd only because its two-term rows multiply and never add: a product of
-    reduced pairs stays reduced by cross-cancellation, a sum does not.
+    Carrying integer numerators over a running denominator would end in one
+    gcd of two huge coprime integers per coefficient, quadratic in their size.
+    On a one-sided spec whose pivot band is R or F each band row has two
+    terms, and _band_walk solves them on reduced integer pairs by
+    cross-cancellation, with no such gcd: from c_z = 1 over F / R (L = 0) or
+    L / F (R = 0), down to just above the pivot's next zero below z.  Other
+    specs' rows add up to three terms, and a sum of reduced pairs is not
+    reduced, so their vectors stay Fraction, whose multiply and add reduce
+    by gcds of a small factor against a large one.
     """
     degree = len(table) - 1
     band = next((k for k, p in enumerate(spec.ladder_polys()) if p), 0)  # R, else F, else L
@@ -396,15 +401,23 @@ def _polynomial_nullspace(spec: OdeSpec, table: list[tuple[int, int, int]]) -> l
 
     basis: list[list[Fraction]] = []
     reduced: list[tuple[list[Fraction], list[Fraction | int], int]] = []
+    # two-term band rows: F c_(c+1) over R with L = 0, L c_(c+1) over F with R = 0
+    two_term = band == 1 or (band == 0 and not spec.ladder_polys()[2])
+    below = -1  # the free column below z
     for z in (c for c in range(degree + 1) if pivot[c] == 0):
         vec = [Fraction(0)] * (degree + 1)
-        vec[z] = Fraction(1)
-        for c in range(z - 1, -1, -1):
-            if pivot[c]:
-                # the band's row for c is c+1 under R, c under F and c-1 under L
-                total = row(vec, c + 1 - band)
-                if total:
-                    vec[c] = total / -pivot[c]
+        if two_term:  # down to just above the free column below, where the pivot vanishes
+            for m, c in _band_walk(spec, z, band + 1, z - below - 1, z, band)[0].items():
+                vec[z + m] = c
+        else:
+            vec[z] = Fraction(1)
+            for c in range(z - 1, -1, -1):
+                if pivot[c]:
+                    # the band's row for c is c+1 under R, c under F and c-1 under L
+                    total = row(vec, c + 1 - band)
+                    if total:
+                        vec[c] = total / -pivot[c]
+        below = z
         image = [row(vec, r) for r in constraint_rows]
         for p_vec, p_image, lead in reduced:
             scale = image[lead] / p_image[lead]
@@ -483,7 +496,8 @@ def polynomial_solution(spec: OdeSpec, degree: int) -> PolynomialSolutionResult:
     from the pivot-band recurrence (see _polynomial_nullspace): the lowest
     nonzero of R, F, L fixes one coefficient per row, and only its zeros in
     0..degree, at most two for a nonzero operator, leave a free parameter.
-    Its vectors are Fraction, not integers over one denominator, whose final
+    Its vectors are reduced Fractions, walked on reduced integer pairs on
+    one-sided specs, never integers over one denominator, whose final
     reduction would be quadratic in their size.  Each basis vector is
     certified by an integer zero test of its exact residual,
     full_operator(spec).image_support, which builds no Fraction; the

@@ -27,9 +27,9 @@ def test_demos_found():
 def test_demo_exits_zero(path):
     result = run_demo(path)
     assert result.returncode == 0, result.stderr
-    if path.stem == "demo_02_series_solutions":
-        line = next(
-            line for line in result.stdout.splitlines()
-            if line.startswith("series == two-term recurrence oracle")
-        )
+    # the demos' own exact checks, each printed on one line
+    checked = {"demo_01_operator_algebra": "closed form = brute force on all 128 points",
+               "demo_02_series_solutions": "series == two-term recurrence oracle"}
+    if path.stem in checked:
+        line = next(line for line in result.stdout.splitlines() if line.startswith(checked[path.stem]))
         assert line.endswith("True"), line

@@ -192,6 +192,7 @@ OWNED_NAMES = {"_ladder_integer": "algebra.py", "_ladder_form": "algebra.py",
                "_lifted_roots": "polynomials.py", "_simple_roots_mod": "polynomials.py",
                "_integer_polynomial_roots": ("polynomials.py", "solvability.py"),
                "_square_free": "polynomials.py", "_gershgorin_bound": "solvability.py",
+               "_band_walk": "solvability.py",
                "_contributions": "operators.py",
                "_add_pair": "operators.py", "_add_composition": "operators.py",
                "_pairs": "operators.py", "_from_pairs": "operators.py",
@@ -212,8 +213,9 @@ def test_owned_private_names_stay_in_their_module():
     adder or composes pair maps with its composition kernel, only the ladder
     layer reads a sum of pair pieces, and only as an operator or as Newton
     numerators, no other module reads the coefficient map under an operator
-    or a series, and only
-    the series walk's one helper fills a Fraction's slots, skipping its gcd."""
+    or a series, the one two-term walker of the series and the null space
+    stays in the solver, and only its one helper fills a Fraction's slots,
+    skipping its gcd."""
     leaks = set()
     for path in PACKAGE.glob("*.py"):
         for name in _referenced_names(ast.parse(path.read_text(encoding="utf-8"))):

@@ -20,7 +20,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from heunalg import DiffOp, OdeSpec, full_operator, kink_spec, polynomial_solution, polynomials
+from heunalg import DiffOp, OdeSpec, full_operator, kink_spec, polynomial_solution, polynomials, solvability
 from heunalg.operators import GeneralizedSeries
 from heunalg.polynomials import (
     _horner,
@@ -32,6 +32,7 @@ from heunalg.polynomials import (
 )
 from heunalg.solvability import (
     PolynomialSolutionResult,
+    _band_walk,
     _blocks,
     _characteristic_polynomial,
     _continuant_roots,
@@ -382,24 +383,68 @@ def _band_edge_spec(rng, band, degree):
     return OdeSpec(a0=a0, a4=a0 * (1 - z1 - z2), a7=a0 * z1 * z2, **c)
 
 
-def test_recurrence_nullspace_on_rows_no_free_column_owns():
+def _wide_one_sided_spec(rng, band, zeros, degree, no_f=False):
+    """A one-sided spec with 1- to 256-bit coefficients whose pivot band, R
+    (0, with L = 0) or F (1, with R = 0), vanishes at the given columns of
+    0..degree and nowhere else in it.  Under R, F is 0 with no_f, else wide
+    or 0 at s = 0 (a8 = 0, so that row 0 of the image can vanish)."""
+    def wide():
+        num, den = (rng.randint(1, 2 ** rng.randint(1, 256)) for _ in range(2))
+        return F(rng.choice((-1, 1)) * num, den)
+
+    z1, z2 = (*zeros, degree + rng.randint(1, 9), -rng.randint(1, 9))[:2]  # the rest out of range
+    lead = wide()
+    quadratic = {"a1": lead, "a5": lead * (1 - z1 - z2), "a8": lead * z1 * z2}
+    if band == 1:  # F(s) = a1 (s - z1)(s - z2), L wide or 0
+        lowering = {"a2": wide(), "a6": wide()} if rng.random() < 0.7 else {}
+        return OdeSpec(**quadratic, **lowering)
+    raising = dict(zip(("a0", "a4", "a7"), quadratic.values()))  # R(s) = a0 (s - z1)(s - z2)
+    diagonal = {} if no_f else {"a1": wide(), "a5": wide(), "a8": rng.choice((0, wide()))}
+    return OdeSpec(**raising, **diagonal)
+
+
+def test_recurrence_nullspace_on_rows_no_free_column_owns(monkeypatch):
     """A free column z owns band row z + 1 under R and z - 1 under L, where its
     own vector's image vanishes.  Row 0 under R, and rows degree and degree+1
     under L, belong to no column: with one free column under R, row 0 is the
-    only constraint that can bite.  The fixed case has R(6) = 0, F(0) != 0."""
+    only constraint that can bite.  The fixed case has R(6) = 0, F(0) != 0.
+
+    After the small draws come one-sided specs at degrees 17-48 with 1- to
+    256-bit coefficients: under R with L = 0 and 0, 1 or 2 zeros of R in
+    range (adjacent ones, and one at column 0), under F with R = 0 and zeros
+    of F, and F = 0 under R.  Their two-term rows walk _band_walk's reduced
+    pairs, once per free column; two-sided specs, and specs whose pivot band
+    is L, never walk it."""
+    walks = []
+    monkeypatch.setattr(solvability, "_band_walk", lambda *args: walks.append(args) or _band_walk(*args))
     rng = random.Random(1910)
     cases = [(OdeSpec(a0=-1, a1=F(-1, 2), a5=1, a7=30, a8=F(-3, 2)), 6)]
     cases += [(_band_edge_spec(rng, band, degree), degree)
               for band in range(4) for degree in range(17) for _ in range(6)]
+    for band, zeros, no_f in ((0, (), False), (0, (7,), False), (0, (11, 12), False),
+                              (0, (0, 9), False), (0, (0, 1), False), (1, (5,), False),
+                              (1, (3, 16), False), (1, (0, 2), False), (0, (4,), True)):
+        for _ in range(2):
+            degree = rng.randint(17, 48)
+            cases.append((_wide_one_sided_spec(rng, band, zeros, degree, no_f), degree))
     one_free_column_under_r = {True: 0, False: 0}  # keyed by whether row 0 vanished
+    wide_bases = 0  # wide draws whose basis has a denominator past the inputs' 256 bits
     for spec, degree in cases:
         want = reference_gauss_nullspace(reference_operator_matrix(spec, degree))
         table = ladder_table(spec, degree)
+        walks.clear()
         assert _polynomial_nullspace(spec, table) == want, (spec, degree)
+        raising, _, lowering = polys = spec.ladder_polys()
+        band = next((k for k, p in enumerate(polys) if p), 0)
+        free = sum(1 for row in table if row[band] == 0)
+        assert len(walks) == (free if band < 2 and not (raising and lowering) else 0), (spec, degree)
+        if degree > 16 and any(x.denominator.bit_length() > 256 for v in want for x in v):
+            wide_bases += 1
         assert polynomial_solution(spec, degree).verified, (spec, degree)
-        if spec.ladder_polys()[0] and sum(1 for r, _, _ in table if r == 0) == 1:
+        if raising and sum(1 for r, _, _ in table if r == 0) == 1:
             one_free_column_under_r[bool(want)] += 1
     assert min(one_free_column_under_r.values()) >= 5, one_free_column_under_r
+    assert wide_bases >= 4, wide_bases
 
 
 # -- rational_roots -------------------------------------------------------------------
@@ -649,9 +694,12 @@ def test_coefficient_growth_stays_in_fraction_arithmetic():
     coefficients of 200k bits.  Carrying either as integer numerators over
     one denominator ends in one gcd of two huge coprime integers per
     coefficient, quadratic in their size: 10-12 s for the null space and
-    1.2-1.8 s for the action on a 2-vCPU x86-64 host, against 0.4 s and
-    0.01 s in Fraction arithmetic, which reduces by gcds of a small factor
-    against a large one."""
+    1.2-1.8 s for the action on a 2-vCPU x86-64 host.  The QES spec has no
+    lowering part, so its band rows have two terms and its vector comes from
+    _band_walk's reduced integer pairs, whose cross-cancelling gcds pair a
+    big integer with a row-sized one: 0.12 s for the null space.  The action
+    stays in Fraction arithmetic, which reduces by gcds of a small factor
+    against a large one: 0.01 s."""
     rng = random.Random(160)
 
     def wide(bits):
